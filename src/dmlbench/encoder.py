@@ -15,6 +15,7 @@ text has an embedding.
 
 from __future__ import annotations
 
+import itertools
 import string
 import struct
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numeric import Rng, fnv1a_64
+from .numeric import Rng, add_rows_at, fnv1a_64
 
 MAGIC = b"ENC1"
 DEFAULT_VOCAB = 4096
@@ -132,7 +133,8 @@ def classify_logits(params: EncoderParams, z: np.ndarray) -> np.ndarray:
 class ForwardCache:
     """Intermediates saved by forward_batch for the manual backward pass."""
 
-    token_lists: list[list[int]]
+    ids: np.ndarray  # (total tokens,) every text's token ids, one text after another
+    lengths: np.ndarray  # (L,) tokens per text
     pooled: np.ndarray  # (L, d_emb) mean embedding per text
     embeddings: np.ndarray  # (L, d) tanh outputs
 
@@ -140,13 +142,33 @@ class ForwardCache:
 def forward_batch(
     params: EncoderParams, token_lists: list[list[int]]
 ) -> tuple[np.ndarray, ForwardCache]:
+    """Embeddings z = tanh(mean(embedding rows) @ projection + bias) of a
+    batch of token-id lists, shape (L, d), with the cache for backward_batch.
+
+    The rows are pooled one token position at a time over every text still
+    that long, so each text's sum runs in token order starting from zero
+    (for embed_dim >= 2 the sum numpy's mean over the text's rows takes),
+    and the memory grows with the tokens, not with L times the longest text.
+    """
     if not token_lists:
         raise DimensionError("need at least one text")
-    pooled = np.empty((len(token_lists), params.embed_dim))
-    for i, ids in enumerate(token_lists):
-        pooled[i] = params.embedding_table[np.asarray(ids, dtype=np.int64)].mean(axis=0)
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    ids = np.fromiter(
+        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
+    )
+    # texts longest first, so the texts with a token at position j are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longest_first = lengths[order]
+    table = params.embedding_table
+    sums = np.zeros((len(token_lists), params.embed_dim))
+    for j in range(int(longest_first[0])):
+        active = int(np.count_nonzero(longest_first > j))
+        sums[:active] += table[ids[starts[:active] + j]]
+    pooled = np.empty_like(sums)
+    pooled[order] = sums / longest_first[:, None]
     z = np.tanh(pooled @ params.projection + params.projection_bias)
-    return z, ForwardCache(token_lists, pooled, z)
+    return z, ForwardCache(ids, lengths, pooled, z)
 
 
 def backward_batch(
@@ -160,10 +182,13 @@ def backward_batch(
 
     Returns a dict keyed like EncoderParams.blocks(). Each text's pooled
     gradient is distributed over its embedding rows in proportion to how
-    often the row's token occurs in the text.
+    often the row's token occurs in the text. The (text, token) pairs are
+    counted with one np.unique and scattered in (text, token) order with
+    one add_rows_at, so every table row sums its texts' terms in text order.
     """
     z = cache.embeddings
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
+    # C-ordered whatever the params' layout, for add_rows_at
+    grads = {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.blocks()}
     grad_z = np.array(grad_embeddings, dtype=np.float64, copy=True)
     if grad_logits is not None:
         grads["classifier"] = z.T @ grad_logits
@@ -173,10 +198,12 @@ def backward_batch(
     grads["projection"] = cache.pooled.T @ grad_u
     grads["projection_bias"] = grad_u.sum(axis=0)
     grad_pooled = grad_u @ params.projection.T  # (L, d_emb)
-    table = grads["embedding_table"]
-    for i, ids in enumerate(cache.token_lists):
-        uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
-        table[uniq] += (counts[:, None] / len(ids)) * grad_pooled[i]
+    vocab = params.vocab_size
+    text_of = np.repeat(np.arange(cache.lengths.size), cache.lengths)
+    pairs, counts = np.unique(text_of * vocab + cache.ids, return_counts=True)
+    texts, rows = np.divmod(pairs, vocab)
+    shares = counts / cache.lengths[texts]
+    add_rows_at(grads["embedding_table"], rows, shares[:, None] * grad_pooled[texts])
     return grads
 
 

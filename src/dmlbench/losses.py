@@ -36,12 +36,14 @@ from .errors import (
 )
 from .numeric import (
     Rng,
+    add_rows_at,
     as_matrix,
     l2_normalize_rows,
     log_sum_exp,
     normalize_backward,
     sigmoid,
     softmax_rows,
+    softplus,
 )
 from .proxies import ProxyBank
 
@@ -203,23 +205,43 @@ def triplet_loss(batch: EmbeddingBatch, triplets) -> LossOutput:
     """Sum of hinge terms [d²(a,p) - d²(a,n) + margin]+ over the given triplets.
 
     Squared Euclidean distances; the subgradient at the hinge kink is zero.
+    Every triplet is validated first; an invalid one raises what
+    `_check_triplet` raises for the first of them. The terms are computed
+    for all triplets at once but summed in triplet order, and each active
+    triplet scatters its (anchor, positive, negative) rows in that order,
+    so the result is the same to the bit as taking one triplet at a time.
     """
     triplets = list(triplets)
     if not triplets:
         raise InvalidTripletError("need at least one triplet")
     z = batch.embeddings
-    grad = np.zeros_like(z)
-    value = 0.0
-    for spec in triplets:
-        _check_triplet(spec, batch.labels)
-        ap = z[spec.anchor] - z[spec.positive]
-        an = z[spec.anchor] - z[spec.negative]
-        slack = float(ap @ ap - an @ an) + spec.margin
-        if slack > 0.0:
-            value += slack
-            grad[spec.anchor] += 2.0 * (ap - an)
-            grad[spec.positive] -= 2.0 * ap
-            grad[spec.negative] += 2.0 * an
+    labels = batch.labels
+    idx = np.array([(t.anchor, t.positive, t.negative) for t in triplets], dtype=np.int64)
+    margins = np.array([t.margin for t in triplets], dtype=np.float64)
+    outside = np.any((idx < -batch.size) | (idx >= batch.size), axis=1)
+    a, p, n = np.where(outside[:, None], 0, idx).T
+    bad = (
+        outside
+        | (a == p) | (a == n) | (p == n)
+        | (labels[a] != labels[p])
+        | (labels[a] == labels[n])
+        | (margins < 0.0)
+    )
+    if bad.any():
+        _check_triplet(triplets[int(np.argmax(bad))], labels)
+    ap = z[a] - z[p]
+    an = z[a] - z[n]
+    # stacked (1, d) @ (d, 1) products are the same BLAS dots as ap @ ap per row
+    slack = (ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None])[:, 0, 0] + margins
+    hit = slack > 0.0
+    grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
+    if not hit.any():
+        return LossOutput(0.0, grad)
+    value = float(np.cumsum(slack[hit])[-1])
+    ap, an = ap[hit], an[hit]
+    rows = idx[hit].ravel()
+    steps = np.stack((2.0 * (ap - an), -2.0 * ap, 2.0 * an), axis=1)
+    add_rows_at(grad, rows, steps)
     return LossOutput(value, grad)
 
 
@@ -229,24 +251,46 @@ def mine_triplets(
     rng: Rng | None = None,
     cap: int = DEFAULT_MINING_CAP,
 ) -> list[TripletSpec]:
-    """All valid (anchor, positive, negative) index triples in the batch,
-    subsampled to `cap` with the given rng when there are more."""
+    """All valid (anchor, positive, negative) index triples in the batch, in
+    lexicographic order, subsampled to `cap` with the given rng when there
+    are more: rng.choice picks `cap` ranks of that order, kept sorted.
+
+    No triple is built that is not returned. Anchor a owns the block of
+    |pos(a)| * |neg(a)| consecutive ranks; a rank is decoded from its
+    anchor's block into the positive (the same-class members other than a,
+    ascending) and the negative (the other classes' members, ascending), so
+    the memory is O(batch + cap) however many triples there are.
+    """
     labels = batch.labels
-    triples = []
-    for a in range(batch.size):
-        positives = np.nonzero(labels == labels[a])[0]
-        negatives = np.nonzero(labels != labels[a])[0]
-        for p in positives:
-            if p == a:
-                continue
-            for n in negatives:
-                triples.append((a, int(p), int(n)))
-    if len(triples) > cap:
+    size = batch.size
+    counts = np.bincount(labels)
+    order = np.argsort(labels, kind="stable")  # members of each class, ascending
+    first = np.cumsum(counts) - counts  # where each class starts in `order`
+    within = np.empty(size, dtype=np.int64)  # a's rank among its class
+    within[order] = np.arange(size) - first[labels[order]]
+    same = counts[labels]
+    per_anchor = (same - 1) * (size - same)
+    total = int(per_anchor.sum())
+    if total > cap:
         if rng is None:
-            raise ConfigError(f"{len(triples)} triplets exceed cap {cap}; rng required")
-        keep = rng.choice(len(triples), cap)
-        triples = [triples[i] for i in sorted(keep)]
-    return [TripletSpec(a, p, n, margin) for a, p, n in triples]
+            raise ConfigError(f"{total} triplets exceed cap {cap}; rng required")
+        ranks = np.sort(rng.choice(total, cap))
+    else:
+        ranks = np.arange(total)
+    ends = np.cumsum(per_anchor)
+    anchor = np.searchsorted(ends, ranks, side="right")
+    cls = labels[anchor]
+    pos_rank, neg_rank = np.divmod(ranks - ends[anchor] + per_anchor[anchor], size - same[anchor])
+    pos_rank += pos_rank >= within[anchor]  # step over the anchor itself
+    positive = order[first[cls] + pos_rank]
+    negative = np.empty_like(neg_rank)
+    for c in np.unique(cls):
+        sel = cls == c
+        negative[sel] = np.nonzero(labels != c)[0][neg_rank[sel]]
+    return [
+        TripletSpec(a, p, n, margin)
+        for a, p, n in zip(anchor.tolist(), positive.tolist(), negative.tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +558,7 @@ def proxyanchor_loss(
         members = np.nonzero(labels == c)[0]
         x = -alpha * (sims[members, c] - delta)
         lse = log_sum_exp(x)
-        value += _softplus_from_lse(lse) / len(present)
+        value += softplus(lse) / len(present)
         coeff = sigmoid(lse) * np.exp(x - lse)
         grad_sims[members, c] += (-alpha / len(present)) * coeff
     for c in range(classes):
@@ -523,7 +567,7 @@ def proxyanchor_loss(
             continue
         x = alpha * (sims[outsiders, c] + delta)
         lse = log_sum_exp(x)
-        value += _softplus_from_lse(lse) / classes
+        value += softplus(lse) / classes
         coeff = sigmoid(lse) * np.exp(x - lse)
         grad_sims[outsiders, c] += (alpha / classes) * coeff
 
@@ -536,13 +580,6 @@ def proxyanchor_loss(
         [normalize_backward(p_raw[c], grad_p[c]) for c in range(classes)]
     )
     return LossOutput(value, grad_z, grad_p)
-
-
-def _softplus_from_lse(lse: float) -> float:
-    # log(1 + exp(lse)) with the lse already computed stably
-    if lse > 0.0:
-        return lse + float(np.log1p(np.exp(-lse)))
-    return float(np.log1p(np.exp(lse)))
 
 
 # ---------------------------------------------------------------------------

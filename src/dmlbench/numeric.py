@@ -2,8 +2,9 @@
 finite-difference gradient oracle.
 
 Everything here operates on plain numpy arrays (1-D "vectors", 2-D row-major
-"matrices") in 64-bit floating point. All functions are pure; `Rng` instances
-are single-owner streams.
+"matrices") in 64-bit floating point. All functions are pure except
+`add_rows_at`, which updates its target in place; `Rng` instances are
+single-owner streams.
 
 RNG algorithm (frozen; changing it is a breaking change)
 --------------------------------------------------------
@@ -149,6 +150,19 @@ def normalize_backward(raw: np.ndarray, grad_unit: np.ndarray) -> np.ndarray:
     return (grad_unit - (grad_unit @ u) * u) / r
 
 
+def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """target[rows[i]] += values[i] for i in order, so a row named several
+    times adds its terms in the order given. One np.add.at over the flat
+    element indices, which numpy runs much faster than the row-indexed
+    form. `target` must be C-contiguous: it is updated through a flat view,
+    and any other layout raises ValueError rather than update a copy."""
+    if not target.flags.c_contiguous:
+        raise ValueError("add_rows_at needs a C-contiguous target")
+    width = target.shape[1]
+    flat = (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+
+
 def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle: (f(x+h*e_i) - f(x-h*e_i)) / 2h.
 
@@ -252,20 +266,33 @@ class Rng:
         """Integer in [0, bound) via floor(u * bound); exact for bound < 2**53."""
         return int(self.random() * bound)
 
+    def _offsets(self, bounds: np.ndarray) -> list[int]:
+        """One randint(b) per bound, from a single block of uniforms:
+        floor(u * b) is exact in float64 for b < 2**53, so the offsets and
+        the counter match drawing them one call at a time."""
+        return (self.random(bounds.size) * bounds).astype(np.int64).tolist()
+
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
+        """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
+        i with randint(i + 1). Draws n - 1 uniforms (none for n < 2)."""
+        if n < 2:
+            return np.arange(n)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self._offsets(np.arange(n, 1, -1))):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        """k distinct indices from range(n), in draw order (partial Fisher-Yates)."""
-        if k > n:
+        """k distinct indices from range(n), in draw order (partial
+        Fisher-Yates: step i swaps i with i + randint(n - i)). Draws k
+        uniforms; the swapped slots live in a dict, so the cost is O(k)
+        whatever n is."""
+        if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
-        pool = np.arange(n)
-        for i in range(k):
-            j = i + self.randint(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k].copy()
+        moved: dict[int, int] = {}
+        picked = []
+        for i, j in enumerate(self._offsets(np.arange(n, n - k, -1))):
+            j += i
+            picked.append(moved.get(j, j))
+            moved[j] = moved.get(i, i)
+        return np.array(picked, dtype=np.int64)

@@ -73,6 +73,17 @@ class AdamW:
     Bias-corrected moments, decoupled weight decay scaled by the current
     learning rate (lr 0 freezes parameters exactly), and global L2 norm
     clipping across all blocks before any moment update.
+
+    A step allocates nothing: each block owns two work arrays, and every
+    operation writes into them with ``out=``. The operations and their
+    order are those of the textbook form
+
+        g = grad * scale
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g²
+        param -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd param)
+
+    so the result is the same to the bit. Gradients are C-contiguous
+    arrays of each block's shape, as the trainer builds them.
     """
 
     def __init__(self, blocks: list[tuple[str, np.ndarray]], clip_norm: float = 5.0):
@@ -80,28 +91,38 @@ class AdamW:
         self.clip_norm = clip_norm
         self.m = {name: np.zeros_like(arr) for name, arr in blocks}
         self.v = {name: np.zeros_like(arr) for name, arr in blocks}
+        self._work = {name: (np.empty(arr.shape), np.empty(arr.shape)) for name, arr in blocks}
         self.t = 0
 
     def step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float) -> None:
         sq = 0.0
         for name, _ in self.blocks:
-            g = grads[name]
-            sq += float((g * g).sum())
+            sq += float(np.square(grads[name], out=self._work[name][0]).sum())
         norm = math.sqrt(sq)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, param in self.blocks:
-            g = grads[name] * scale
+            g, tmp = self._work[name]
+            np.multiply(grads[name], scale, out=g)
             m = self.m[name]
             v = self.v[name]
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            param -= lr * (update + weight_decay * param)
+            np.square(g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v += tmp
+            update = np.divide(m, bc1, out=g)  # g is not needed any more
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            update /= tmp
+            decayed = np.multiply(param, weight_decay, out=tmp)
+            decayed += update
+            decayed *= lr
+            param -= decayed
 
 
 @dataclass
@@ -115,6 +136,8 @@ class TrainConfig:
     clip_norm: float = 5.0
     seed: int = 0
     vocab_size: int = DEFAULT_VOCAB
+    # at 1, a text's pooled sum runs in token order, where numpy's mean of a
+    # text over 8 tokens sums pairwise: the last bit can differ from encode()
     embed_dim: int = DEFAULT_EMBED_DIM
     out_dim: int = DEFAULT_OUT_DIM
     mining_cap: int = 512

@@ -1,0 +1,60 @@
+"""Bit-identity gate: the trajectory fingerprint of one small training run
+per loss variant is pinned.
+
+The fingerprint is sha256 over the final parameter blocks, the proxy bank
+(if any) and the loss trace, with the recipe of `bench/run.py:fingerprint`
+(48 synthetic texts, 2 epochs, batch 16, beta 0.5). A change meant to be
+bit-identical must leave every hash as it is; a change that moves floats on
+purpose updates the pins and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from dmlbench.harness import synth_dataset
+from dmlbench.losses import VARIANTS, LossConfig
+from dmlbench.numeric import derive_seed
+from dmlbench.trainer import TrainConfig, train
+
+SEED = 0
+PINNED = {
+    "cce": "97012869f6c40b6e26e69279efdf98c89d9b3d942d37629f2b9fd31a80318f30",
+    "triplet": "8788161b05fedc5b0c75cf96a69646ecf0ccb9860d68f892d577b24d394272f1",
+    "npairs": "f73bc1bff7412f29a2f506f6958bb4304d276a0b87ff6eff4e5cc21d56f30927",
+    "supcon": "7c5a44fa7f27529ef265025a43c0cfd9756e1bf99bba0d16b3a76826154ae5ab",
+    "proxynca": "f817e4a46655f9ab5f2899ca54a994a04d82cdcc49122e60ed12aacde2dfb462",
+    "softtriple": "1652e01d2b9660de271756d7c998e5db269cc8f15fee37b19ed8b06ddfc85549",
+    "proxyanchor": "fb5fa92d8aedee7810f2bdc278e604d7963151369e3bcbebfec1c445d692cce9",
+}
+
+
+def fingerprint(variant: str, seed: int = SEED) -> str:
+    data = synth_dataset(2, 48, seed=derive_seed(seed, "fingerprint"))
+    config = TrainConfig(
+        loss=LossConfig(variant, beta=0.5),
+        epochs=2,
+        batch_size=16,
+        seed=derive_seed(seed, "fingerprint", variant),
+    )
+    model = train(data.texts, data.labels, data.num_classes, config)
+    h = hashlib.sha256()
+    blocks = model.params.blocks()
+    if model.bank is not None:
+        blocks = blocks + [("proxies", model.bank.matrix)]
+    for name, arr in blocks:
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    h.update(json.dumps(model.steps).encode())
+    return h.hexdigest()
+
+
+def test_every_variant_is_pinned():
+    assert sorted(PINNED) == sorted(VARIANTS)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fingerprint_is_pinned(variant):
+    assert fingerprint(variant) == PINNED[variant]

@@ -153,6 +153,8 @@ def forward_batch(
     if not token_lists:
         raise DimensionError("need at least one text")
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    if not lengths.all():
+        raise DimensionError("every text needs at least one token (tokenize maps '' to [0])")
     ids = np.fromiter(
         itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
     )

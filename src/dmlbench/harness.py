@@ -494,10 +494,13 @@ def run_grid(
     baseline = np.full(n_folds, np.nan)
 
     if workers <= 1:
-        _pool_init(dataset.texts, dataset.labels, dataset.num_classes, plans, overrides, beta_inf)
-        results = map(_pool_cell, tasks)
-        results = list(results)
-        _POOL_STATE.clear()
+        results = [
+            (pi, fi) + _train_eval_cell(
+                dataset.texts, dataset.labels, dataset.num_classes, plans[fi],
+                point, seed, overrides, beta_inf,
+            )
+            for pi, fi, point, seed in tasks
+        ]
     else:
         with ProcessPoolExecutor(
             max_workers=workers,

@@ -147,6 +147,12 @@ class TestForward:
         with pytest.raises(DimensionError):
             forward_batch(tiny_params(), [])
 
+    def test_empty_token_list_rejected(self):
+        # tokenize never returns [], so an empty list is a caller error,
+        # not a text to embed as NaN
+        with pytest.raises(DimensionError):
+            forward_batch(tiny_params(), [[], [1]])
+
 
 class TestBackward:
     # chain rule through the whole model, checked against finite

@@ -9,11 +9,15 @@ purpose updates the pins and says so in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dmlbench.encoder import DEFAULT_VOCAB, tokenize
 from dmlbench.harness import synth_dataset
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.numeric import derive_seed
@@ -29,15 +33,27 @@ PINNED = {
     "softtriple": "1652e01d2b9660de271756d7c998e5db269cc8f15fee37b19ed8b06ddfc85549",
     "proxyanchor": "fb5fa92d8aedee7810f2bdc278e604d7963151369e3bcbebfec1c445d692cce9",
 }
+# the same recipe over a 16-row table, every row of which the texts use, so
+# AdamW keeps dense moments over the whole table (the default table of 4096
+# rows has few live rows and takes AdamW's live-row path)
+ALL_LIVE_VARIANT = "proxyanchor"
+ALL_LIVE_VOCAB = 16
+ALL_LIVE_PINNED = "71bcd5b3958d476bd4bad38f4109df1d793ba57dcb0e5636a7bcff25b150c9fb"
+BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def fingerprint(variant: str, seed: int = SEED) -> str:
-    data = synth_dataset(2, 48, seed=derive_seed(seed, "fingerprint"))
+def fingerprint_data(seed: int = SEED):
+    return synth_dataset(2, 48, seed=derive_seed(seed, "fingerprint"))
+
+
+def fingerprint(variant: str, seed: int = SEED, vocab_size: int = DEFAULT_VOCAB) -> str:
+    data = fingerprint_data(seed)
     config = TrainConfig(
         loss=LossConfig(variant, beta=0.5),
         epochs=2,
         batch_size=16,
         seed=derive_seed(seed, "fingerprint", variant),
+        vocab_size=vocab_size,
     )
     model = train(data.texts, data.labels, data.num_classes, config)
     h = hashlib.sha256()
@@ -58,3 +74,21 @@ def test_every_variant_is_pinned():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fingerprint_is_pinned(variant):
     assert fingerprint(variant) == PINNED[variant]
+
+
+def test_all_live_fingerprint_is_pinned():
+    used = {i for text in fingerprint_data().texts for i in tokenize(text, ALL_LIVE_VOCAB)}
+    assert used == set(range(ALL_LIVE_VOCAB))
+    assert fingerprint(ALL_LIVE_VARIANT, vocab_size=ALL_LIVE_VOCAB) == ALL_LIVE_PINNED
+
+
+def test_benchmark_recipe_matches_pins():
+    # the benchmark reports the same hashes, so its recipe and this gate agree
+    spec = importlib.util.spec_from_file_location("dmlbench_bench_run", BENCH_RUN)
+    bench_run = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = bench_run  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(bench_run)
+        assert bench_run.fingerprint(SEED) == PINNED
+    finally:
+        del sys.modules[spec.name]

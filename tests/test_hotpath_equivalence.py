@@ -5,9 +5,9 @@ The reference implementations below are the earlier loops, kept here and
 nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 `mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
 per-text pooling and scatter in the encoder, and AdamW with fresh
-temporaries. Hypothesis varies the sizes; every comparison is on the raw
-bytes of the results, so a difference in the last bit or in the sign of a
-zero fails.
+temporaries and dense moments over every row. Hypothesis varies the sizes;
+every comparison is on the raw bytes of the results, so a difference in the
+last bit or in the sign of a zero fails.
 """
 
 import math
@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 
 from dmlbench.encoder import backward_batch, forward_batch, init_encoder
 from dmlbench.errors import ConfigError, InvalidTripletError
-from dmlbench.losses import EmbeddingBatch, TripletSpec, mine_triplets, triplet_loss
+from dmlbench.harness import synth_dataset
+from dmlbench.losses import EmbeddingBatch, LossConfig, TripletSpec, mine_triplets, triplet_loss
 from dmlbench.numeric import Rng, add_rows_at
-from dmlbench.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW
+from dmlbench.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW, TrainConfig, train
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -451,3 +452,105 @@ def test_adamw_matches_temporaries(seed, steps, clip, weight_decay):
             assert same_bits(new_params[name], old_params[name])
             assert same_bits(new.m[name], old.m[name])
             assert same_bits(new.v[name], old.v[name])
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32),
+    vocab=st.integers(1, 40),
+    dim=st.integers(1, 4),
+    live_frac=st.floats(0.0, 0.5),
+    steps=st.integers(1, 6),
+    clip=st.sampled_from([1e-3, 1.0, 1e9]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+    lr=st.sampled_from([0.0, 1e-2, 0.5]),
+)
+def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, weight_decay, lr):
+    rng = Rng(seed)
+    live = np.sort(rng.choice(vocab, int(live_frac * vocab)))
+    dead = np.setdiff1d(np.arange(vocab), live)
+    shapes = {"table": (vocab, dim), "bias": (dim,), "head": (dim, 2)}
+    start = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
+    # signed zeros in half the rows that are not live: the decay keeps each sign
+    zero_rows = dead[: dead.size // 2]
+    negative = rng.random(zero_rows.size * dim).reshape(-1, dim) < 0.5
+    start["table"][zero_rows] = np.where(negative, -0.0, 0.0)
+    new_params = {name: arr.copy() for name, arr in start.items()}
+    old_params = {name: arr.copy() for name, arr in start.items()}
+    new = AdamW(list(new_params.items()), clip, live_rows={"table": live})
+    old = OldAdamW(list(old_params.items()), clip)
+    assert same_bits(new.live["table"], live)
+    for _ in range(steps):
+        grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
+        # rows that are not live get +0.0 or -0.0; some live rows get all zeros
+        dead_negative = rng.random(dead.size * dim).reshape(-1, dim) < 0.5
+        grads["table"][dead] = np.where(dead_negative, -0.0, 0.0)
+        grads["table"][live[rng.random(live.size) < 0.3]] = 0.0
+        new.step(grads, lr, weight_decay)
+        old.step(grads, lr, weight_decay)
+        for name in shapes:
+            assert same_bits(new_params[name], old_params[name])
+        for name in ("bias", "head"):
+            assert same_bits(new.m[name], old.m[name])
+            assert same_bits(new.v[name], old.v[name])
+        assert same_bits(new.m["table"], old.m["table"][live])
+        assert same_bits(new.v["table"], old.v["table"][live])
+        assert same_bits(old.m["table"][dead], np.zeros((dead.size, dim)))
+        assert same_bits(old.v["table"][dead], np.zeros((dead.size, dim)))
+
+
+class DenseAdamW(OldAdamW):
+    """The reference optimizer behind the trainer's signature."""
+
+    def __init__(self, blocks, clip_norm=5.0, live_rows=None):
+        super().__init__(blocks, clip_norm)
+
+
+@pytest.mark.parametrize("variant", ["cce", "triplet", "proxyanchor"])
+def test_training_with_live_rows_matches_dense_adamw(variant, monkeypatch):
+    data = synth_dataset(2, 40, seed=5)
+    config = TrainConfig(loss=LossConfig(variant, beta=0.5), epochs=2, batch_size=16, seed=3)
+    live = train(data.texts, data.labels, data.num_classes, config)
+    monkeypatch.setattr("dmlbench.trainer.AdamW", DenseAdamW)
+    dense = train(data.texts, data.labels, data.num_classes, config)
+    for (name, a), (_, b) in zip(live.params.blocks(), dense.params.blocks()):
+        assert same_bits(a, b), name
+    if live.bank is not None:
+        assert same_bits(live.bank.matrix, dense.bank.matrix)
+    assert live.steps == dense.steps
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_live_row_clip_at_the_dense_norm(seed):
+    # clip_norm set next to the dense gradient norm: the live rows' own sum
+    # of squares (another order) cannot decide whether clipping fires there
+    rng = Rng(seed)
+    live = np.sort(rng.choice(64, 30))
+    grad = np.zeros((64, 4))
+    grad[live] = rng.normal(live.size * 4).reshape(-1, 4)
+    dense = math.sqrt(float(np.square(grad).sum()))
+    gathered = math.sqrt(float(np.square(grad[live]).sum()))
+    for clip in (dense, np.nextafter(dense, 0.0), np.nextafter(dense, np.inf), gathered,
+                 dense * (1.0 - 1e-7), dense * (1.0 + 1e-7)):
+        start = rng.normal(64 * 4).reshape(64, 4)
+        new_table, old_table = start.copy(), start.copy()
+        AdamW([("table", new_table)], clip, live_rows={"table": live}).step(
+            {"table": grad}, 0.1, 0.01
+        )
+        OldAdamW([("table", old_table)], clip).step({"table": grad}, 0.1, 0.01)
+        assert same_bits(new_table, old_table), clip
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+def test_live_row_nonfinite_norm(bad):
+    # an overflowing or NaN sum of squares takes the dense path, as it must
+    live = np.array([1, 5])
+    grad = np.zeros((12, 3))
+    grad[live] = 0.5
+    grad[5, 2] = bad
+    start = Rng(3).normal(36).reshape(12, 3)
+    new_table, old_table = start.copy(), start.copy()
+    with np.errstate(all="ignore"):
+        AdamW([("table", new_table)], 1.0, live_rows={"table": live}).step({"table": grad}, 0.1, 0.01)
+        OldAdamW([("table", old_table)], 1.0).step({"table": grad}, 0.1, 0.01)
+    assert same_bits(new_table, old_table)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dmlbench.errors import ConfigError, ScheduleError, TrainingDivergedError
-from dmlbench.losses import LossConfig
+from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.numeric import Rng
 from dmlbench.trainer import AdamW, TrainConfig, lr_schedule, train
 
@@ -125,6 +125,35 @@ class TestAdamW:
         opt.step({"w": np.ones(3)}, 0.1, 0.0)
         assert opt.blocks[0][1] is w
 
+    def test_live_rows_keep_compact_moments(self):
+        table, head = np.ones((8, 2)), np.ones(3)
+        opt = AdamW([("table", table), ("head", head)], live_rows={"table": [5, 1, 5]})
+        assert opt.live["table"].tolist() == [1, 5]
+        assert opt.m["table"].shape == opt.v["table"].shape == (2, 2)
+        assert opt.m["head"].shape == (3,)
+
+    def test_live_rows_over_half_stay_dense(self):
+        opt = AdamW([("table", np.ones((4, 2)))], live_rows={"table": [0, 1, 2]})
+        assert opt.live == {}
+        assert opt.m["table"].shape == (4, 2)
+
+    def test_live_rows_out_of_range_rejected(self):
+        for rows in ([8], [-1]):
+            with pytest.raises(ConfigError):
+                AdamW([("table", np.ones((8, 2)))], live_rows={"table": rows})
+
+    def test_rows_outside_live_only_decay(self):
+        table = np.full((8, 2), 2.0)
+        table[6] = -0.0
+        grad = np.zeros((8, 2))
+        grad[1] = 1.0
+        AdamW([("table", table)], live_rows={"table": [1]}).step(
+            {"table": grad}, lr=0.1, weight_decay=0.5
+        )
+        assert np.array_equal(table[[0, 7]], np.full((2, 2), 2.0 - 0.1 * (2.0 * 0.5)))
+        assert np.signbit(table[6]).all()
+        assert (table[1] < 2.0 - 0.1).all()
+
 
 class TestTrain:
     def test_bit_identical_reruns(self):
@@ -230,6 +259,21 @@ class TestTrain:
             small_config(lr=-1.0)
         with pytest.raises(ConfigError):
             small_config(LossConfig("cce"), dml_only=True)
+
+    @pytest.mark.parametrize(
+        "variant, dml_only",
+        [(v, False) for v in VARIANTS] + [(v, True) for v in VARIANTS if v != "cce"],
+    )
+    def test_overflow_raises_diverged(self, variant, dml_only):
+        # parameters overflow: the embeddings turn NaN or the proxy norms
+        # overflow, and the cell must fail as diverged, not raise the
+        # DimensionError or DegenerateVectorError that would abort a grid
+        texts, labels = toy_data()
+        config = small_config(
+            LossConfig(variant, beta=0.5), lr=1e300, clip_norm=1e300, dml_only=dml_only
+        )
+        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
+            train(texts, labels, 2, config)
 
     def test_divergence_detected(self, monkeypatch):
         texts, labels = toy_data()

@@ -39,6 +39,19 @@ PINNED = {
 ALL_LIVE_VARIANT = "proxyanchor"
 ALL_LIVE_VOCAB = 16
 ALL_LIVE_PINNED = "71bcd5b3958d476bd4bad38f4109df1d793ba57dcb0e5636a7bcff25b150c9fb"
+# the same recipe at other blend weights: 0.5 is a power of two, so only a
+# weight like 0.3 shows a change in how the classifier gradient is scaled;
+# 0.0 is the metric-only endpoint, which dml_only must reproduce
+BLEND_PINNED = {
+    (0.3, "triplet"): "de973e8f33778e013ad5cc875c5297e5bc03663113bf9739f2402251f6c618a1",
+    (0.3, "npairs"): "2eced130d2ec927ace7b2ed70d9275e1eb94cde14c48b4b89bcbea0ad43690fe",
+    (0.3, "supcon"): "da367f68c153749809218b4ae84d853ca015a24db15977d67e5f403e2c328712",
+    (0.3, "proxynca"): "d4d8ce47a472975afeab39740614f1d11c40fa955a249bc76a9c251af8fdbf22",
+    (0.3, "softtriple"): "404adcb4883b33fb0dc3c3677954eacec599ad0fc96526af16e3860abb177165",
+    (0.3, "proxyanchor"): "b2c0f96061a419cee6095f74e5407df0842469d66a18c9e836510587ee6b44d9",
+    (0.0, "triplet"): "e3eebe0ca5c4eac0cf8b8a5d208968ab03f7e330f966940e8a28ef3f93f639ad",
+    (0.0, "proxyanchor"): "3db989437b5ad8695dd926df9afce82ae8b6133201ad645580216cb5e864409b",
+}
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
@@ -46,14 +59,21 @@ def fingerprint_data(seed: int = SEED):
     return synth_dataset(2, 48, seed=derive_seed(seed, "fingerprint"))
 
 
-def fingerprint(variant: str, seed: int = SEED, vocab_size: int = DEFAULT_VOCAB) -> str:
+def fingerprint(
+    variant: str,
+    seed: int = SEED,
+    vocab_size: int = DEFAULT_VOCAB,
+    beta: float = 0.5,
+    dml_only: bool = False,
+) -> str:
     data = fingerprint_data(seed)
     config = TrainConfig(
-        loss=LossConfig(variant, beta=0.5),
+        loss=LossConfig(variant, beta=beta),
         epochs=2,
         batch_size=16,
         seed=derive_seed(seed, "fingerprint", variant),
         vocab_size=vocab_size,
+        dml_only=dml_only,
     )
     model = train(data.texts, data.labels, data.num_classes, config)
     h = hashlib.sha256()
@@ -80,6 +100,15 @@ def test_all_live_fingerprint_is_pinned():
     used = {i for text in fingerprint_data().texts for i in tokenize(text, ALL_LIVE_VOCAB)}
     assert used == set(range(ALL_LIVE_VOCAB))
     assert fingerprint(ALL_LIVE_VARIANT, vocab_size=ALL_LIVE_VOCAB) == ALL_LIVE_PINNED
+
+
+@pytest.mark.parametrize("beta, variant", list(BLEND_PINNED))
+def test_blend_weight_fingerprint_is_pinned(beta, variant):
+    assert fingerprint(variant, beta=beta) == BLEND_PINNED[beta, variant]
+
+
+def test_dml_only_fingerprint_is_blend_weight_zero():
+    assert fingerprint("proxyanchor", beta=0.0, dml_only=True) == BLEND_PINNED[0.0, "proxyanchor"]
 
 
 def test_benchmark_recipe_matches_pins():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -32,6 +33,17 @@ from dmlbench.harness import (
 )
 
 VARIANTS6 = ("triplet", "supcon", "npairs", "proxynca", "softtriple", "proxyanchor")
+# sha256 of canonical_json({"full": full_grid(v), "desk": desk_grid(v)}): a
+# cell's seed comes from its point's index, so reordering the points (or the
+# axes they are built from) changes every grid result although the counts hold
+GRID_PINNED = {
+    "triplet": "bd23f8df667baee1bbe06fb1fcf1a5877e55475f12ee72ce93ae585913d00e6e",
+    "npairs": "11d88c9876d134f1a630e3e2aa8cecccd06324f7a963fe7058d2ffda967fbd24",
+    "supcon": "5887c3a9918894973b3b3dfeee04a9c4acb5dbc860e925dba62c4184ba29ffc8",
+    "proxynca": "6153959087d461518fa1ba2b5f6ba489991519610856a74928dc6a8fc45130bd",
+    "softtriple": "c04fdbaf45990377c5245842f88bf3db1e52134df8cd51fdbfe3d3fd50758263",
+    "proxyanchor": "6acc74eb9989f00b3ae0e5e22faf9541a5da3358ac299d7cec98ab1f3438d767",
+}
 
 
 def small_overrides(**kw):
@@ -287,6 +299,11 @@ class TestGrids:
                 assert cfg.variant == variant
             for point in desk_grid(variant):
                 make_loss_config(point)
+
+    @pytest.mark.parametrize("variant", VARIANTS6)
+    def test_point_order_is_pinned(self, variant):
+        blob = canonical_json({"full": full_grid(variant), "desk": desk_grid(variant)})
+        assert hashlib.sha256(blob.encode()).hexdigest() == GRID_PINNED[variant]
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigError):

@@ -67,16 +67,12 @@ from .losses import (
 )
 from .numeric import (
     Rng,
-    cosine_sim,
     derive_seed,
-    euclidean,
     fd_gradient,
     fnv1a_64,
-    l2_normalize,
     l2_normalize_rows,
     log_sum_exp,
     sigmoid,
-    softmax,
     softmax_rows,
     softplus,
 )

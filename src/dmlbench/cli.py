@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .encoder import forward_batch, load_encoder, save_encoder, tokenize
 from .errors import ConfigError
@@ -29,35 +30,34 @@ from .harness import (
     save_dataset,
     synth_dataset,
 )
-from .losses import VARIANTS, LossConfig
+from .losses import LOSSES, VARIANTS, LossConfig
 from .proxies import load_proxies, save_proxies
 from .trainer import TrainConfig, train
+
+# CLI flag (argparse dest) -> the LossConfig fields it sets, from the
+# variant table: --delta is the margin of soft-triple and of proxy-anchor
+LOSS_FLAGS: dict[str, list[str]] = {"beta": ["beta"]}
+for _spec in LOSSES.values():
+    for _flag, _field in _spec.flags.items():
+        LOSS_FLAGS.setdefault(_flag, []).append(_field)
+TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "warmup_fraction", "epochs")
+LOSS_DEFAULTS = LossConfig()
+TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
 
 DEFAULTS = {
     "seed": 0,
     "folds": 40,
     "shots": "20",
-    "beta": 0.5,
-    "margin": 1.0,
-    "tau": 0.1,
-    "softmax_scale": 1.0,
-    "k": 5,
-    "gamma": 0.05,
-    "lam": 1.0,
-    "delta": 0.1,
-    "alpha": 32.0,
     "beta_inf": 0.5,
     "workers": 1,
-    "epochs": None,  # per-shot default unless set
-    "batch_size": 64,
-    "lr": 3e-3,
-    "weight_decay": 0.01,
-    "warmup_fraction": 0.06,
     "instances": 50,
     "classes": 2,
     "size": 2000,
     "signal_tokens": 8,
     "noise": 0.35,
+    **{flag: getattr(LOSS_DEFAULTS, names[0]) for flag, names in LOSS_FLAGS.items()},
+    **{key: TRAIN_DEFAULTS[key] for key in TRAIN_FLAGS},
+    "epochs": None,  # unset: grid takes its per-shot default, train TrainConfig's
 }
 
 
@@ -112,35 +112,20 @@ def _parse_shot(raw):
 
 
 def _loss_config(args: argparse.Namespace, variant: str) -> LossConfig:
-    delta = float(_resolve(args, "delta"))
-    return LossConfig(
-        variant=variant,
-        beta=float(_resolve(args, "beta")),
-        margin=float(_resolve(args, "margin")),
-        tau=float(_resolve(args, "tau")),
-        softmax_scale=float(_resolve(args, "softmax_scale")),
-        st_k=int(_resolve(args, "k")),
-        st_gamma=float(_resolve(args, "gamma")),
-        st_lambda=float(_resolve(args, "lam")),
-        st_delta=delta,
-        pa_alpha=float(_resolve(args, "alpha")),
-        pa_delta=delta,
-    )
+    """Every field a loss flag maps to, cast to the type of its default."""
+    values = {}
+    for flag, names in LOSS_FLAGS.items():
+        value = _resolve(args, flag)
+        for name in names:
+            values[name] = type(getattr(LOSS_DEFAULTS, name))(value)
+    return LossConfig(variant=variant, **values)
 
 
-def _train_config(args: argparse.Namespace, loss: LossConfig, shot=None) -> TrainConfig:
-    epochs = _resolve(args, "epochs")
-    if epochs is None:
-        epochs = {20: 128, 100: 64, 1000: 8}.get(shot, 8)
-    return TrainConfig(
-        loss=loss,
-        epochs=int(epochs),
-        batch_size=int(_resolve(args, "batch_size")),
-        lr=float(_resolve(args, "lr")),
-        weight_decay=float(_resolve(args, "weight_decay")),
-        warmup_fraction=float(_resolve(args, "warmup_fraction")),
-        seed=int(_resolve(args, "seed")),
-    )
+def _train_overrides(args: argparse.Namespace) -> dict:
+    """The TrainConfig fields of TRAIN_FLAGS that have a value, cast to the
+    type of their default."""
+    values = {key: _resolve(args, key) for key in TRAIN_FLAGS}
+    return {k: type(TRAIN_DEFAULTS[k])(v) for k, v in values.items() if v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +178,7 @@ def _cmd_train(args) -> int:
     ds = load_dataset(args.data)
     variant = _resolve(args, "loss", "cce")
     loss = _loss_config(args, variant)
-    cfg = _train_config(args, loss)
+    cfg = TrainConfig(loss=loss, seed=int(_resolve(args, "seed")), **_train_overrides(args))
     model = train(ds.texts, ds.labels, ds.num_classes, cfg)
     if args.out_encoder:
         save_encoder(model.params, args.out_encoder)
@@ -232,15 +217,6 @@ def _cmd_grid(args) -> int:
     seed = int(_resolve(args, "seed"))
     plans = make_fold_plans(ds.labels, int(_resolve(args, "folds")), shot, seed)
     points = full_grid(variant) if _resolve(args, "full_grid", False) else desk_grid(variant)
-    overrides = {
-        "batch_size": int(_resolve(args, "batch_size")),
-        "lr": float(_resolve(args, "lr")),
-        "weight_decay": float(_resolve(args, "weight_decay")),
-        "warmup_fraction": float(_resolve(args, "warmup_fraction")),
-    }
-    epochs = _resolve(args, "epochs")
-    if epochs is not None:
-        overrides["epochs"] = int(epochs)
     result = run_grid(
         ds,
         plans,
@@ -249,7 +225,7 @@ def _cmd_grid(args) -> int:
         shot=shot,
         beta_inf=float(_resolve(args, "beta_inf")),
         workers=int(_resolve(args, "workers")),
-        train_overrides=overrides,
+        train_overrides=_train_overrides(args),
     )
     report = result_to_report(result)
     if args.out:

@@ -174,15 +174,13 @@ def forward_batch(
 
 
 def backward_batch(
-    params: EncoderParams,
-    cache: ForwardCache,
-    grad_embeddings: np.ndarray,
-    grad_logits: np.ndarray | None = None,
+    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Gradients for every parameter block given upstream gradients on the
-    batch embeddings and, optionally, on the classifier logits.
+    """Gradients for every parameter block given the upstream gradient on
+    the batch embeddings.
 
-    Returns a dict keyed like EncoderParams.blocks(). Each text's pooled
+    Returns a dict keyed like EncoderParams.blocks(); the classifier blocks
+    are zero, as the caller chains its own head gradient. Each text's pooled
     gradient is distributed over its embedding rows in proportion to how
     often the row's token occurs in the text. The (text, token) pairs are
     counted with one np.unique and scattered in (text, token) order with
@@ -191,11 +189,7 @@ def backward_batch(
     z = cache.embeddings
     # C-ordered whatever the params' layout, for add_rows_at
     grads = {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.blocks()}
-    grad_z = np.array(grad_embeddings, dtype=np.float64, copy=True)
-    if grad_logits is not None:
-        grads["classifier"] = z.T @ grad_logits
-        grads["classifier_bias"] = grad_logits.sum(axis=0)
-        grad_z += grad_logits @ params.classifier.T
+    grad_z = np.asarray(grad_embeddings, dtype=np.float64)
     grad_u = grad_z * (1.0 - z * z)  # through tanh
     grads["projection"] = cache.pooled.T @ grad_u
     grads["projection_bias"] = grad_u.sum(axis=0)

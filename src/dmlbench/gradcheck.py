@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import (
+    VARIANTS,
     EmbeddingBatch,
     TripletSpec,
     cce_loss,
@@ -158,6 +159,7 @@ def _cce_instance(rng: Rng):
 
 
 def _builders():
+    """The probe of every variant, with the loss settings it checks at."""
     return {
         "cce": _cce_instance,
         "triplet": _triplet_instance,
@@ -178,8 +180,10 @@ def _builders():
 
 
 def run_gradcheck(instances: int = 50, seed: int = 17, h: float = 1e-5) -> list[CheckResult]:
+    builders = _builders()
     results = []
-    for variant, build in _builders().items():
+    for variant in VARIANTS:
+        build = builders[variant]
         rng = Rng(derive_seed(seed, "gradcheck", variant))
         failures = 0
         worst_abs = 0.0

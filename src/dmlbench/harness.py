@@ -27,7 +27,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .evaluation import blended_scores, macro_f1, paired_significance, predict
-from .losses import PROXY_VARIANTS, LossConfig
+from .losses import LOSSES, PROXY_VARIANTS, LossConfig
 from .numeric import Rng, derive_seed
 from .trainer import TrainConfig, train
 
@@ -292,76 +292,26 @@ def canonical_json(obj) -> str:
 # hyperparameter grids
 
 
-def _points(variant: str, **axes) -> list[dict]:
-    names = list(axes)
+def _points(variant: str, axes: dict | None) -> list[dict]:
+    """Every combination of the axes and the beta sweep, in the variant's
+    point order: the first axis outermost, beta innermost."""
+    if axes is None:
+        raise ConfigError(f"no grid for variant {variant!r}")
     points = [{}]
-    for name in names:
-        points = [dict(p, **{name: v}) for p in points for v in axes[name]]
+    for name, values in {**axes, "beta": BETA_GRID}.items():
+        points = [dict(p, **{name: v}) for p in points for v in values]
     return [dict(variant=variant, **p) for p in points]
 
 
 def full_grid(variant: str) -> list[dict]:
     """The complete search space per loss; beta is swept everywhere."""
-    beta = list(BETA_GRID)
-    if variant == "triplet":
-        return _points(variant, margin=[1, 3, 5, 7, 9], beta=beta)
-    if variant == "supcon":
-        return _points(variant, tau=[0.1, 0.3, 0.5, 0.7, 0.9], beta=beta)
-    if variant == "npairs":
-        return _points(variant, beta=beta)
-    if variant == "proxynca":
-        return _points(
-            variant,
-            softmax_scale=[0.4, 0.6, 0.8, 1, 1.2, 1.4, 1.6, 1.8, 2, 3, 5],
-            beta=beta,
-        )
-    if variant == "softtriple":
-        return _points(
-            variant,
-            st_k=[5, 25, 1000, 2000],
-            st_gamma=[0.01, 0.03, 0.05, 0.07, 0.1],
-            st_lambda=[1, 3, 3.3, 4, 6, 8, 10],
-            st_delta=[0.1, 0.3, 0.5, 0.7, 0.9, 1],
-            beta=beta,
-        )
-    if variant == "proxyanchor":
-        return _points(
-            variant,
-            pa_alpha=[16, 32, 64, 128],
-            pa_delta=[0, 0.1, 0.3, 0.5, 0.7, 0.9],
-            beta=beta,
-        )
-    raise ConfigError(f"no grid for variant {variant!r}")
+    return _points(variant, getattr(LOSSES.get(variant), "full_grid", None))
 
 
 def desk_grid(variant: str) -> list[dict]:
     """Trimmed grids (at most 25 points) for quick local runs; the beta
     sweep is kept intact, the per-loss axes are thinned."""
-    beta = list(BETA_GRID)
-    if variant == "triplet":
-        return _points(variant, margin=[1, 5, 9], beta=beta)
-    if variant == "supcon":
-        return _points(variant, tau=[0.1, 0.5, 0.9], beta=beta)
-    if variant == "npairs":
-        return _points(variant, beta=beta)
-    if variant == "proxynca":
-        return _points(variant, softmax_scale=[0.4, 1, 2, 5], beta=beta)
-    if variant == "softtriple":
-        return _points(
-            variant,
-            st_k=[5],
-            st_gamma=[0.05],
-            st_lambda=[1, 10],
-            st_delta=[0.1, 0.9],
-            beta=beta,
-        )
-    if variant == "proxyanchor":
-        return _points(variant, pa_alpha=[32, 128], pa_delta=[0, 0.5], beta=beta)
-    raise ConfigError(f"no grid for variant {variant!r}")
-
-
-def make_loss_config(point: dict) -> LossConfig:
-    return LossConfig(**{k: v for k, v in point.items()})
+    return _points(variant, getattr(LOSSES.get(variant), "desk_grid", None))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +354,7 @@ def _train_eval_cell(
     split. point None means the plain cross-entropy baseline. Returns
     (dense F1, blended F1); the latter is NaN for proxy-free models, both
     are NaN when training diverges."""
-    loss_cfg = make_loss_config(point) if point is not None else LossConfig("cce")
+    loss_cfg = LossConfig(**point) if point is not None else LossConfig("cce")
     cfg = TrainConfig(loss=loss_cfg, seed=seed, **overrides)
     few = plan.fewshot_indices
     try:

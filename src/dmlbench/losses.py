@@ -8,6 +8,14 @@ for proxy-based losses, the gradient w.r.t. the proxy bank. Gradients are
 derived by hand and verified against the central-difference oracle in the
 test suite; there is no autograd anywhere.
 
+`LOSSES`, at the end of the module, is the one table of variants: per loss
+it says how `dml_loss` calls it (after the mining or structure check the
+loss needs), whether it trains a proxy bank and with how many proxies per
+class, its full and desk hyperparameter grids, and which CLI flags set its
+`LossConfig` fields. `VARIANTS`, `PROXY_VARIANTS`, the trainer, the harness
+grids, the CLI and the gradient check all read it; cce's row is empty, as
+the trainer runs the classifier loss itself.
+
 Conventions:
 
 * triplet uses squared Euclidean distances;
@@ -22,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +57,6 @@ from .numeric import (
 from .proxies import ProxyBank
 
 PROB_FLOOR = 1e-12
-VARIANTS = ("cce", "triplet", "npairs", "supcon", "proxynca", "softtriple", "proxyanchor")
-PROXY_VARIANTS = ("proxynca", "softtriple", "proxyanchor")
 DEFAULT_MINING_CAP = 512
 
 
@@ -142,11 +149,16 @@ class LossConfig:
             raise ConfigError("softmax_scale must be positive")
 
     @property
+    def is_metric(self) -> bool:
+        return LOSSES[self.variant].call is not None
+
+    @property
     def is_proxy_based(self) -> bool:
-        return self.variant in PROXY_VARIANTS
+        return LOSSES[self.variant].proxies is not None
 
     def proxies_per_class(self) -> int:
-        return self.st_k if self.variant == "softtriple" else 1
+        per_class = LOSSES[self.variant].proxies
+        return per_class(self) if per_class is not None else 1
 
 
 def zero_output(batch: EmbeddingBatch, bank: ProxyBank | None = None) -> LossOutput:
@@ -629,7 +641,101 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the variant table
+
+# the non-proxy losses' calls: mine or check the structure the loss needs,
+# and give a zero contribution when the batch lacks it
+
+
+def _triplet(batch, config, bank, rng, mining_cap) -> LossOutput:
+    triplets = mine_triplets(batch, config.margin, rng, mining_cap)
+    return triplet_loss(batch, triplets) if triplets else zero_output(batch)
+
+
+def _npairs(batch, config, bank, rng, mining_cap) -> LossOutput:
+    members = select_npairs_members(batch.labels, rng)
+    if members.size < 2:
+        return zero_output(batch)
+    sub = EmbeddingBatch(batch.embeddings[members], batch.labels[members], batch.num_classes)
+    out = npairs_loss(sub)
+    grad = np.zeros_like(batch.embeddings)
+    grad[members] = out.grad_embeddings
+    return LossOutput(out.value, grad)
+
+
+def _supcon(batch, config, bank, rng, mining_cap) -> LossOutput:
+    counts = np.bincount(batch.labels, minlength=batch.num_classes)
+    if not np.any(counts[batch.labels] > 1):
+        return zero_output(batch)
+    return supcon_loss(batch, config.tau)
+
+
+@dataclass(frozen=True)
+class LossSpec:
+    """One loss variant. The callables look the loss functions up when
+    they run, so a name patched on this module is the one called."""
+
+    # (batch, config, bank, rng, mining_cap) -> LossOutput; None for cce
+    call: Callable[..., LossOutput] | None = None
+    # config -> proxies per class; None when the loss trains no proxy bank
+    proxies: Callable[[LossConfig], int] | None = None
+    # LossConfig field -> values, outermost axis first; beta is swept last
+    full_grid: dict | None = None
+    desk_grid: dict | None = None
+    # CLI flag (argparse dest) -> the LossConfig field it sets
+    flags: dict = field(default_factory=dict)
+
+
+LOSSES: dict[str, LossSpec] = {
+    "cce": LossSpec(),
+    "triplet": LossSpec(
+        call=_triplet,
+        full_grid={"margin": [1, 3, 5, 7, 9]},
+        desk_grid={"margin": [1, 5, 9]},
+        flags={"margin": "margin"},
+    ),
+    "npairs": LossSpec(call=_npairs, full_grid={}, desk_grid={}),
+    "supcon": LossSpec(
+        call=_supcon,
+        full_grid={"tau": [0.1, 0.3, 0.5, 0.7, 0.9]},
+        desk_grid={"tau": [0.1, 0.5, 0.9]},
+        flags={"tau": "tau"},
+    ),
+    "proxynca": LossSpec(
+        call=lambda batch, config, bank, rng, cap: proxynca_loss(
+            batch, bank, config.softmax_scale
+        ),
+        proxies=lambda config: 1,
+        full_grid={"softmax_scale": [0.4, 0.6, 0.8, 1, 1.2, 1.4, 1.6, 1.8, 2, 3, 5]},
+        desk_grid={"softmax_scale": [0.4, 1, 2, 5]},
+        flags={"softmax_scale": "softmax_scale"},
+    ),
+    "softtriple": LossSpec(
+        call=lambda batch, config, bank, rng, cap: softtriple_loss(
+            batch, bank, config.st_lambda, config.st_gamma, config.st_delta
+        ),
+        proxies=lambda config: config.st_k,
+        full_grid={
+            "st_k": [5, 25, 1000, 2000],
+            "st_gamma": [0.01, 0.03, 0.05, 0.07, 0.1],
+            "st_lambda": [1, 3, 3.3, 4, 6, 8, 10],
+            "st_delta": [0.1, 0.3, 0.5, 0.7, 0.9, 1],
+        },
+        desk_grid={"st_k": [5], "st_gamma": [0.05], "st_lambda": [1, 10], "st_delta": [0.1, 0.9]},
+        flags={"k": "st_k", "gamma": "st_gamma", "lam": "st_lambda", "delta": "st_delta"},
+    ),
+    "proxyanchor": LossSpec(
+        call=lambda batch, config, bank, rng, cap: proxyanchor_loss(
+            batch, bank, config.pa_alpha, config.pa_delta
+        ),
+        proxies=lambda config: 1,
+        full_grid={"pa_alpha": [16, 32, 64, 128], "pa_delta": [0, 0.1, 0.3, 0.5, 0.7, 0.9]},
+        desk_grid={"pa_alpha": [32, 128], "pa_delta": [0, 0.5]},
+        flags={"alpha": "pa_alpha", "delta": "pa_delta"},
+    ),
+}
+VARIANTS = tuple(LOSSES)
+PROXY_VARIANTS = tuple(v for v, spec in LOSSES.items() if spec.proxies is not None)
 
 
 def dml_loss(
@@ -639,46 +745,17 @@ def dml_loss(
     rng: Rng | None = None,
     mining_cap: int = DEFAULT_MINING_CAP,
 ) -> LossOutput:
-    """Evaluate the configured metric-learning loss on one batch.
+    """Evaluate the configured metric-learning loss on one batch, as its
+    `LOSSES` entry calls it.
 
-    Handles mining for triplet/n-pairs and degrades to a zero contribution
-    when the batch lacks the structure a non-proxy loss needs (no valid
-    triplet, fewer than two pairable classes, all classes singleton).
+    Triplet and n-pairs mine their structure with `rng`; a non-proxy loss
+    degrades to a zero contribution when the batch lacks the structure it
+    needs (no valid triplet, fewer than two pairable classes, all classes
+    singleton).
     """
-    variant = config.variant
-    if variant == "cce":
-        raise ConfigError("cce is not a metric-learning loss")
+    call = LOSSES[config.variant].call
+    if call is None:
+        raise ConfigError(f"{config.variant} is not a metric-learning loss")
     if config.is_proxy_based and bank is None:
-        raise ConfigError(f"{variant} requires a proxy bank")
-
-    if variant == "triplet":
-        triplets = mine_triplets(batch, config.margin, rng, mining_cap)
-        if not triplets:
-            return zero_output(batch)
-        return triplet_loss(batch, triplets)
-    if variant == "npairs":
-        members = select_npairs_members(batch.labels, rng)
-        if members.size < 2:
-            return zero_output(batch)
-        sub = EmbeddingBatch(
-            batch.embeddings[members], batch.labels[members], batch.num_classes
-        )
-        out = npairs_loss(sub)
-        grad = np.zeros_like(batch.embeddings)
-        grad[members] = out.grad_embeddings
-        return LossOutput(out.value, grad)
-    if variant == "supcon":
-        labels = batch.labels
-        counts = np.bincount(labels, minlength=batch.num_classes)
-        if not np.any(counts[labels] > 1):
-            return zero_output(batch)
-        return supcon_loss(batch, config.tau)
-    if variant == "proxynca":
-        return proxynca_loss(batch, bank, config.softmax_scale)
-    if variant == "softtriple":
-        return softtriple_loss(
-            batch, bank, config.st_lambda, config.st_gamma, config.st_delta
-        )
-    if variant == "proxyanchor":
-        return proxyanchor_loss(batch, bank, config.pa_alpha, config.pa_delta)
-    raise ConfigError(f"unknown loss variant {variant!r}")
+        raise ConfigError(f"{config.variant} requires a proxy bank")
+    return call(batch, config, bank, rng, mining_cap)

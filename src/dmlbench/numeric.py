@@ -52,44 +52,6 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def euclidean(a, b) -> float:
-    """Euclidean distance between two equal-length vectors."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    d = a - b
-    return float(np.sqrt(d @ d))
-
-
-def cosine_sim(a, b) -> float:
-    """Cosine similarity a.b / (|a||b|), in [-1, 1]. Rejects zero-norm input."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    # scale by the largest magnitude first; norms of huge vectors would
-    # otherwise overflow inside the square root
-    ma = float(np.abs(a).max())
-    mb = float(np.abs(b).max())
-    if ma == 0.0 or mb == 0.0:
-        raise DegenerateVectorError("cosine similarity undefined for zero-norm vector")
-    ua = a / ma
-    ub = b / mb
-    s = float((ua / np.linalg.norm(ua)) @ (ub / np.linalg.norm(ub)))
-    # rounding can push |s| a hair past 1
-    return min(1.0, max(-1.0, s))
-
-
-def softmax(logits) -> np.ndarray:
-    """Max-shifted softmax of a 1-D logit vector; preserves argmax."""
-    x = as_vector(logits)
-    if x.size == 0:
-        raise DimensionError("softmax of empty vector")
-    shifted = np.exp(x - np.max(x))
-    return shifted / shifted.sum()
-
-
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise max-shifted softmax of a 2-D logit matrix."""
     m = as_matrix(logits)
@@ -124,18 +86,15 @@ def sigmoid(t: float) -> float:
     return e / (1.0 + e)
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """v / |v|; rejects zero-norm input."""
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise DegenerateVectorError("cannot normalize zero-norm vector")
-    return v / n
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Each row over its L2 norm. A zero norm raises, and so does a
+    non-finite one: finite entries of about 1e154 or more overflow the sum
+    of squares, and dividing by the inf norm would give a zero row."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("cannot normalize zero-norm row")
+    if not np.isfinite(norms).all():
+        raise DegenerateVectorError("row norm is not finite")
     return m / norms
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LabelError
+from .errors import ConfigError
 from .numeric import Rng, l2_normalize_rows
 
 _MAGIC = b"PXB1"
@@ -40,12 +40,6 @@ class ProxyBank:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def rows_of(self, class_index: int) -> slice:
-        if not 0 <= class_index < self.classes:
-            raise LabelError(f"class {class_index} out of range [0, {self.classes})")
-        k = self.proxies_per_class
-        return slice(class_index * k, (class_index + 1) * k)
-
 
 def init_proxies(classes: int, proxies_per_class: int, dim: int, rng: Rng) -> ProxyBank:
     """Gaussian(0, 1/sqrt(d)) rows, L2-normalized. Deterministic given the rng seed."""
@@ -54,16 +48,6 @@ def init_proxies(classes: int, proxies_per_class: int, dim: int, rng: Rng) -> Pr
     rows = classes * proxies_per_class
     matrix = rng.normal(rows * dim, scale=1.0 / np.sqrt(dim)).reshape(rows, dim)
     return ProxyBank(l2_normalize_rows(matrix), classes, proxies_per_class)
-
-
-def proxies_of(bank: ProxyBank, class_index: int) -> np.ndarray:
-    """The K proxy rows of one class, in k-order. Returns a copy, never a view."""
-    return bank.matrix[bank.rows_of(class_index)].copy()
-
-
-def present_classes(labels) -> set:
-    """Distinct class indices occurring in a label sequence."""
-    return set(int(label) for label in labels)
 
 
 def save_proxies(bank: ProxyBank, path) -> None:

@@ -1,16 +1,24 @@
 """Mini-batch trainer: AdamW with linear warmup/decay over the encoder,
 the classifier head, and (for proxy losses) the proxy bank.
 
+Every variant takes the same step. With the cross-entropy weight w
+(`TrainConfig.ce_weight`: 1 for cce, 0 with dml_only, beta otherwise) the
+step runs the variant's metric loss (none for cce), runs the classifier
+loss when w > 0, and blends the two with `combined_loss` at weight w. The
+classifier loss's gradient g w.r.t. the logits is chained by hand: the
+embeddings get w * (g @ W.T), through the blend, and the head gets
+z.T @ (w * g) and the column sums of w * g.
+
 Determinism contract: every random decision draws from its own stream
 derived from the run seed ("init", "proxies", "shuffle", "mining"), so
 e.g. adding proxies or mining does not shift the shuffle order. Training
 twice with the same data, seed, and config reproduces every parameter
 bit for bit. Two consequences the tests lean on:
 
-* with blend weight 1.0 the metric loss contributes exact zeros, so the
-  encoder trajectory is bit-identical to a plain cross-entropy run;
-* with blend weight 0.0 the cross-entropy side contributes exact zeros,
-  matching a run that skips the classifier loss entirely (dml_only).
+* with blend weight 1.0 the blend returns the cross-entropy side exactly,
+  so the encoder trajectory is bit-identical to a plain cross-entropy run;
+* with blend weight 0.0 the classifier loss does not run and the head gets
+  zero gradients, so the run is bit-identical to a dml_only run.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from .losses import (
     cce_loss,
     combined_loss,
     dml_loss,
+    zero_output,
 )
 from .numeric import Rng, derive_seed, l2_normalize_rows, softmax_rows
 from .proxies import ProxyBank, init_proxies
@@ -209,8 +218,15 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.lr < 0.0 or self.weight_decay < 0.0 or self.clip_norm <= 0.0:
             raise ConfigError("lr/weight_decay must be >= 0 and clip_norm > 0")
-        if self.dml_only and self.loss.variant == "cce":
+        if self.dml_only and not self.loss.is_metric:
             raise ConfigError("dml_only needs a metric-learning variant")
+
+    @property
+    def ce_weight(self) -> float:
+        """The weight w of the cross-entropy side of the training step."""
+        if not self.loss.is_metric:
+            return 1.0
+        return 0.0 if self.dml_only else self.loss.beta
 
 
 @dataclass
@@ -242,6 +258,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
     if num_classes < 1 or np.any(labels < 0) or np.any(labels >= num_classes):
         raise ConfigError("labels must lie in [0, num_classes)")
     loss_cfg = config.loss
+    w = config.ce_weight
 
     init_rng = Rng(derive_seed(config.seed, "init"))
     shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
@@ -276,46 +293,27 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
             z, cache = forward_batch(params, [tokenized[i] for i in chosen])
             _check_finite("embeddings", z, step)
 
-            grad_logits = None
-            if loss_cfg.variant == "cce":
-                logits = classify_logits(params, z)
-                out = cce_loss(softmax_rows(logits), yb)
-                value = out.value
-                grad_logits = 1.0 * out.grad_embeddings
-                grad_z = out.grad_embeddings @ params.classifier.T
-                grad_proxies = None
+            batch = EmbeddingBatch(z, yb, num_classes)
+            if loss_cfg.is_metric:
+                metric = dml_loss(batch, loss_cfg, bank, mining_rng, config.mining_cap)
             else:
-                batch = EmbeddingBatch(z, yb, num_classes)
-                dml_out = dml_loss(batch, loss_cfg, bank, mining_rng, config.mining_cap)
-                if config.dml_only:
-                    value = dml_out.value
-                    grad_z = dml_out.grad_embeddings
-                    grad_proxies = dml_out.grad_proxies
-                else:
-                    logits = classify_logits(params, z)
-                    c_out = cce_loss(softmax_rows(logits), yb)
-                    cce_emb = LossOutput(
-                        c_out.value, c_out.grad_embeddings @ params.classifier.T
-                    )
-                    blended = combined_loss(cce_emb, dml_out, loss_cfg.beta)
-                    value = blended.value
-                    grad_z = blended.grad_embeddings
-                    grad_proxies = blended.grad_proxies
-                    grad_logits = loss_cfg.beta * c_out.grad_embeddings
-                if grad_proxies is None and bank is not None:
-                    grad_proxies = np.zeros_like(bank.matrix)
+                metric = zero_output(batch)
+            if w > 0.0:
+                c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
+                _check_finite("loss", c_out.value, step)
+                grad_logits = w * c_out.grad_embeddings
+                ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
+            else:
+                ce = zero_output(batch)
+            out = combined_loss(ce, metric, w)
+            log.append((step, out.value))
 
-            if not np.isfinite(value):
-                raise TrainingDivergedError(f"step {step}: loss is not finite")
-            log.append((step, float(value)))
-
-            # classifier is chained by hand so the blend weight scales it too
-            grads = backward_batch(params, cache, grad_z, grad_logits=None)
-            if grad_logits is not None:
+            grads = backward_batch(params, cache, out.grad_embeddings)
+            if w > 0.0:
                 grads["classifier"] = z.T @ grad_logits
                 grads["classifier_bias"] = grad_logits.sum(axis=0)
             if bank is not None:
-                grads["proxies"] = grad_proxies
+                grads["proxies"] = out.grad_proxies
 
             lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
             optimizer.step(grads, lr, config.weight_decay)

@@ -4,7 +4,7 @@ import scipy.special
 import scipy.stats
 
 from dmlbench.encoder import forward_batch, init_encoder, tokenize
-from dmlbench.errors import ConfigError, DimensionError
+from dmlbench.errors import ConfigError, DegenerateVectorError, DimensionError
 from dmlbench.evaluation import (
     EvalResult,
     blended_scores,
@@ -51,6 +51,14 @@ class TestBlendedScores:
         params, bank, z = tiny_model(1)
         scores = blended_scores(params, z, bank, 0.5)
         assert scores.min() >= -1.0 and scores.max() <= 2.0
+
+    def test_overflowing_proxy_norms_raise(self):
+        # a PXB1 bank of finite entries near 1e200 loads, but its row norms
+        # overflow: the cosines would all read 0 instead of failing
+        params, bank, z = tiny_model()
+        huge = ProxyBank(np.full_like(bank.matrix, 1e200), bank.classes, 1)
+        with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError):
+            blended_scores(params, z, huge, 0.5)
 
     def test_multi_proxy_requires_opt_in(self):
         params, bank, z = tiny_model(2, per_class=3)

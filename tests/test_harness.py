@@ -23,7 +23,6 @@ from dmlbench.harness import (
     full_grid,
     load_dataset,
     make_fold_plans,
-    make_loss_config,
     render_csv,
     render_table,
     result_to_report,
@@ -31,6 +30,7 @@ from dmlbench.harness import (
     save_dataset,
     synth_dataset,
 )
+from dmlbench.losses import LossConfig
 
 VARIANTS6 = ("triplet", "supcon", "npairs", "proxynca", "softtriple", "proxyanchor")
 # sha256 of canonical_json({"full": full_grid(v), "desk": desk_grid(v)}): a
@@ -295,10 +295,10 @@ class TestGrids:
     def test_every_point_builds_a_config(self):
         for variant in VARIANTS6:
             for point in full_grid(variant):
-                cfg = make_loss_config(point)
+                cfg = LossConfig(**point)
                 assert cfg.variant == variant
             for point in desk_grid(variant):
-                make_loss_config(point)
+                LossConfig(**point)
 
     @pytest.mark.parametrize("variant", VARIANTS6)
     def test_point_order_is_pinned(self, variant):

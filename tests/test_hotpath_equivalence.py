@@ -115,13 +115,9 @@ def old_forward_batch(params, token_lists):
     return z, pooled
 
 
-def old_backward_batch(params, token_lists, pooled, z, grad_embeddings, grad_logits=None):
+def old_backward_batch(params, token_lists, pooled, z, grad_embeddings):
     grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
     grad_z = np.array(grad_embeddings, dtype=np.float64, copy=True)
-    if grad_logits is not None:
-        grads["classifier"] = z.T @ grad_logits
-        grads["classifier_bias"] = grad_logits.sum(axis=0)
-        grad_z += grad_logits @ params.classifier.T
     grad_u = grad_z * (1.0 - z * z)
     grads["projection"] = pooled.T @ grad_u
     grads["projection_bias"] = grad_u.sum(axis=0)
@@ -349,8 +345,8 @@ def token_batches(draw):
 
 
 @SETTINGS
-@given(case=token_batches(), with_logits=st.booleans())
-def test_forward_and_backward_match_per_text_loops(case, with_logits):
+@given(case=token_batches())
+def test_forward_and_backward_match_per_text_loops(case):
     params, texts, seed = case
     z, cache = forward_batch(params, texts)
     z_old, pooled_old = old_forward_batch(params, texts)
@@ -358,9 +354,8 @@ def test_forward_and_backward_match_per_text_loops(case, with_logits):
     assert same_bits(cache.pooled, pooled_old)
     rng = Rng(seed + 1)
     grad_z = rng.normal(z.size).reshape(z.shape)
-    grad_logits = rng.normal(len(texts) * 3).reshape(len(texts), 3) if with_logits else None
-    new = backward_batch(params, cache, grad_z, grad_logits)
-    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z, grad_logits)
+    new = backward_batch(params, cache, grad_z)
+    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     assert list(new) == list(old)
     for name in old:
         assert same_bits(new[name], old[name]), name
@@ -398,9 +393,8 @@ def test_encoder_fortran_ordered_params():
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     grad_z = Rng(18).normal(z.size).reshape(z.shape)
-    grad_logits = Rng(19).normal(len(texts) * 2).reshape(len(texts), 2)
-    new = backward_batch(params, cache, grad_z, grad_logits)
-    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z, grad_logits)
+    new = backward_batch(params, cache, grad_z)
+    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     assert np.any(new["embedding_table"] != 0.0)
     for name in old:
         assert same_bits(new[name], old[name]), name

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from dmlbench.errors import ConfigError, LabelError
+from dmlbench.errors import ConfigError
 from dmlbench.numeric import Rng
 from dmlbench.proxies import (
     ProxyBank,
     init_proxies,
     load_proxies,
-    present_classes,
-    proxies_of,
     save_proxies,
 )
 
@@ -26,20 +24,6 @@ class TestProxyBank:
         b = init_proxies(3, 2, 5, Rng(7))
         assert np.array_equal(a.matrix, b.matrix)
 
-    def test_rows_of(self):
-        bank = init_proxies(3, 2, 4, Rng(1))
-        assert bank.rows_of(1) == slice(2, 4)
-        with pytest.raises(LabelError):
-            bank.rows_of(3)
-        with pytest.raises(LabelError):
-            bank.rows_of(-1)
-
-    def test_proxies_of_returns_copy(self):
-        bank = init_proxies(2, 2, 4, Rng(2))
-        rows = proxies_of(bank, 0)
-        rows[:] = 0.0
-        assert not np.allclose(bank.matrix[:2], 0.0)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ProxyBank(np.zeros((3, 4)), 2, 2)  # row count mismatch
@@ -47,9 +31,6 @@ class TestProxyBank:
             ProxyBank(np.full((2, 2), np.nan), 2, 1)
         with pytest.raises(ConfigError):
             init_proxies(0, 1, 4, Rng(0))
-
-    def test_present_classes(self):
-        assert present_classes([2, 0, 2, 5]) == {0, 2, 5}
 
 
 class TestCheckpoint:

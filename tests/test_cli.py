@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from dmlbench.cli import main
 from dmlbench.encoder import load_encoder
-from dmlbench.harness import fold_plans_from_json, load_dataset
+from dmlbench.harness import canonical_json, fold_plans_from_json, load_dataset
 from dmlbench.proxies import load_proxies
 
 
@@ -154,3 +155,115 @@ class TestConfigFile:
     def test_missing_data_file(self, capsys):
         assert main(["folds", "--data", "/nonexistent/path.tsv"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return str(path)
+
+
+class TestOutputPins:
+    """sha256 of every file and stdout of one pass through every subcommand,
+    with flags, config files and built-in defaults mixed. A change to how
+    the CLI finds its settings must leave every hash as it is."""
+
+    PINNED = {
+        "synth.stdout": "5f371ecc68d2d5ca70b85c1ec4d9f9a10ee66abccd9a7e54874fc714dbc4f1d5",
+        "synth.tsv": "5e720ed37672909ecc889eb72962d919cfad7e430aff398abde018838adbc834",
+        "folds.stdout": "79515f29cf2b2ab238f4bc5f9c6bc99903710b913baff827c1d98faa911871cf",
+        "train_proxyanchor.stdout": "6e3ecda2c02dbe6e1da27aa41212ef04b2638e7bba76adebacc1e24973291ba6",
+        "train_proxyanchor.enc": "a75e346dd283c5580ea0229206da544ebac25e88137ab3421fb9df4b13a1d1f2",
+        "train_proxyanchor.pxb": "1d74115d185da350df604a6f6d00c51c22d7772ec9359b78e51dad0d9fa25130",
+        "train_proxyanchor.log": "9d24b84c2d55c862cf64266a0cd5c7ce7b28dd65ae3b564961d5ca13e69782bf",
+        "train_softtriple.stdout": "aa4d4cbcb83733a8ccdbd95e2a5ffbd0fd10cf2799a2181f4f04f3bbfc04f241",
+        "train_softtriple.log": "bcc22a373755d151878bf65a375872b89664dd5f832cb167403ec968bb353413",
+        "train_cce.stdout": "236a27ba1c0eb28a877a02b5f1da419fa87e59ca3aa886427c3fc2b9bf38e9e8",
+        "train_cce.log": "d056860bb81bfc26a88ae2ddcfd08acddc2b560e740c3abd125dc196f8dc3b3c",
+        "eval_dense.stdout": "cf927a1f72a6ba803db3b7b277501c7267ecbfec0ec7bb13e7214b18efcd9938",
+        "eval_blended.stdout": "b5640b25315e2e6557cedf027ed31c3f82899d1427ad68a92b21f94fc2f8eff1",
+        "eval_file.stdout": "b5640b25315e2e6557cedf027ed31c3f82899d1427ad68a92b21f94fc2f8eff1",
+        "grid.stdout": "267c6402ca8aed5761767454acf7131d9087b1e21b5787d46748c0fbb38fed87",
+        "grid.json": "d3a223a4ac0684bfdd19458f62456c3a6bbbe5b8d5231b88edfd763bc83c4441",
+        "report_table.stdout": "267c6402ca8aed5761767454acf7131d9087b1e21b5787d46748c0fbb38fed87",
+        "report_csv.stdout": "7b331f81764779de9bbdb6047d3ba553069b5a8249e2d5e7899f6222d5c519c3",
+        "report_json.stdout": "d3a223a4ac0684bfdd19458f62456c3a6bbbe5b8d5231b88edfd763bc83c4441",
+        "gradcheck.stdout": "79e2a6c143f603ca39f64e4440fb390d84a25dce81120782b6bc15e55210faa1",
+        "gradcheck_default_seed.stdout": "08167a27d2dac2f5a16b361653e9903fd63b9537ee3f073ce9c24e2a3066b955",
+    }
+
+    def run(self, tmp_path, capsys) -> dict:
+        out = {}
+
+        def call(name, argv):
+            assert main(argv) == 0, name
+            stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+            out[f"{name}.stdout"] = _sha(stdout.encode())
+
+        data = tmp_path / "data.tsv"
+        cfg = _write_json(tmp_path / "synth.json",
+                          {"classes": 3, "size": 90, "noise": 0.2, "seed": 4})
+        call("synth", ["synth", "--config", cfg, "--size", "120", "--out", str(data)])
+        out["synth.tsv"] = _sha(data.read_bytes())
+
+        cfg = _write_json(tmp_path / "folds.json", {"folds": 3, "seed": 5})
+        call("folds", ["folds", "--data", str(data), "--config", cfg, "--shots", "20"])
+
+        enc, prox, log = (tmp_path / n for n in ("pa.enc", "pa.pxb", "pa.json"))
+        call("train_proxyanchor", [
+            "train", "--data", str(data), "--loss", "proxyanchor", "--beta", "0.3",
+            "--alpha", "16", "--delta", "0.2", "--epochs", "2", "--batch-size", "32",
+            "--lr", "0.01", "--seed", "6", "--out-encoder", str(enc),
+            "--out-proxies", str(prox), "--out-log", str(log),
+        ])
+        out["train_proxyanchor.enc"] = _sha(enc.read_bytes())
+        out["train_proxyanchor.pxb"] = _sha(prox.read_bytes())
+        out["train_proxyanchor.log"] = self.log_sha(log)
+
+        # loss and train settings from a file, ints where floats belong
+        cfg = _write_json(tmp_path / "train.json", {
+            "loss": "softtriple", "k": 2, "gamma": 0.1, "lam": 4, "delta": 0.3,
+            "epochs": 1, "lr": 1, "weight_decay": 0, "warmup_fraction": 0.5,
+        })
+        st_log = tmp_path / "st.json"
+        call("train_softtriple", ["train", "--data", str(data), "--config", cfg,
+                                  "--delta", "0.2", "--out-log", str(st_log)])
+        out["train_softtriple.log"] = self.log_sha(st_log)
+
+        cce_log = tmp_path / "cce.json"
+        call("train_cce", ["train", "--data", str(data), "--epochs", "1",
+                           "--out-log", str(cce_log)])
+        out["train_cce.log"] = self.log_sha(cce_log)
+
+        call("eval_dense", ["eval", "--data", str(data), "--encoder", str(enc)])
+        call("eval_blended", ["eval", "--data", str(data), "--encoder", str(enc),
+                              "--proxies", str(prox), "--blended"])
+        cfg = _write_json(tmp_path / "eval.json", {"blended": True, "beta_inf": 0.25})
+        call("eval_file", ["eval", "--data", str(data), "--encoder", str(enc),
+                           "--proxies", str(prox), "--config", cfg])
+
+        report = tmp_path / "report.json"
+        cfg = _write_json(tmp_path / "grid.json",
+                          {"loss": "npairs", "folds": 2, "beta_inf": 0.7, "seed": 8})
+        call("grid", ["grid", "--data", str(data), "--config", cfg, "--out", str(report)])
+        out["grid.json"] = _sha(report.read_bytes())
+        for fmt in ("table", "csv", "json"):
+            call(f"report_{fmt}", ["report", "--report", str(report), "--format", fmt])
+
+        call("gradcheck", ["gradcheck", "--instances", "2", "--seed", "17"])
+        call("gradcheck_default_seed", ["gradcheck", "--instances", "1"])
+        return out
+
+    @staticmethod
+    def log_sha(path) -> str:
+        """The training log without the two options the trainer dropped."""
+        log = json.loads(path.read_text(encoding="utf-8"))
+        for key in ("mining_cap", "proxy_renorm"):
+            log["config"].pop(key, None)
+        return _sha(canonical_json(log).encode())
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        assert self.run(tmp_path, capsys) == self.PINNED

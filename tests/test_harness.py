@@ -134,6 +134,27 @@ class TestSynth:
         ds = synth_dataset(2, 10, tokens_per_text=5, seed=4)
         assert all(len(t.split()) == 5 for t in ds.texts)
 
+    # sha256 of the corpus, pinned on the generator that drew its uniforms
+    # one token at a time: (num_classes, size, signal_tokens, noise, seed,
+    # tokens_per_text)
+    PINNED = {
+        (2, 2000, 8, 0.35, 0, 8): "ed8165d76b7f37d060172ae31e0bf263c9894c5ad5b58c99f9602121799d9fd0",
+        (3, 31, 8, 0.35, 1, 8): "b04b4d01faec1175136d319ae512378ec81f6858dc06bdd0e4bfdb2b5c54d355",
+        (2, 20, 8, 0.0, 2, 8): "d183d19a11d0d3529d179c97f4aaeca4c08280751ec0cc5f77aa02c3ece6b810",
+        (5, 97, 3, 1.0, 7, 5): "0b2224e15e57c711f8ff5cb34a3f7fefe21df6ed5b939c99b2d8db758c37e13c",
+        (4, 50, 1, 0.5, 9, 1): "1a1ad0739825886156b09c2002d0804bc2252a510313de1e16f539e73a8d5c5d",
+        (7, 123, 12, 0.9, 11, 16): "d4f90311397d06dca739a12964d151c114f6eb3f07b41d76ac2c81bbda6fb49e",
+    }
+
+    @pytest.mark.parametrize("key", list(PINNED))
+    def test_corpus_pinned(self, key):
+        classes, size, signal, noise, seed, tokens = key
+        ds = synth_dataset(classes, size, signal, noise, seed, tokens)
+        h = hashlib.sha256()
+        for text, label in zip(ds.texts, ds.labels):
+            h.update(f"{label}\t{text}\n".encode())
+        assert h.hexdigest() == self.PINNED[key]
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             synth_dataset(1, 10)

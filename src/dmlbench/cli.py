@@ -1,22 +1,29 @@
 """Command line front end.
 
 Subcommands: gradcheck, synth, folds, train, eval, grid, report. Every
-flag can also come from a JSON config file (--config); explicit flags win
-over the file, the file wins over built-in defaults.
+flag can also come from a JSON config file (--config): the file's values
+become the subcommand parser's defaults before a second parse, so explicit
+flags win over the file and the file wins over built-in defaults.
+
+Each default is written once. A flag that feeds a function parameter
+takes the parameter's default; a loss or training flag defaults to None
+and leaves the `LossConfig` or `TrainConfig` field (or, for grid epochs,
+the per-shot epochs) at its own default.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import fields
 
 from .encoder import forward_batch, load_encoder, save_encoder, tokenize
 from .errors import ConfigError
 from .evaluation import blended_scores, macro_f1, predict
 from .gradcheck import run_gradcheck
 from .harness import (
+    SHOT_CHOICES,
     canonical_json,
     desk_grid,
     fold_plans_to_json,
@@ -34,98 +41,69 @@ from .losses import LOSSES, VARIANTS, LossConfig
 from .proxies import load_proxies, save_proxies
 from .trainer import TrainConfig, train
 
-# CLI flag (argparse dest) -> the LossConfig fields it sets, from the
-# variant table: --delta is the margin of soft-triple and of proxy-anchor
+# CLI flag (argparse dest) -> the config fields it sets, from the variant
+# table: --delta is the margin of soft-triple and of proxy-anchor
 LOSS_FLAGS: dict[str, list[str]] = {"beta": ["beta"]}
 for _spec in LOSSES.values():
     for _flag, _field in _spec.flags.items():
         LOSS_FLAGS.setdefault(_flag, []).append(_field)
-TRAIN_FLAGS = ("batch_size", "lr", "weight_decay", "warmup_fraction", "epochs")
+TRAIN_FLAGS = {f: [f] for f in ("epochs", "batch_size", "lr", "weight_decay", "warmup_fraction")}
 LOSS_DEFAULTS = LossConfig()
-TRAIN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)}
+TRAIN_DEFAULTS = TrainConfig()
 
-DEFAULTS = {
-    "seed": 0,
-    "folds": 40,
-    "shots": "20",
-    "beta_inf": 0.5,
-    "workers": 1,
-    "instances": 50,
-    "classes": 2,
-    "size": 2000,
-    "signal_tokens": 8,
-    "noise": 0.35,
-    **{flag: getattr(LOSS_DEFAULTS, names[0]) for flag, names in LOSS_FLAGS.items()},
-    **{key: TRAIN_DEFAULTS[key] for key in TRAIN_FLAGS},
-    "epochs": None,  # unset: grid takes its per-shot default, train TrainConfig's
+
+def _default(fn, name: str):
+    """The default of fn's parameter `name`: the flag shares it."""
+    return inspect.signature(fn).parameters[name].default
+
+
+FLAGS = {
+    "seed": dict(type=int, default=0, help="master seed"),
+    "config": dict(type=str, help="JSON file of flag defaults"),
+    "loss": dict(type=str, choices=list(VARIANTS), help="loss variant"),
+    "shots": dict(default="20", help=f"training examples per fold, one of {SHOT_CHOICES}"),
+    "folds": dict(type=int, default=40, help="number of cross-validation folds"),
+    "beta_inf": dict(
+        type=float, default=_default(run_grid, "beta_inf"), help="inference-time blend weight"
+    ),
+    "blended": dict(action="store_true", help="score with the proxy blend"),
+    "full_grid": dict(action="store_true", help="use the full search space"),
+    "workers": dict(
+        type=int, default=_default(run_grid, "workers"), help="parallel training processes"
+    ),
+    "epochs": dict(type=int, help="training epochs"),
+    "batch_size": dict(type=int, help="mini-batch size"),
+    "lr": dict(type=float, help="base learning rate"),
+    "weight_decay": dict(type=float, help="decoupled weight decay"),
+    "warmup_fraction": dict(type=float, help="fraction of steps spent warming up"),
+    **{
+        flag: dict(
+            type=type(getattr(LOSS_DEFAULTS, names[0])), help=f"LossConfig.{', '.join(names)}"
+        )
+        for flag, names in LOSS_FLAGS.items()
+    },
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    table = {
-        "seed": dict(type=int, help="master seed"),
-        "config": dict(type=str, help="JSON file of flag defaults"),
-        "loss": dict(type=str, choices=list(VARIANTS), help="loss variant"),
-        "shots": dict(type=str, help="training examples per fold: 20, 100, 1000 or full"),
-        "folds": dict(type=int, help="number of cross-validation folds"),
-        "beta": dict(type=float, help="blend weight on the cross-entropy term"),
-        "margin": dict(type=float, help="triplet margin"),
-        "tau": dict(type=float, help="contrastive temperature"),
-        "softmax-scale": dict(type=float, help="proxy-nca distance scale"),
-        "k": dict(type=int, help="proxies per class (soft-triple)"),
-        "gamma": dict(type=float, help="soft-triple inner softmax temperature"),
-        "lam": dict(type=float, help="soft-triple logit scale"),
-        "delta": dict(type=float, help="margin (soft-triple or proxy-anchor)"),
-        "alpha": dict(type=float, help="proxy-anchor sharpness"),
-        "beta-inf": dict(type=float, help="inference-time blend weight"),
-        "blended": dict(action="store_true", default=None, help="score with the proxy blend"),
-        "full-grid": dict(action="store_true", default=None, help="use the full search space"),
-        "workers": dict(type=int, help="parallel training processes"),
-        "epochs": dict(type=int, help="training epochs"),
-        "batch-size": dict(type=int, help="mini-batch size"),
-        "lr": dict(type=float, help="base learning rate"),
-        "weight-decay": dict(type=float, help="decoupled weight decay"),
-        "warmup-fraction": dict(type=float, help="fraction of steps spent warming up"),
-    }
-    for name in names:
-        p.add_argument(f"--{name}", **table[name])
-
-
-def _resolve(args: argparse.Namespace, key: str, fallback=None):
-    """Flag if given, else config-file value, else the built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    cfg = getattr(args, "_file_config", {})
-    if key in cfg:
-        return cfg[key]
-    return DEFAULTS.get(key, fallback)
+def _add_common(p: argparse.ArgumentParser, *dests: str) -> None:
+    for dest in dests:
+        p.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
 
 
 def _parse_shot(raw):
-    if raw in ("full", None):
-        return "full" if raw == "full" else None
-    shot = int(raw)
-    if shot not in (20, 100, 1000):
-        raise ConfigError("shots must be 20, 100, 1000 or full")
-    return shot
+    """The shot as make_fold_plans takes it, which checks that it is known."""
+    return "full" if raw == "full" else int(raw)
 
 
-def _loss_config(args: argparse.Namespace, variant: str) -> LossConfig:
-    """Every field a loss flag maps to, cast to the type of its default."""
-    values = {}
-    for flag, names in LOSS_FLAGS.items():
-        value = _resolve(args, flag)
-        for name in names:
-            values[name] = type(getattr(LOSS_DEFAULTS, name))(value)
-    return LossConfig(variant=variant, **values)
-
-
-def _train_overrides(args: argparse.Namespace) -> dict:
-    """The TrainConfig fields of TRAIN_FLAGS that have a value, cast to the
-    type of their default."""
-    values = {key: _resolve(args, key) for key in TRAIN_FLAGS}
-    return {k: type(TRAIN_DEFAULTS[k])(v) for k, v in values.items() if v is not None}
+def _fields(args: argparse.Namespace, flags: dict[str, list[str]], defaults) -> dict:
+    """The fields of `defaults`' class that a flag or the config file sets,
+    cast to the type of their default."""
+    return {
+        name: type(getattr(defaults, name))(getattr(args, flag))
+        for flag, names in flags.items()
+        if getattr(args, flag) is not None
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +111,7 @@ def _train_overrides(args: argparse.Namespace) -> dict:
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_gradcheck(int(_resolve(args, "instances")), int(_resolve(args, "seed")))
+    results = run_gradcheck(int(args.instances), int(args.seed))
     ok = True
     for r in results:
         status = "ok" if r.passed else f"FAIL ({r.failures}/{r.instances})"
@@ -146,11 +124,11 @@ def _cmd_gradcheck(args) -> int:
 
 def _cmd_synth(args) -> int:
     ds = synth_dataset(
-        num_classes=int(_resolve(args, "classes")),
-        size=int(_resolve(args, "size")),
-        signal_tokens=int(_resolve(args, "signal_tokens")),
-        noise=float(_resolve(args, "noise")),
-        seed=int(_resolve(args, "seed")),
+        num_classes=int(args.classes),
+        size=int(args.size),
+        signal_tokens=int(args.signal_tokens),
+        noise=float(args.noise),
+        seed=int(args.seed),
     )
     save_dataset(ds, args.out)
     print(f"wrote {ds.size} texts, {ds.num_classes} classes to {args.out}")
@@ -159,11 +137,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_folds(args) -> int:
     ds = load_dataset(args.data)
-    shot = _parse_shot(_resolve(args, "shots"))
-    seed = int(_resolve(args, "seed"))
-    plans = make_fold_plans(
-        ds.labels, int(_resolve(args, "folds")), shot, seed, strict=bool(args.strict)
-    )
+    shot = _parse_shot(args.shots)
+    seed = int(args.seed)
+    plans = make_fold_plans(ds.labels, int(args.folds), shot, seed, strict=bool(args.strict))
     text = fold_plans_to_json(plans, shot, seed)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -176,9 +152,9 @@ def _cmd_folds(args) -> int:
 
 def _cmd_train(args) -> int:
     ds = load_dataset(args.data)
-    variant = _resolve(args, "loss", "cce")
-    loss = _loss_config(args, variant)
-    cfg = TrainConfig(loss=loss, seed=int(_resolve(args, "seed")), **_train_overrides(args))
+    variant = args.loss
+    loss = LossConfig(variant=variant, **_fields(args, LOSS_FLAGS, LOSS_DEFAULTS))
+    cfg = TrainConfig(loss=loss, seed=int(args.seed), **_fields(args, TRAIN_FLAGS, TRAIN_DEFAULTS))
     model = train(ds.texts, ds.labels, ds.num_classes, cfg)
     if args.out_encoder:
         save_encoder(model.params, args.out_encoder)
@@ -198,8 +174,7 @@ def _cmd_eval(args) -> int:
     ds = load_dataset(args.data)
     params = load_encoder(args.encoder)
     bank = load_proxies(args.proxies) if args.proxies else None
-    blended = bool(_resolve(args, "blended", False))
-    beta_inf = float(_resolve(args, "beta_inf")) if blended else 1.0
+    beta_inf = float(args.beta_inf) if args.blended else 1.0
     tokenized = [tokenize(t, params.vocab_size) for t in ds.texts]
     z, _ = forward_batch(params, tokenized)
     scores = blended_scores(params, z, bank, beta_inf)
@@ -210,22 +185,22 @@ def _cmd_eval(args) -> int:
 
 def _cmd_grid(args) -> int:
     ds = load_dataset(args.data)
-    variant = _resolve(args, "loss")
+    variant = args.loss
     if variant is None or variant == "cce":
         raise ConfigError("grid needs a metric-learning --loss")
-    shot = _parse_shot(_resolve(args, "shots"))
-    seed = int(_resolve(args, "seed"))
-    plans = make_fold_plans(ds.labels, int(_resolve(args, "folds")), shot, seed)
-    points = full_grid(variant) if _resolve(args, "full_grid", False) else desk_grid(variant)
+    shot = _parse_shot(args.shots)
+    seed = int(args.seed)
+    plans = make_fold_plans(ds.labels, int(args.folds), shot, seed)
+    points = full_grid(variant) if args.full_grid else desk_grid(variant)
     result = run_grid(
         ds,
         plans,
         points,
         master_seed=seed,
         shot=shot,
-        beta_inf=float(_resolve(args, "beta_inf")),
-        workers=int(_resolve(args, "workers")),
-        train_overrides=_train_overrides(args),
+        beta_inf=float(args.beta_inf),
+        workers=int(args.workers),
+        train_overrides=_fields(args, TRAIN_FLAGS, TRAIN_DEFAULTS),
     )
     report = result_to_report(result)
     if args.out:
@@ -254,101 +229,80 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gradcheck", help="verify analytic gradients against finite differences")
-    p.add_argument("--instances", type=int, help="random instances per loss")
-    _add_common(p, "seed", "config")
-    p.set_defaults(func=_cmd_gradcheck)
+    def command(name, func, summary, *common):
+        p = sub.add_parser(name, help=summary)
+        # the subparser rides along so main can load --config into its defaults
+        p.set_defaults(func=func, subparser=p)
+        _add_common(p, *common)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--size", type=int)
-    p.add_argument("--signal-tokens", type=int)
-    p.add_argument("--noise", type=float)
+    p = command(
+        "gradcheck", _cmd_gradcheck, "verify analytic gradients against finite differences",
+        "seed", "config",
+    )
+    p.add_argument(
+        "--instances", type=int, default=_default(run_gradcheck, "instances"),
+        help="random instances per loss",
+    )
+
+    p = command("synth", _cmd_synth, "generate a synthetic dataset", "seed", "config")
+    p.add_argument("--classes", type=int, default=2)
+    p.add_argument("--size", type=int, default=2000)
+    p.add_argument("--signal-tokens", type=int, default=_default(synth_dataset, "signal_tokens"))
+    p.add_argument("--noise", type=float, default=_default(synth_dataset, "noise"))
     p.add_argument("--out", required=True)
-    _add_common(p, "seed", "config")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("folds", help="emit a cross-validation fold plan")
+    p = command(
+        "folds", _cmd_folds, "emit a cross-validation fold plan", "seed", "config", "folds", "shots"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
-    _add_common(p, "seed", "config", "folds", "shots")
-    p.set_defaults(func=_cmd_folds)
 
-    p = sub.add_parser("train", help="train one model on a whole dataset")
+    p = command(
+        "train", _cmd_train, "train one model on a whole dataset",
+        "seed", "config", "loss", *LOSS_FLAGS, *TRAIN_FLAGS,
+    )
+    p.set_defaults(loss="cce")
     p.add_argument("--data", required=True)
     p.add_argument("--out-encoder")
     p.add_argument("--out-proxies")
     p.add_argument("--out-log")
-    _add_common(
-        p,
-        "seed",
-        "config",
-        "loss",
-        "beta",
-        "margin",
-        "tau",
-        "softmax-scale",
-        "k",
-        "gamma",
-        "lam",
-        "delta",
-        "alpha",
-        "epochs",
-        "batch-size",
-        "lr",
-        "weight-decay",
-        "warmup-fraction",
-    )
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="score a checkpoint on a dataset")
+    p = command(
+        "eval", _cmd_eval, "score a checkpoint on a dataset", "config", "blended", "beta_inf"
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--encoder", required=True)
     p.add_argument("--proxies")
-    _add_common(p, "config", "blended", "beta-inf")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("grid", help="cross-validated hyperparameter search")
+    p = command(
+        "grid", _cmd_grid, "cross-validated hyperparameter search",
+        "seed", "config", "loss", "folds", "shots", "beta_inf", "full_grid", "workers",
+        *TRAIN_FLAGS,
+    )
     p.add_argument("--data", required=True)
     p.add_argument("--out")
-    _add_common(
-        p,
-        "seed",
-        "config",
-        "loss",
-        "folds",
-        "shots",
-        "beta-inf",
-        "full-grid",
-        "workers",
-        "epochs",
-        "batch-size",
-        "lr",
-        "weight-decay",
-        "warmup-fraction",
-    )
-    p.set_defaults(func=_cmd_grid)
 
-    p = sub.add_parser("report", help="render a grid report")
+    p = command("report", _cmd_report, "render a grid report")
     p.add_argument("--report", required=True)
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    p.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    file_config = {}
-    if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_config = json.load(fh)
-        if not isinstance(file_config, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return 2
-    args._file_config = file_config
     try:
+        if getattr(args, "config", None):
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_config = json.load(fh)
+            if not isinstance(file_config, dict):
+                raise ConfigError("config file must hold a JSON object")
+            # keys that name no flag of this subcommand are ignored
+            flags = vars(args).keys() - {"command", "func", "subparser"}
+            args.subparser.set_defaults(**{k: v for k, v in file_config.items() if k in flags})
+            args = parser.parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,6 @@ import numpy as np
 from .losses import (
     VARIANTS,
     EmbeddingBatch,
-    TripletSpec,
     cce_loss,
     mine_triplets,
     npairs_loss,
@@ -93,13 +92,12 @@ def _triplet_instance(rng: Rng):
             an = z[t.anchor] - z[t.negative]
             slacks.append(float(ap @ ap - an @ an) + margin)
         if min(abs(s) for s in slacks) > 1e-3:
-            specs = [TripletSpec(t.anchor, t.positive, t.negative, margin) for t in triplets]
 
-            def f(flat, specs=specs):
+            def f(flat):
                 b = EmbeddingBatch(flat.reshape(BATCH_SIZE, DIM), LABELS, CLASSES)
-                return triplet_loss(b, specs).value
+                return triplet_loss(b, triplets).value
 
-            out = triplet_loss(batch, specs)
+            out = triplet_loss(batch, triplets)
             return f, z.ravel(), out.grad_embeddings.ravel()
     raise RuntimeError("could not sample a kink-free triplet instance")
 

@@ -31,9 +31,9 @@ from .losses import LOSSES, PROXY_VARIANTS, LossConfig
 from .numeric import Rng, derive_seed
 from .trainer import TrainConfig, train
 
-SHOT_CHOICES = (20, 100, 1000, "full")
-BETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 DEFAULT_EPOCHS_BY_SHOT = {20: 128, 100: 64, 1000: 8, "full": 8}
+SHOT_CHOICES = tuple(DEFAULT_EPOCHS_BY_SHOT)
+BETA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 NOISE_POOL = 64  # distinct filler tokens shared by all classes
 
 
@@ -122,22 +122,20 @@ def synth_dataset(
         raise ConfigError("noise must lie in [0, 1]")
     if signal_tokens < 1 or tokens_per_text < 1:
         raise ConfigError("signal_tokens and tokens_per_text must be >= 1")
-    rng = Rng(derive_seed(seed, "synth"))
-    texts = []
-    labels = []
     base, extra = divmod(size, num_classes)
-    for c in range(num_classes):
-        for _ in range(base + (1 if c < extra else 0)):
-            words = []
-            for _ in range(tokens_per_text):
-                if rng.random() < noise:
-                    words.append(f"n{rng.randint(NOISE_POOL)}")
-                else:
-                    words.append(f"c{c}t{rng.randint(signal_tokens)}")
-            texts.append(" ".join(words))
-            labels.append(c)
+    labels = np.repeat(np.arange(num_classes), base + (np.arange(num_classes) < extra))
+    # token by token in text order, one uniform picks noise or signal and
+    # the next picks the token as Rng.randint does: floor(u * bound)
+    u = Rng(derive_seed(seed, "synth")).random(2 * size * tokens_per_text)
+    u = u.reshape(size, tokens_per_text, 2)
+    noisy = u[:, :, 0] < noise
+    picks = (u[:, :, 1] * np.where(noisy, NOISE_POOL, signal_tokens)).astype(np.int64)
+    texts = [
+        " ".join(f"n{j}" if is_noise else f"c{c}t{j}" for is_noise, j in zip(row_noisy, row_picks))
+        for c, row_noisy, row_picks in zip(labels.tolist(), noisy.tolist(), picks.tolist())
+    ]
     names = [f"class{c}" for c in range(num_classes)]
-    return Dataset(texts, np.array(labels, dtype=np.int64), names)
+    return Dataset(texts, labels, names)
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +424,9 @@ def run_grid(
     variant = points[0]["variant"]
     if any(p["variant"] != variant for p in points):
         raise ConfigError("grid points must share one variant")
-    overrides = dict(train_overrides or {})
-    overrides.setdefault("epochs", DEFAULT_EPOCHS_BY_SHOT.get(shot, 8))
+    if shot not in SHOT_CHOICES:
+        raise ConfigError(f"shot must be one of {SHOT_CHOICES}")
+    overrides = {"epochs": DEFAULT_EPOCHS_BY_SHOT[shot], **(train_overrides or {})}
     n_points, n_folds = len(points), len(plans)
 
     tasks = []

@@ -57,7 +57,6 @@ from .numeric import (
 from .proxies import ProxyBank
 
 PROB_FLOOR = 1e-12
-DEFAULT_MINING_CAP = 512
 
 
 @dataclass
@@ -261,7 +260,7 @@ def mine_triplets(
     batch: EmbeddingBatch,
     margin: float,
     rng: Rng | None = None,
-    cap: int = DEFAULT_MINING_CAP,
+    cap: int = 512,
 ) -> list[TripletSpec]:
     """All valid (anchor, positive, negative) index triples in the batch, in
     lexicographic order, subsampled to `cap` with the given rng when there
@@ -458,12 +457,8 @@ def proxynca_loss(
         grad_p[others] += pull
     value /= n
     if normalize:
-        grad_z = np.vstack(
-            [normalize_backward(z_raw[i], grad_z[i]) for i in range(n)]
-        )
-        grad_p = np.vstack(
-            [normalize_backward(p_raw[c], grad_p[c]) for c in range(bank.classes)]
-        )
+        grad_z = normalize_backward(z_raw, grad_z)
+        grad_p = normalize_backward(p_raw, grad_p)
     return LossOutput(value, grad_z, grad_p)
 
 
@@ -523,11 +518,7 @@ def softtriple_loss(
 
     grad_z = np.einsum("lck,ckd->ld", grad_sims, w)
     grad_w = np.einsum("lck,ld->ckd", grad_sims, z).reshape(classes * per_class, d)
-    grad_z = np.vstack([normalize_backward(z_raw[i], grad_z[i]) for i in range(n)])
-    grad_w = np.vstack(
-        [normalize_backward(w_raw[r], grad_w[r]) for r in range(classes * per_class)]
-    )
-    return LossOutput(value, grad_z, grad_w)
+    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(w_raw, grad_w))
 
 
 # ---------------------------------------------------------------------------
@@ -583,14 +574,8 @@ def proxyanchor_loss(
         coeff = sigmoid(lse) * np.exp(x - lse)
         grad_sims[outsiders, c] += (alpha / classes) * coeff
 
-    grad_z = grad_sims @ p
-    grad_p = grad_sims.T @ z
-    grad_z = np.vstack(
-        [normalize_backward(z_raw[i], grad_z[i]) for i in range(batch.size)]
-    )
-    grad_p = np.vstack(
-        [normalize_backward(p_raw[c], grad_p[c]) for c in range(classes)]
-    )
+    grad_z = normalize_backward(z_raw, grad_sims @ p)
+    grad_p = normalize_backward(p_raw, grad_sims.T @ z)
     return LossOutput(value, grad_z, grad_p)
 
 
@@ -647,12 +632,12 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
 # and give a zero contribution when the batch lacks it
 
 
-def _triplet(batch, config, bank, rng, mining_cap) -> LossOutput:
-    triplets = mine_triplets(batch, config.margin, rng, mining_cap)
+def _triplet(batch, config, bank, rng) -> LossOutput:
+    triplets = mine_triplets(batch, config.margin, rng)
     return triplet_loss(batch, triplets) if triplets else zero_output(batch)
 
 
-def _npairs(batch, config, bank, rng, mining_cap) -> LossOutput:
+def _npairs(batch, config, bank, rng) -> LossOutput:
     members = select_npairs_members(batch.labels, rng)
     if members.size < 2:
         return zero_output(batch)
@@ -663,7 +648,7 @@ def _npairs(batch, config, bank, rng, mining_cap) -> LossOutput:
     return LossOutput(out.value, grad)
 
 
-def _supcon(batch, config, bank, rng, mining_cap) -> LossOutput:
+def _supcon(batch, config, bank, rng) -> LossOutput:
     counts = np.bincount(batch.labels, minlength=batch.num_classes)
     if not np.any(counts[batch.labels] > 1):
         return zero_output(batch)
@@ -675,7 +660,7 @@ class LossSpec:
     """One loss variant. The callables look the loss functions up when
     they run, so a name patched on this module is the one called."""
 
-    # (batch, config, bank, rng, mining_cap) -> LossOutput; None for cce
+    # (batch, config, bank, rng) -> LossOutput; None for cce
     call: Callable[..., LossOutput] | None = None
     # config -> proxies per class; None when the loss trains no proxy bank
     proxies: Callable[[LossConfig], int] | None = None
@@ -702,7 +687,7 @@ LOSSES: dict[str, LossSpec] = {
         flags={"tau": "tau"},
     ),
     "proxynca": LossSpec(
-        call=lambda batch, config, bank, rng, cap: proxynca_loss(
+        call=lambda batch, config, bank, rng: proxynca_loss(
             batch, bank, config.softmax_scale
         ),
         proxies=lambda config: 1,
@@ -711,7 +696,7 @@ LOSSES: dict[str, LossSpec] = {
         flags={"softmax_scale": "softmax_scale"},
     ),
     "softtriple": LossSpec(
-        call=lambda batch, config, bank, rng, cap: softtriple_loss(
+        call=lambda batch, config, bank, rng: softtriple_loss(
             batch, bank, config.st_lambda, config.st_gamma, config.st_delta
         ),
         proxies=lambda config: config.st_k,
@@ -725,7 +710,7 @@ LOSSES: dict[str, LossSpec] = {
         flags={"k": "st_k", "gamma": "st_gamma", "lam": "st_lambda", "delta": "st_delta"},
     ),
     "proxyanchor": LossSpec(
-        call=lambda batch, config, bank, rng, cap: proxyanchor_loss(
+        call=lambda batch, config, bank, rng: proxyanchor_loss(
             batch, bank, config.pa_alpha, config.pa_delta
         ),
         proxies=lambda config: 1,
@@ -743,7 +728,6 @@ def dml_loss(
     config: LossConfig,
     bank: ProxyBank | None = None,
     rng: Rng | None = None,
-    mining_cap: int = DEFAULT_MINING_CAP,
 ) -> LossOutput:
     """Evaluate the configured metric-learning loss on one batch, as its
     `LOSSES` entry calls it.
@@ -758,4 +742,4 @@ def dml_loss(
         raise ConfigError(f"{config.variant} is not a metric-learning loss")
     if config.is_proxy_based and bank is None:
         raise ConfigError(f"{config.variant} requires a proxy bank")
-    return call(batch, config, bank, rng, mining_cap)
+    return call(batch, config, bank, rng)

@@ -99,14 +99,22 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 
 def normalize_backward(raw: np.ndarray, grad_unit: np.ndarray) -> np.ndarray:
-    """Chain an upstream gradient w.r.t. u = raw/|raw| back to raw.
+    """Chain upstream gradients w.r.t. the rows u = raw/|raw| back to the
+    rows of raw, both (n, d).
 
-    d u / d raw = (I - u u^T) / |raw|, so the radial component of the
-    upstream gradient is projected out.
+    d u / d raw = (I - u u^T) / |raw| per row, so the radial component of
+    each upstream row is projected out. Each row's norm and its dot with
+    the upstream row are stacked (1, d) @ (d, 1) products, the same BLAS
+    dots as np.linalg.norm and @ on the row alone, so every row comes out
+    as it would one at a time, to the bit. The inputs are taken C-ordered:
+    a strided row would take another BLAS path and round differently, so
+    this way the result does not depend on the memory layout.
     """
-    r = float(np.linalg.norm(raw))
+    raw, grad_unit = np.ascontiguousarray(raw), np.ascontiguousarray(grad_unit)
+    r = np.sqrt((raw[:, None, :] @ raw[:, :, None])[:, :, 0])
     u = raw / r
-    return (grad_unit - (grad_unit @ u) * u) / r
+    radial = (grad_unit[:, None, :] @ u[:, :, None])[:, :, 0]
+    return (grad_unit - radial * u) / r
 
 
 def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:

@@ -1,5 +1,6 @@
 """Mini-batch trainer: AdamW with linear warmup/decay over the encoder,
-the classifier head, and (for proxy losses) the proxy bank.
+the classifier head, and (for proxy losses) the proxy bank, whose rows go
+back to unit length after every step.
 
 Every variant takes the same step. With the cross-entropy weight w
 (`TrainConfig.ce_weight`: 1 for cce, 0 with dml_only, beta otherwise) the
@@ -121,7 +122,7 @@ class AdamW:
     def __init__(
         self,
         blocks: list[tuple[str, np.ndarray]],
-        clip_norm: float = 5.0,
+        clip_norm: float,
         live_rows: dict[str, np.ndarray] | None = None,
     ):
         self.blocks = blocks
@@ -209,8 +210,6 @@ class TrainConfig:
     # text over 8 tokens sums pairwise: the last bit can differ from encode()
     embed_dim: int = DEFAULT_EMBED_DIM
     out_dim: int = DEFAULT_OUT_DIM
-    mining_cap: int = 512
-    proxy_renorm: bool = True  # re-unit proxies after each step (proxy losses)
     dml_only: bool = False  # skip the classifier loss entirely
 
     def __post_init__(self):
@@ -295,7 +294,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
 
             batch = EmbeddingBatch(z, yb, num_classes)
             if loss_cfg.is_metric:
-                metric = dml_loss(batch, loss_cfg, bank, mining_rng, config.mining_cap)
+                metric = dml_loss(batch, loss_cfg, bank, mining_rng)
             else:
                 metric = zero_output(batch)
             if w > 0.0:
@@ -318,10 +317,9 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
             lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
             optimizer.step(grads, lr, config.weight_decay)
             if bank is not None:
-                # a row norm overflows before an entry does, and the renorm
-                # (or the loss, which normalizes the bank too) gives zero rows
+                # a row norm overflows before an entry does: report it as a
+                # divergence before the renorm rejects the row
                 _check_finite("proxy norms", np.linalg.norm(bank.matrix, axis=1), step)
-            if bank is not None and config.proxy_renorm:
                 bank.matrix[:] = l2_normalize_rows(bank.matrix)
             step += 1
 

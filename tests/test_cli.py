@@ -6,7 +6,7 @@ import pytest
 
 from dmlbench.cli import main
 from dmlbench.encoder import load_encoder
-from dmlbench.harness import canonical_json, fold_plans_from_json, load_dataset
+from dmlbench.harness import fold_plans_from_json, load_dataset
 from dmlbench.proxies import load_proxies
 
 
@@ -145,6 +145,14 @@ class TestConfigFile:
         assert ds.size == 20
         assert all(not w.startswith("n") for t in ds.texts for w in t.split())
 
+    def test_keys_that_name_no_flag_are_ignored(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"size": 30, "func": 1, "command": "grid", "folds": 3}),
+                       encoding="utf-8")
+        out = tmp_path / "ds.tsv"
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+        assert load_dataset(out).size == 30
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")
@@ -259,11 +267,11 @@ class TestOutputPins:
 
     @staticmethod
     def log_sha(path) -> str:
-        """The training log without the two options the trainer dropped."""
-        log = json.loads(path.read_text(encoding="utf-8"))
-        for key in ("mining_cap", "proxy_renorm"):
-            log["config"].pop(key, None)
-        return _sha(canonical_json(log).encode())
+        """The pins were taken from logs that also held the options
+        mining_cap and proxy_renorm, with those two keys removed."""
+        config = json.loads(path.read_text(encoding="utf-8"))["config"]
+        assert not {"mining_cap", "proxy_renorm"} & config.keys()
+        return _sha(path.read_bytes())
 
     def test_outputs_pinned(self, tmp_path, capsys):
         assert self.run(tmp_path, capsys) == self.PINNED

@@ -430,6 +430,16 @@ class TestRunGrid:
         with pytest.raises(ConfigError):
             run_grid(ds, plans, [], master_seed=26, shot=20)
 
+    def test_unknown_shot_rejected(self):
+        # no per-shot epochs to fall back on, even with epochs given
+        ds, plans = self.make_inputs(27)
+        for overrides in (None, {"epochs": 1}):
+            with pytest.raises(ConfigError):
+                run_grid(
+                    ds, plans, [{"variant": "npairs", "beta": 0.5}], master_seed=27, shot=37,
+                    train_overrides=overrides,
+                )
+
 
 class TestReports:
     def grid_result(self, seed=30):

@@ -4,8 +4,9 @@ replaced, bit for bit.
 The reference implementations below are the earlier loops, kept here and
 nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 `mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
-per-text pooling and scatter in the encoder, and AdamW with fresh
-temporaries and dense moments over every row. Hypothesis varies the sizes;
+per-text pooling and scatter in the encoder, AdamW with fresh
+temporaries and dense moments over every row, `normalize_backward` one row
+at a time, and `synth_dataset` with two draws per token. Hypothesis varies the sizes;
 every comparison is on the raw bytes of the results, so a difference in the
 last bit or in the sign of a zero fails.
 """
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 
 from dmlbench.encoder import backward_batch, forward_batch, init_encoder
 from dmlbench.errors import ConfigError, InvalidTripletError
-from dmlbench.harness import synth_dataset
+from dmlbench.harness import NOISE_POOL, synth_dataset
 from dmlbench.losses import EmbeddingBatch, LossConfig, TripletSpec, mine_triplets, triplet_loss
-from dmlbench.numeric import Rng, add_rows_at
+from dmlbench.numeric import Rng, add_rows_at, derive_seed, normalize_backward
 from dmlbench.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW, TrainConfig, train
 
 SETTINGS = settings(
@@ -548,3 +549,76 @@ def test_live_row_nonfinite_norm(bad):
         AdamW([("table", new_table)], 1.0, live_rows={"table": live}).step({"table": grad}, 0.1, 0.01)
         OldAdamW([("table", old_table)], 1.0).step({"table": grad}, 0.1, 0.01)
     assert same_bits(new_table, old_table)
+
+
+# ---------------------------------------------------------------------------
+# normalize_backward
+
+
+def old_normalize_backward(raw, grad_unit):
+    r = float(np.linalg.norm(raw))
+    u = raw / r
+    return (grad_unit - (grad_unit @ u) * u) / r
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    rows=st.integers(1, 129),
+    dim=st.integers(1, 64),
+    zeros=st.floats(0.0, 0.5),
+)
+@SETTINGS
+def test_normalize_backward_matches_per_row(seed, rows, dim, zeros):
+    gen = np.random.default_rng(seed)
+    raw = gen.normal(size=(rows, dim)) * 10.0 ** gen.integers(-3, 4, size=(rows, 1))
+    grad = gen.normal(size=(rows, dim))
+    # signed zeros in both inputs; every row of raw keeps a non-zero entry
+    grad[gen.random((rows, dim)) < zeros] = -0.0
+    raw[gen.random((rows, dim)) < zeros] = 0.0
+    raw[:, 0] = np.where(raw[:, 0] == 0.0, 1.5, raw[:, 0])
+    expected = np.vstack([old_normalize_backward(raw[i], grad[i]) for i in range(rows)])
+    assert same_bits(normalize_backward(raw, grad), expected)
+    # the per-row code rounded strided rows differently; the batched one
+    # gives the C-ordered result for any layout
+    fortran = normalize_backward(np.asfortranarray(raw), np.asfortranarray(grad))
+    assert same_bits(fortran, expected)
+
+
+# ---------------------------------------------------------------------------
+# synth_dataset
+
+
+def old_synth(num_classes, size, signal_tokens, noise, seed, tokens_per_text):
+    rng = Rng(derive_seed(seed, "synth"))
+    texts, labels = [], []
+    base, extra = divmod(size, num_classes)
+    for c in range(num_classes):
+        for _ in range(base + (1 if c < extra else 0)):
+            words = []
+            for _ in range(tokens_per_text):
+                if rng.random() < noise:
+                    words.append(f"n{rng.randint(NOISE_POOL)}")
+                else:
+                    words.append(f"c{c}t{rng.randint(signal_tokens)}")
+            texts.append(" ".join(words))
+            labels.append(c)
+    return texts, labels
+
+
+@given(
+    num_classes=st.integers(2, 7),
+    extra=st.integers(0, 40),
+    signal_tokens=st.integers(1, 20),
+    noise=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32),
+    tokens_per_text=st.integers(1, 12),
+)
+@SETTINGS
+def test_synth_dataset_matches_per_token_draws(
+    num_classes, extra, signal_tokens, noise, seed, tokens_per_text
+):
+    args = (num_classes, num_classes + extra, signal_tokens, noise, seed, tokens_per_text)
+    ds = synth_dataset(*args)
+    texts, labels = old_synth(*args)
+    assert ds.texts == texts
+    assert ds.labels.tolist() == labels

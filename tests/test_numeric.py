@@ -194,7 +194,7 @@ class TestNormalization:
                 return float(g @ (v / np.linalg.norm(v)))
 
             fd = fd_gradient(f, x)
-            assert np.allclose(normalize_backward(x, g), fd, atol=1e-7)
+            assert np.allclose(normalize_backward(x[None], g[None])[0], fd, atol=1e-7)
 
 
 class TestFdGradient:

@@ -69,7 +69,7 @@ class TestSchedule:
 class TestAdamW:
     def test_single_step_by_hand(self):
         w = np.array([1.0])
-        opt = AdamW([("w", w)])
+        opt = AdamW([("w", w)], clip_norm=5.0)
         opt.step({"w": np.array([0.5])}, lr=0.1, weight_decay=0.0)
         # bias-corrected m=0.5, v=0.25 on step 1: update = 0.5/(0.5+eps)
         expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8))
@@ -87,14 +87,14 @@ class TestAdamW:
     def test_zero_lr_freezes_exactly(self):
         w = np.array([1.234, -0.5])
         before = w.copy()
-        opt = AdamW([("w", w)])
+        opt = AdamW([("w", w)], clip_norm=5.0)
         for _ in range(3):
             opt.step({"w": np.array([3.0, -2.0])}, lr=0.0, weight_decay=0.5)
         assert np.array_equal(w, before)
 
     def test_weight_decay_shrinks_without_gradient(self):
         w = np.array([2.0, -4.0])
-        AdamW([("w", w)]).step({"w": np.zeros(2)}, lr=0.1, weight_decay=0.5)
+        AdamW([("w", w)], clip_norm=5.0).step({"w": np.zeros(2)}, lr=0.1, weight_decay=0.5)
         assert np.allclose(w, np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5))
 
     def test_global_clip_across_blocks(self):
@@ -121,33 +121,35 @@ class TestAdamW:
 
     def test_updates_in_place(self):
         w = np.ones(3)
-        opt = AdamW([("w", w)])
+        opt = AdamW([("w", w)], clip_norm=5.0)
         opt.step({"w": np.ones(3)}, 0.1, 0.0)
         assert opt.blocks[0][1] is w
 
     def test_live_rows_keep_compact_moments(self):
         table, head = np.ones((8, 2)), np.ones(3)
-        opt = AdamW([("table", table), ("head", head)], live_rows={"table": [5, 1, 5]})
+        opt = AdamW(
+            [("table", table), ("head", head)], clip_norm=5.0, live_rows={"table": [5, 1, 5]}
+        )
         assert opt.live["table"].tolist() == [1, 5]
         assert opt.m["table"].shape == opt.v["table"].shape == (2, 2)
         assert opt.m["head"].shape == (3,)
 
     def test_live_rows_over_half_stay_dense(self):
-        opt = AdamW([("table", np.ones((4, 2)))], live_rows={"table": [0, 1, 2]})
+        opt = AdamW([("table", np.ones((4, 2)))], clip_norm=5.0, live_rows={"table": [0, 1, 2]})
         assert opt.live == {}
         assert opt.m["table"].shape == (4, 2)
 
     def test_live_rows_out_of_range_rejected(self):
         for rows in ([8], [-1]):
             with pytest.raises(ConfigError):
-                AdamW([("table", np.ones((8, 2)))], live_rows={"table": rows})
+                AdamW([("table", np.ones((8, 2)))], clip_norm=5.0, live_rows={"table": rows})
 
     def test_rows_outside_live_only_decay(self):
         table = np.full((8, 2), 2.0)
         table[6] = -0.0
         grad = np.zeros((8, 2))
         grad[1] = 1.0
-        AdamW([("table", table)], live_rows={"table": [1]}).step(
+        AdamW([("table", table)], clip_norm=5.0, live_rows={"table": [1]}).step(
             {"table": grad}, lr=0.1, weight_decay=0.5
         )
         assert np.array_equal(table[[0, 7]], np.full((2, 2), 2.0 - 0.1 * (2.0 * 0.5)))
@@ -214,15 +216,6 @@ class TestTrain:
         )
         norms = np.linalg.norm(model.bank.matrix, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
-
-    def test_proxy_renorm_off(self):
-        texts, labels = toy_data()
-        model = train(
-            texts, labels, 2,
-            small_config(LossConfig("proxyanchor", beta=0.5), proxy_renorm=False),
-        )
-        norms = np.linalg.norm(model.bank.matrix, axis=1)
-        assert not np.allclose(norms, 1.0, atol=1e-6)
 
     def test_cce_has_no_bank(self):
         texts, labels = toy_data()

@@ -4,7 +4,6 @@ and a cross-validated few-shot benchmark harness."""
 from .encoder import (
     EncoderParams,
     classify_logits,
-    encode,
     forward_batch,
     init_encoder,
     load_encoder,

@@ -81,9 +81,6 @@ class EncoderParams:
             ("classifier_bias", self.classifier_bias),
         ]
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(*(arr.copy() for _, arr in self.blocks()))
-
 
 def init_encoder(
     num_classes: int,
@@ -117,12 +114,6 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
         if token:
             ids.append(fnv1a_64(token.encode("utf-8")) % vocab_size)
     return ids if ids else [0]
-
-
-def encode(params: EncoderParams, token_ids: list[int]) -> np.ndarray:
-    """z = tanh(mean(embedding rows) @ projection + bias), shape (d,)."""
-    x = params.embedding_table[np.asarray(token_ids, dtype=np.int64)].mean(axis=0)
-    return np.tanh(x @ params.projection + params.projection_bias)
 
 
 def classify_logits(params: EncoderParams, z: np.ndarray) -> np.ndarray:
@@ -226,7 +217,10 @@ def load_encoder(path) -> EncoderParams:
         magic = fh.read(4)
         if magic != MAGIC:
             raise ConfigError(f"bad encoder checkpoint magic {magic!r}")
-        vocab, embed, out, classes = struct.unpack("<IIII", fh.read(16))
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ConfigError("encoder checkpoint header is truncated")
+        vocab, embed, out, classes = struct.unpack("<IIII", header)
         shapes = [(vocab, embed), (embed, out), (out,), (out, classes), (classes,)]
         arrays = []
         for shape in shapes:

@@ -177,7 +177,7 @@ def _builders():
     }
 
 
-def run_gradcheck(instances: int = 50, seed: int = 17, h: float = 1e-5) -> list[CheckResult]:
+def run_gradcheck(instances: int = 50, seed: int = 17) -> list[CheckResult]:
     builders = _builders()
     results = []
     for variant in VARIANTS:
@@ -188,7 +188,7 @@ def run_gradcheck(instances: int = 50, seed: int = 17, h: float = 1e-5) -> list[
         worst_rel = 0.0
         for _ in range(instances):
             f, x0, analytic = build(rng)
-            fd = fd_gradient(f, x0, h=h)
+            fd = fd_gradient(f, x0)
             ok, wa, wr = compare_gradients(analytic, fd)
             worst_abs = max(worst_abs, wa)
             worst_rel = max(worst_rel, wr)

@@ -266,21 +266,6 @@ def fold_plans_to_json(plans: list[FoldPlan], shot, master_seed: int) -> str:
     return canonical_json(obj)
 
 
-def fold_plans_from_json(text: str) -> tuple[list[FoldPlan], object, int]:
-    obj = json.loads(text)
-    plans = [
-        FoldPlan(
-            fold_id=f["fold_id"],
-            seed=f["seed"],
-            train_indices=list(f["train_indices"]),
-            test_indices=list(f["test_indices"]),
-            fewshot_indices=list(f["fewshot_indices"]),
-        )
-        for f in obj["folds"]
-    ]
-    return plans, obj["shot"], obj["master_seed"]
-
-
 def canonical_json(obj) -> str:
     """One fixed JSON shape so identical content means identical bytes."""
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -83,10 +83,6 @@ class EmbeddingBatch:
     def size(self) -> int:
         return self.embeddings.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.embeddings.shape[1]
-
 
 @dataclass
 class TripletSpec:
@@ -160,10 +156,9 @@ class LossConfig:
         return per_class(self) if per_class is not None else 1
 
 
-def zero_output(batch: EmbeddingBatch, bank: ProxyBank | None = None) -> LossOutput:
+def zero_output(batch: EmbeddingBatch) -> LossOutput:
     """Zero loss with zero gradients, for steps where no valid structure exists."""
-    grad_p = np.zeros_like(bank.matrix) if bank is not None else None
-    return LossOutput(0.0, np.zeros_like(batch.embeddings), grad_p)
+    return LossOutput(0.0, np.zeros_like(batch.embeddings))
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +581,10 @@ def proxyanchor_loss(
 def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
     """Affine blend: beta * cce + (1 - beta) * dml, for value and every gradient.
 
-    At the endpoints the dominant side is returned exactly (copies), which
-    keeps beta=1 runs bit-identical to pure cross-entropy runs. A missing
-    grad_proxies on either side is treated as zero.
+    Only the metric side carries proxy gradients; its share is
+    (1 - beta) * grad_proxies. At the endpoints the dominant side is
+    returned exactly (copies, with zero proxy gradients at beta=1), which
+    keeps beta=1 runs bit-identical to pure cross-entropy runs.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
@@ -597,31 +593,19 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
             "cannot blend gradients of shapes "
             f"{cce.grad_embeddings.shape} and {dml.grad_embeddings.shape}"
         )
-    proxy_shape = None
-    for side in (cce, dml):
-        if side.grad_proxies is not None:
-            if proxy_shape is not None and side.grad_proxies.shape != proxy_shape:
-                raise DimensionError("proxy gradient shapes differ")
-            proxy_shape = side.grad_proxies.shape
-    if beta == 1.0:
-        grad_p = np.zeros(proxy_shape) if proxy_shape is not None else None
-        if cce.grad_proxies is not None:
-            grad_p = cce.grad_proxies.copy()
-        return LossOutput(cce.value, cce.grad_embeddings.copy(), grad_p)
+    if cce.grad_proxies is not None:
+        raise DimensionError("the cross-entropy side has no proxy gradient")
     if beta == 0.0:
-        grad_p = np.zeros(proxy_shape) if proxy_shape is not None else None
-        if dml.grad_proxies is not None:
-            grad_p = dml.grad_proxies.copy()
+        grad_p = dml.grad_proxies.copy() if dml.grad_proxies is not None else None
         return LossOutput(dml.value, dml.grad_embeddings.copy(), grad_p)
+    grad_p = np.zeros(dml.grad_proxies.shape) if dml.grad_proxies is not None else None
+    if beta == 1.0:
+        return LossOutput(cce.value, cce.grad_embeddings.copy(), grad_p)
+    if grad_p is not None:
+        # adding to zeros turns a -0.0 share into +0.0
+        grad_p += (1.0 - beta) * dml.grad_proxies
     value = beta * cce.value + (1.0 - beta) * dml.value
     grad_e = beta * cce.grad_embeddings + (1.0 - beta) * dml.grad_embeddings
-    grad_p = None
-    if proxy_shape is not None:
-        grad_p = np.zeros(proxy_shape)
-        if cce.grad_proxies is not None:
-            grad_p += beta * cce.grad_proxies
-        if dml.grad_proxies is not None:
-            grad_p += (1.0 - beta) * dml.grad_proxies
     return LossOutput(value, grad_e, grad_p)
 
 

@@ -63,6 +63,8 @@ def load_proxies(path) -> ProxyBank:
         blob = fh.read()
     if blob[:4] != _MAGIC:
         raise ConfigError(f"{path}: not a proxy checkpoint (bad magic)")
+    if len(blob) < 16:
+        raise ConfigError(f"{path}: proxy checkpoint header is truncated")
     classes, per_class, dim = struct.unpack_from("<III", blob, 4)
     expected = 16 + 8 * classes * per_class * dim
     if len(blob) != expected:

@@ -5,10 +5,11 @@ back to unit length after every step.
 Every variant takes the same step. With the cross-entropy weight w
 (`TrainConfig.ce_weight`: 1 for cce, 0 with dml_only, beta otherwise) the
 step runs the variant's metric loss (none for cce), runs the classifier
-loss when w > 0, and blends the two with `combined_loss` at weight w. The
-classifier loss's gradient g w.r.t. the logits is chained by hand: the
-embeddings get w * (g @ W.T), through the blend, and the head gets
-z.T @ (w * g) and the column sums of w * g.
+loss when w > 0, and blends the two with `combined_loss` at weight w when
+both ran; when only one ran, its output is the step's. The classifier
+loss's gradient g w.r.t. the logits is chained by hand: the embeddings
+get w * (g @ W.T), through the blend, and the head gets z.T @ (w * g) and
+the column sums of w * g.
 
 Determinism contract: every random decision draws from its own stream
 derived from the run seed ("init", "proxies", "shuffle", "mining"), so
@@ -49,7 +50,6 @@ from .losses import (
     cce_loss,
     combined_loss,
     dml_loss,
-    zero_output,
 )
 from .numeric import Rng, derive_seed, l2_normalize_rows, softmax_rows
 from .proxies import ProxyBank, init_proxies
@@ -206,8 +206,8 @@ class TrainConfig:
     clip_norm: float = 5.0
     seed: int = 0
     vocab_size: int = DEFAULT_VOCAB
-    # at 1, a text's pooled sum runs in token order, where numpy's mean of a
-    # text over 8 tokens sums pairwise: the last bit can differ from encode()
+    # at 1, forward_batch sums a text's rows in token order, where numpy's
+    # mean sums 8 or more rows pairwise: the last bit can differ from mean()
     embed_dim: int = DEFAULT_EMBED_DIM
     out_dim: int = DEFAULT_OUT_DIM
     dml_only: bool = False  # skip the classifier loss entirely
@@ -292,19 +292,20 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
             z, cache = forward_batch(params, [tokenized[i] for i in chosen])
             _check_finite("embeddings", z, step)
 
-            batch = EmbeddingBatch(z, yb, num_classes)
+            metric = ce = None
             if loss_cfg.is_metric:
-                metric = dml_loss(batch, loss_cfg, bank, mining_rng)
-            else:
-                metric = zero_output(batch)
+                metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
             if w > 0.0:
                 c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
                 _check_finite("loss", c_out.value, step)
                 grad_logits = w * c_out.grad_embeddings
                 ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
+            if ce is None:
+                out = metric
+            elif metric is None:
+                out = ce
             else:
-                ce = zero_output(batch)
-            out = combined_loss(ce, metric, w)
+                out = combined_loss(ce, metric, w)
             log.append((step, out.value))
 
             grads = backward_batch(params, cache, out.grad_embeddings)

@@ -6,7 +6,7 @@ import pytest
 
 from dmlbench.cli import main
 from dmlbench.encoder import load_encoder
-from dmlbench.harness import fold_plans_from_json, load_dataset
+from dmlbench.harness import FoldPlan, load_dataset, make_fold_plans
 from dmlbench.proxies import load_proxies
 
 
@@ -35,8 +35,10 @@ class TestFoldsCommand:
     def test_stdout_json(self, data_file, capsys):
         assert main(["folds", "--data", str(data_file), "--folds", "3",
                      "--shots", "20", "--seed", "3"]) == 0
-        plans, shot, master = fold_plans_from_json(capsys.readouterr().out)
-        assert len(plans) == 3 and shot == 20 and master == 3
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["shot"] == 20 and obj["master_seed"] == 3 and obj["num_folds"] == 3
+        plans = make_fold_plans(load_dataset(data_file).labels, 3, 20, 3)
+        assert [FoldPlan(**f) for f in obj["folds"]] == plans
 
     def test_file_output_byte_identical(self, data_file, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -91,6 +93,12 @@ class TestTrainEvalCommands:
         capsys.readouterr()
         assert main(["eval", "--data", str(data_file), "--encoder", str(enc),
                      "--blended"]) == 2
+
+    def test_truncated_encoder_header(self, data_file, tmp_path, capsys):
+        enc = tmp_path / "short.enc"
+        enc.write_bytes(b"ENC1" + b"\x00" * 3)
+        assert main(["eval", "--data", str(data_file), "--encoder", str(enc)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestGridReportCommands:

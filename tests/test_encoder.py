@@ -8,7 +8,6 @@ from dmlbench.encoder import (
     EncoderParams,
     backward_batch,
     classify_logits,
-    encode,
     forward_batch,
     init_encoder,
     load_encoder,
@@ -107,24 +106,22 @@ class TestInit:
                 p.classifier_bias,
             )
 
-    def test_copy_is_independent(self):
-        p = tiny_params()
-        q = p.copy()
-        q.projection_bias[0] += 1.0
-        assert p.projection_bias[0] != q.projection_bias[0]
+
+def formula(params, ids):
+    """z = tanh(mean(embedding rows) @ projection + bias) of one text."""
+    x = params.embedding_table[ids].mean(axis=0)
+    return np.tanh(x @ params.projection + params.projection_bias)
 
 
 class TestForward:
     def test_encode_matches_formula(self):
         p = tiny_params()
-        ids = [1, 1, 4]
-        x = p.embedding_table[[1, 1, 4]].mean(axis=0)
-        expected = np.tanh(x @ p.projection + p.projection_bias)
-        assert np.allclose(encode(p, ids), expected)
+        z, _ = forward_batch(p, [[1, 1, 4]])
+        assert np.allclose(z[0], formula(p, [1, 1, 4]))
 
     def test_outputs_bounded(self):
         p = tiny_params(3)
-        z = encode(p, [0, 2, 5])
+        z, _ = forward_batch(p, [[0, 2, 5]])
         assert np.all(np.abs(z) < 1.0)
 
     def test_batch_matches_single(self):
@@ -133,7 +130,7 @@ class TestForward:
         z, cache = forward_batch(p, lists)
         assert z.shape == (3, p.out_dim)
         for i, ids in enumerate(lists):
-            assert np.allclose(z[i], encode(p, ids))
+            assert np.allclose(z[i], formula(p, ids))
         assert cache.embeddings is z
 
     def test_logits_shape(self):
@@ -252,6 +249,12 @@ class TestCheckpoint:
         save_encoder(tiny_params(15), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
+        with pytest.raises(ConfigError):
+            load_encoder(path)
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        path.write_bytes(MAGIC + b"\x00" * 3)
         with pytest.raises(ConfigError):
             load_encoder(path)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from dmlbench.gradcheck import CheckResult, compare_gradients, run_gradcheck
+from dmlbench.gradcheck import CheckResult, _builders, compare_gradients, run_gradcheck
 from dmlbench.losses import VARIANTS
+from dmlbench.numeric import Rng, derive_seed, fd_gradient
 
 
 class TestCompareGradients:
@@ -60,3 +61,34 @@ class TestRunGradcheck:
         assert any(
             ra.worst_rel != rb.worst_rel for ra, rb in zip(a, b)
         )
+
+
+def five_point(f, x, h):
+    """Fourth-order central difference: (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h."""
+    x = x.copy()
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        orig = x[i]
+        vals = []
+        for step in (2 * h, h, -h, -2 * h):
+            x[i] = orig + step
+            vals.append(f(x))
+        x[i] = orig
+        grad[i] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
+    return grad
+
+
+@pytest.mark.parametrize("call", [11, 37])
+def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
+    # run_gradcheck(1, seed) fails supcon at these calls of the benchmark's
+    # gradcheck workload (worst_rel 1.56e-4 and 2.12e-4 against 1e-4). The
+    # loss is 28 and 74 there and the worst coordinates have |fd| near
+    # 1.5e-6, so the central difference's rounding error at h = 1e-5, about
+    # eps * |f| / h, exceeds the tolerance (at h = 1e-4 both pass). A
+    # five-point stencil at h = 1e-3 agrees with the analytic gradient.
+    seed = derive_seed(211, "gradcheck", call)
+    f, x0, analytic = _builders()["supcon"](Rng(derive_seed(seed, "gradcheck", "supcon")))
+    supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
+    assert supcon.worst_rel == compare_gradients(analytic, fd_gradient(f, x0))[2]
+    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    assert ok, (worst_abs, worst_rel)

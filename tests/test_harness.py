@@ -17,7 +17,6 @@ from dmlbench.harness import (
     _largest_remainder_quotas,
     canonical_json,
     desk_grid,
-    fold_plans_from_json,
     fold_plans_to_json,
     format_cell,
     full_grid,
@@ -248,10 +247,9 @@ class TestFoldPlans:
     def test_json_round_trip(self):
         labels = synth_dataset(2, 60, seed=12).labels
         plans = make_fold_plans(labels, 3, 20, 12)
-        text = fold_plans_to_json(plans, 20, 12)
-        back, shot, master = fold_plans_from_json(text)
-        assert shot == 20 and master == 12
-        assert back == plans
+        obj = json.loads(fold_plans_to_json(plans, 20, 12))
+        assert obj["shot"] == 20 and obj["master_seed"] == 12 and obj["num_folds"] == 3
+        assert [FoldPlan(**f) for f in obj["folds"]] == plans
 
     def test_json_byte_identical_across_runs(self):
         labels = synth_dataset(2, 60, seed=13).labels
@@ -261,9 +259,10 @@ class TestFoldPlans:
 
     def test_full_shot_serializes(self):
         labels = synth_dataset(2, 30, seed=14).labels
-        text = fold_plans_to_json(make_fold_plans(labels, 2, "full", 14), "full", 14)
-        _, shot, _ = fold_plans_from_json(text)
-        assert shot == "full"
+        plans = make_fold_plans(labels, 2, "full", 14)
+        obj = json.loads(fold_plans_to_json(plans, "full", 14))
+        assert obj["shot"] == "full" and obj["master_seed"] == 14
+        assert [FoldPlan(**f) for f in obj["folds"]] == plans
 
 
 class TestCanonicalJson:

@@ -483,6 +483,13 @@ class TestCombined:
         with pytest.raises(DimensionError):
             combined_loss(a, c, 0.5)
 
+    def test_cce_side_carries_no_proxy_gradient(self):
+        a, b = self.make_outputs()
+        with_proxies = LossOutput(a.value, a.grad_embeddings, np.zeros_like(b.grad_proxies))
+        for beta in (0.0, 0.5, 1.0):
+            with pytest.raises(DimensionError):
+                combined_loss(with_proxies, b, beta)
+
 
 class TestDispatch:
     def test_proxy_variants_require_bank(self):
@@ -518,9 +525,10 @@ class TestDispatch:
 
     def test_zero_output_helper(self):
         batch = random_batch(Rng(40))
-        bank = init_proxies(3, 1, 5, Rng(41))
-        out = zero_output(batch, bank)
-        assert out.value == 0.0 and np.all(out.grad_proxies == 0.0)
+        out = zero_output(batch)
+        assert out.value == 0.0 and out.grad_proxies is None
+        assert out.grad_embeddings.shape == batch.embeddings.shape
+        assert not np.any(out.grad_embeddings)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

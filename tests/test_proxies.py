@@ -59,6 +59,12 @@ class TestCheckpoint:
         with pytest.raises(ConfigError):
             load_proxies(p)
 
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "short.pxb"
+        p.write_bytes(b"PXB1" + b"\x00" * 2)
+        with pytest.raises(ConfigError):
+            load_proxies(p)
+
     def test_layout_is_little_endian(self, tmp_path):
         bank = ProxyBank(np.array([[1.0, 2.0], [3.0, 4.0]]), 2, 1)
         p = tmp_path / "l.pxb"

@@ -2,12 +2,13 @@
 
 Prediction blends two views of a trained model: the classifier head's
 softmax probabilities and the cosine similarity of the embedding to each
-class proxy, mixed as beta * prob + (1 - beta) * cosine. The blend is not
-renormalized (entries live in [-1, 2]); argmax breaks ties toward the
-lowest class index. Significance between per-fold score vectors uses a
-two-sided paired t-test whose CDF is computed here directly from the
-regularized incomplete beta function, keeping the runtime dependency
-surface to numpy.
+class proxy, mixed as beta * prob + (1 - beta) * cosine. A bank with K
+proxies per class scores each class by its best proxy (max cosine). The
+blend is not renormalized (entries live in [-1, 2]); argmax breaks ties
+toward the lowest class index. Significance between per-fold score
+vectors uses a two-sided paired t-test whose CDF is computed here directly
+from the regularized incomplete beta function, keeping the runtime
+dependency surface to numpy.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ def blended_scores(
     embeddings: np.ndarray,
     bank: ProxyBank | None,
     beta_inf: float,
-    multi_proxy: str = "error",
 ) -> np.ndarray:
     """Per-class scores beta * softmax(logits) + (1 - beta) * cos(z, proxy).
 
     At beta_inf 1.0 the probabilities are returned as-is (no proxy bank
-    needed); at 0.0 only the cosines are. Banks with several proxies per
-    class are refused unless multi_proxy="max_cosine", which scores each
-    class by its best proxy.
+    needed); at 0.0 only the cosines are. A bank with K proxies per class
+    scores each class by its best proxy (max cosine); for K = 1 that is
+    the proxy's cosine itself.
     """
     if not 0.0 <= beta_inf <= 1.0:
         raise ConfigError("beta_inf must lie in [0, 1]")
@@ -44,13 +44,8 @@ def blended_scores(
         return softmax_rows(classify_logits(params, z))
     if bank is None:
         raise ConfigError("beta_inf < 1 requires a proxy bank")
-    if bank.proxies_per_class != 1 and multi_proxy != "max_cosine":
-        raise ConfigError(
-            f"{bank.proxies_per_class} proxies per class; pass multi_proxy='max_cosine'"
-        )
     cos = l2_normalize_rows(z) @ l2_normalize_rows(bank.matrix).T  # (L, C*K)
-    if bank.proxies_per_class > 1:
-        cos = cos.reshape(z.shape[0], bank.classes, bank.proxies_per_class).max(axis=2)
+    cos = cos.reshape(z.shape[0], bank.classes, bank.proxies_per_class).max(axis=2)
     if beta_inf == 0.0:
         return cos
     probs = softmax_rows(classify_logits(params, z))

@@ -297,7 +297,6 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
             if w > 0.0:
                 c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
-                _check_finite("loss", c_out.value, step)
                 grad_logits = w * c_out.grad_embeddings
                 ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
             if ce is None:

@@ -53,30 +53,33 @@ class TestFoldsCommand:
 
 class TestTrainEvalCommands:
     def test_train_eval_round_trip(self, data_file, tmp_path, capsys):
-        enc = tmp_path / "enc.bin"
-        prox = tmp_path / "prox.bin"
-        log = tmp_path / "log.json"
-        code = main([
-            "train", "--data", str(data_file), "--loss", "proxyanchor",
-            "--beta", "0.5", "--epochs", "2", "--out-encoder", str(enc),
-            "--out-proxies", str(prox), "--out-log", str(log),
-        ])
-        assert code == 0
-        assert "trained proxyanchor" in capsys.readouterr().out
-        params = load_encoder(enc)
-        bank = load_proxies(prox)
-        assert params.num_classes == 2 and bank.classes == 2
-        assert json.loads(log.read_text())["config"]["epochs"] == 2
+        # softtriple's bank has --k proxies per class; both checkpoints score blended
+        for loss, flags, per_class in (("proxyanchor", [], 1), ("softtriple", ["--k", "3"], 3)):
+            enc = tmp_path / f"{loss}.enc"
+            prox = tmp_path / f"{loss}.prox"
+            log = tmp_path / f"{loss}.json"
+            code = main([
+                "train", "--data", str(data_file), "--loss", loss, *flags,
+                "--beta", "0.5", "--epochs", "2", "--out-encoder", str(enc),
+                "--out-proxies", str(prox), "--out-log", str(log),
+            ])
+            assert code == 0
+            assert f"trained {loss}" in capsys.readouterr().out
+            params = load_encoder(enc)
+            bank = load_proxies(prox)
+            assert params.num_classes == 2 and bank.classes == 2
+            assert bank.proxies_per_class == per_class
+            assert json.loads(log.read_text())["config"]["epochs"] == 2
 
-        assert main(["eval", "--data", str(data_file), "--encoder", str(enc)]) == 0
-        result = json.loads(capsys.readouterr().out)
-        assert set(result) == {"macro_f1", "per_class_f1", "confusion", "n_test"}
-        assert result["n_test"] == 60
+            assert main(["eval", "--data", str(data_file), "--encoder", str(enc)]) == 0
+            result = json.loads(capsys.readouterr().out)
+            assert set(result) == {"macro_f1", "per_class_f1", "confusion", "n_test"}
+            assert result["n_test"] == 60
 
-        assert main(["eval", "--data", str(data_file), "--encoder", str(enc),
-                     "--proxies", str(prox), "--blended", "--beta-inf", "0.5"]) == 0
-        blended = json.loads(capsys.readouterr().out)
-        assert 0.0 <= blended["macro_f1"] <= 1.0
+            assert main(["eval", "--data", str(data_file), "--encoder", str(enc),
+                         "--proxies", str(prox), "--blended", "--beta-inf", "0.5"]) == 0
+            blended = json.loads(capsys.readouterr().out)
+            assert 0.0 <= blended["macro_f1"] <= 1.0
 
     def test_proxyfree_loss_refuses_proxy_output(self, data_file, tmp_path, capsys):
         code = main([
@@ -103,29 +106,35 @@ class TestTrainEvalCommands:
 
 class TestGridReportCommands:
     def test_grid_and_report(self, data_file, tmp_path, capsys):
-        report_path = tmp_path / "report.json"
-        code = main([
-            "grid", "--data", str(data_file), "--loss", "npairs",
-            "--folds", "2", "--shots", "20", "--epochs", "1",
-            "--seed", "3", "--out", str(report_path),
-        ])
-        assert code == 0
-        table = capsys.readouterr().out
-        assert table.startswith("loss")
-        assert "npairs" in table
+        # the desk grids: npairs sweeps beta only; softtriple's has st_k 5
+        for loss, n_points, rows in (
+            ("npairs", 5, ["cce", "npairs"]),
+            ("softtriple", 20, ["cce", "softtriple", "softtriple+inf"]),
+        ):
+            report_path = tmp_path / f"{loss}.json"
+            code = main([
+                "grid", "--data", str(data_file), "--loss", loss,
+                "--folds", "2", "--shots", "20", "--epochs", "1",
+                "--seed", "3", "--out", str(report_path),
+            ])
+            assert code == 0
+            table = capsys.readouterr().out
+            assert table.startswith("loss")
+            assert loss in table
 
-        report = json.loads(report_path.read_text())
-        assert report["grid"]["n_points"] == 5  # npairs sweeps beta only
-        assert report["num_folds"] == 2
+            report = json.loads(report_path.read_text())
+            assert report["grid"]["n_points"] == n_points
+            assert [row["name"] for row in report["rows"]] == rows
+            assert report["num_folds"] == 2
 
-        assert main(["report", "--report", str(report_path), "--format", "csv"]) == 0
-        csv_out = capsys.readouterr().out
-        assert csv_out.startswith("name,fold,macro_f1")
-        # one row per (loss row, fold) pair plus the header
-        assert len(csv_out.strip().split("\n")) == 1 + 2 * len(report["rows"])
+            assert main(["report", "--report", str(report_path), "--format", "csv"]) == 0
+            csv_out = capsys.readouterr().out
+            assert csv_out.startswith("name,fold,macro_f1")
+            # one row per (loss row, fold) pair plus the header
+            assert len(csv_out.strip().split("\n")) == 1 + 2 * len(report["rows"])
 
-        assert main(["report", "--report", str(report_path), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == report
+            assert main(["report", "--report", str(report_path), "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == report
 
     def test_grid_rejects_cce(self, data_file, capsys):
         assert main(["grid", "--data", str(data_file), "--loss", "cce"]) == 2

@@ -3,7 +3,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from dmlbench.encoder import forward_batch, init_encoder, tokenize
+from dmlbench.encoder import classify_logits, forward_batch, init_encoder, tokenize
 from dmlbench.errors import ConfigError, DegenerateVectorError, DimensionError
 from dmlbench.evaluation import (
     EvalResult,
@@ -34,10 +34,11 @@ class TestBlendedScores:
         assert np.array_equal(scores, blended_scores(params, z, None, 1.0))
 
     def test_beta_zero_is_cosine(self):
+        # one proxy per class: the max over it gives the cosine bit for bit
         params, bank, z = tiny_model()
         scores = blended_scores(params, z, bank, 0.0)
         manual = l2_normalize_rows(z) @ l2_normalize_rows(bank.matrix).T
-        assert np.allclose(scores, manual)
+        assert np.array_equal(scores, manual)
         assert scores.min() >= -1.0 and scores.max() <= 1.0
 
     def test_midpoint_is_affine_mix(self):
@@ -60,19 +61,14 @@ class TestBlendedScores:
         with np.errstate(over="ignore"), pytest.raises(DegenerateVectorError):
             blended_scores(params, z, huge, 0.5)
 
-    def test_multi_proxy_requires_opt_in(self):
-        params, bank, z = tiny_model(2, per_class=3)
-        with pytest.raises(ConfigError):
-            blended_scores(params, z, bank, 0.5)
-        scores = blended_scores(params, z, bank, 0.5, multi_proxy="max_cosine")
-        assert scores.shape == (5, 3)
-
     def test_max_cosine_takes_best_proxy(self):
-        params, bank, z = tiny_model(3, per_class=2)
-        cos = blended_scores(params, z, bank, 0.0, multi_proxy="max_cosine")
+        params, bank, z = tiny_model(2, per_class=3)
         full = l2_normalize_rows(z) @ l2_normalize_rows(bank.matrix).T
-        manual = full.reshape(5, 3, 2).max(axis=2)
-        assert np.allclose(cos, manual)
+        best = full.reshape(5, 3, 3).max(axis=2)
+        assert np.array_equal(blended_scores(params, z, bank, 0.0), best)
+        probs = softmax_rows(classify_logits(params, z))
+        mixed = blended_scores(params, z, bank, 0.5)
+        assert np.array_equal(mixed, 0.5 * probs + 0.5 * best)
 
     def test_missing_bank_rejected(self):
         params, _, z = tiny_model(4)

@@ -29,7 +29,7 @@ from dmlbench.harness import (
     save_dataset,
     synth_dataset,
 )
-from dmlbench.losses import LossConfig
+from dmlbench.losses import PROXY_VARIANTS, LossConfig
 
 VARIANTS6 = ("triplet", "supcon", "npairs", "proxynca", "softtriple", "proxyanchor")
 # sha256 of canonical_json({"full": full_grid(v), "desk": desk_grid(v)}): a
@@ -351,17 +351,23 @@ class TestRunGrid:
         assert 0.0 <= res.p_value <= 1.0
         assert res.blended_p_value is None
 
-    def test_proxy_variant_carries_blended_scores(self):
-        ds, plans = self.make_inputs(21)
+    @pytest.mark.parametrize("variant", VARIANTS6)
+    def test_mini_grid_point_scores_every_variant(self, variant):
+        # the benchmark's mini-grid point: every other field at its default,
+        # so softtriple trains a bank of st_k = 5 proxies per class
+        ds, plans = self.make_inputs(21, folds=2)
         res = run_grid(
-            ds, plans,
-            [{"variant": "proxyanchor", "beta": 0.5, "pa_alpha": 32.0, "pa_delta": 0.1}],
-            master_seed=21, shot=20, beta_inf=0.5,
-            train_overrides=small_overrides(),
+            ds, plans, [{"variant": variant, "beta": 0.5}],
+            master_seed=21, shot=20, train_overrides=small_overrides(),
         )
-        assert res.blended_fold_scores.shape == (1, 3)
-        assert np.all(np.isfinite(res.blended_fold_scores))
-        assert 0.0 <= res.blended_p_value <= 1.0
+        assert res.fold_scores.shape == (1, 2)
+        assert np.all(np.isfinite(res.fold_scores))
+        if variant in PROXY_VARIANTS:
+            assert res.blended_fold_scores.shape == (1, 2)
+            assert np.all(np.isfinite(res.blended_fold_scores))
+            assert 0.0 <= res.blended_p_value <= 1.0
+        else:
+            assert res.blended_fold_scores is None
 
     def test_deterministic(self):
         ds, plans = self.make_inputs(22, n=40, folds=2)

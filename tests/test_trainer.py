@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -267,12 +266,3 @@ class TestTrain:
         )
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(texts, labels, 2, config)
-
-    def test_divergence_detected(self, monkeypatch):
-        texts, labels = toy_data()
-        fake = types.SimpleNamespace(
-            value=float("nan"), grad_embeddings=np.zeros((8, 2))
-        )
-        monkeypatch.setattr("dmlbench.trainer.cce_loss", lambda *a, **k: fake)
-        with pytest.raises(TrainingDivergedError):
-            train(texts, labels, 2, small_config())

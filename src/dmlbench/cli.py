@@ -155,12 +155,12 @@ def _cmd_train(args) -> int:
     variant = args.loss
     loss = LossConfig(variant=variant, **_fields(args, LOSS_FLAGS, LOSS_DEFAULTS))
     cfg = TrainConfig(loss=loss, seed=int(args.seed), **_fields(args, TRAIN_FLAGS, TRAIN_DEFAULTS))
+    if args.out_proxies and not loss.is_proxy_based:
+        raise ConfigError(f"{variant} has no proxies to save")
     model = train(ds.texts, ds.labels, ds.num_classes, cfg)
     if args.out_encoder:
         save_encoder(model.params, args.out_encoder)
     if args.out_proxies:
-        if model.bank is None:
-            raise ConfigError(f"{variant} has no proxies to save")
         save_proxies(model.bank, args.out_proxies)
     if args.out_log:
         with open(args.out_log, "w", encoding="utf-8") as fh:

@@ -5,17 +5,20 @@ A run is fully specified by (dataset, fold plan, grid, master seed) and is
 reproducible to the byte: fold plans serialize to canonical JSON, every
 training cell derives its own seed from the master seed and its (point,
 fold) coordinates, and reports re-serialize to identical bytes after a
-JSON round trip. Failed cells (diverged training) poison their grid point,
+JSON round trip. Every cell, the cross-entropy baseline included, goes
+through one function; serial and pooled runs differ only in the `map`
+that applies it. Failed cells (diverged training) poison their grid point,
 which is excluded from best-point selection but still listed.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -152,8 +155,8 @@ class FoldPlan:
 
 
 def _largest_remainder_quotas(counts: np.ndarray, shot: int) -> np.ndarray:
-    """Integer quotas proportional to counts summing to shot, capped at the
-    class sizes, with at least one per non-empty class when shot allows.
+    """Integer quotas proportional to counts summing to shot, none above its
+    class size, with at least one per non-empty class when shot allows.
     All tie-breaks go to the lower class index."""
     total = int(counts.sum())
     if shot >= total:
@@ -162,17 +165,10 @@ def _largest_remainder_quotas(counts: np.ndarray, shot: int) -> np.ndarray:
     quota = np.floor(raw).astype(np.int64)
     remainder = raw - quota
     order = np.lexsort((np.arange(len(counts)), -remainder))
+    # a leftover unit goes only to a class with a positive remainder, whose
+    # floor is below its count, so no quota exceeds its class size
     for idx in order[: shot - int(quota.sum())]:
         quota[idx] += 1
-    # cap at class size, handing the overflow to classes with spare room
-    overflow = int(np.maximum(quota - counts, 0).sum())
-    quota = np.minimum(quota, counts)
-    while overflow > 0:
-        spare = counts - quota
-        if spare.max() <= 0:
-            break
-        quota[int(np.argmax(spare))] += 1
-        overflow -= 1
     # guarantee representation when the budget covers every class
     nonempty = int(np.count_nonzero(counts))
     if shot >= nonempty:
@@ -252,16 +248,7 @@ def fold_plans_to_json(plans: list[FoldPlan], shot, master_seed: int) -> str:
         "master_seed": master_seed,
         "num_folds": len(plans),
         "shot": shot,
-        "folds": [
-            {
-                "fold_id": p.fold_id,
-                "seed": p.seed,
-                "train_indices": p.train_indices,
-                "test_indices": p.test_indices,
-                "fewshot_indices": p.fewshot_indices,
-            }
-            for p in plans
-        ],
+        "folds": [asdict(p) for p in plans],
     }
     return canonical_json(obj)
 
@@ -328,17 +315,16 @@ def _train_eval_cell(
     labels: np.ndarray,
     num_classes: int,
     plan: FoldPlan,
-    point: dict | None,
+    point: dict,
     seed: int,
     overrides: dict,
     beta_inf: float,
 ) -> tuple[float, float]:
     """Train one (grid point, fold) cell and evaluate on the fold's test
-    split. point None means the plain cross-entropy baseline. Returns
-    (dense F1, blended F1); the latter is NaN for proxy-free models, both
-    are NaN when training diverges."""
-    loss_cfg = LossConfig(**point) if point is not None else LossConfig("cce")
-    cfg = TrainConfig(loss=loss_cfg, seed=seed, **overrides)
+    split; the baseline's point is {"variant": "cce"}. Returns (dense F1,
+    blended F1); the latter is NaN for proxy-free models, both are NaN when
+    training diverges."""
+    cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
     few = plan.fewshot_indices
     try:
         model = train([texts[i] for i in few], labels[few], num_classes, cfg)
@@ -356,36 +342,6 @@ def _train_eval_cell(
     return (dense_f1, blended_f1)
 
 
-_POOL_STATE: dict = {}
-
-
-def _pool_init(texts, labels, num_classes, plans, overrides, beta_inf):
-    _POOL_STATE.update(
-        texts=texts,
-        labels=labels,
-        num_classes=num_classes,
-        plans=plans,
-        overrides=overrides,
-        beta_inf=beta_inf,
-    )
-
-
-def _pool_cell(task):
-    point_idx, fold_idx, point, seed = task
-    s = _POOL_STATE
-    dense, blended = _train_eval_cell(
-        s["texts"],
-        s["labels"],
-        s["num_classes"],
-        s["plans"][fold_idx],
-        point,
-        seed,
-        s["overrides"],
-        s["beta_inf"],
-    )
-    return point_idx, fold_idx, dense, blended
-
-
 def run_grid(
     dataset: Dataset,
     plans: list[FoldPlan],
@@ -401,8 +357,9 @@ def run_grid(
 
     The best point is the highest mean dense-head F1 among points with no
     failed fold; its significance against the baseline is a paired t-test
-    over per-fold scores. Proxy-based variants also carry a proxy-blended
-    score per cell (mixing weight beta_inf at inference only).
+    over per-fold scores, so at least two folds are needed. Proxy-based
+    variants also carry a proxy-blended score per cell (mixing weight
+    beta_inf at inference only).
     """
     if not points:
         raise ConfigError("grid needs at least one point")
@@ -411,51 +368,41 @@ def run_grid(
         raise ConfigError("grid points must share one variant")
     if shot not in SHOT_CHOICES:
         raise ConfigError(f"shot must be one of {SHOT_CHOICES}")
+    if len(plans) < 2:
+        raise ConfigError("grid needs at least two folds to test against the baseline")
     overrides = {"epochs": DEFAULT_EPOCHS_BY_SHOT[shot], **(train_overrides or {})}
     n_points, n_folds = len(points), len(plans)
 
-    tasks = []
-    for pi, point in enumerate(points):
-        for fi in range(n_folds):
-            seed = derive_seed(master_seed, "train", pi, plans[fi].fold_id)
-            tasks.append((pi, fi, point, seed))
-    for fi in range(n_folds):
-        seed = derive_seed(master_seed, "baseline", plans[fi].fold_id)
-        tasks.append((-1, fi, None, seed))
-
-    dense = np.full((n_points, n_folds), np.nan)
-    blended = np.full((n_points, n_folds), np.nan)
-    baseline = np.full(n_folds, np.nan)
-
+    # (plan, point, seed) per cell: every point on every fold, then the baseline
+    cells = [
+        (plan, point, derive_seed(master_seed, "train", pi, plan.fold_id))
+        for pi, point in enumerate(points)
+        for plan in plans
+    ] + [
+        (plan, {"variant": "cce"}, derive_seed(master_seed, "baseline", plan.fold_id))
+        for plan in plans
+    ]
+    cell = functools.partial(
+        _train_eval_cell, dataset.texts, dataset.labels, dataset.num_classes,
+        overrides=overrides, beta_inf=beta_inf,
+    )
+    columns = tuple(zip(*cells))  # the plans, points and seeds, in cell order
     if workers <= 1:
-        results = [
-            (pi, fi) + _train_eval_cell(
-                dataset.texts, dataset.labels, dataset.num_classes, plans[fi],
-                point, seed, overrides, beta_inf,
-            )
-            for pi, fi, point, seed in tasks
-        ]
+        scores = list(map(cell, *columns))
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(dataset.texts, dataset.labels, dataset.num_classes, plans, overrides, beta_inf),
-        ) as pool:
-            results = list(pool.map(_pool_cell, tasks, chunksize=4))
-
-    for pi, fi, d, b in results:
-        if pi < 0:
-            baseline[fi] = d
-        else:
-            dense[pi, fi] = d
-            blended[pi, fi] = b
+        with ProcessPoolExecutor(workers) as pool:
+            scores = list(pool.map(cell, *columns, chunksize=4))
+    scores = np.array(scores).reshape(n_points + 1, n_folds, 2)
+    dense = scores[:n_points, :, 0].copy()
+    blended = scores[:n_points, :, 1].copy()
+    baseline = scores[n_points, :, 0].copy()
 
     if np.isnan(baseline).any():
         raise TrainingDivergedError("cross-entropy baseline diverged on some fold")
 
     means = dense.mean(axis=1)  # NaN propagates for failed points
     valid = ~np.isnan(means)
-    best_index = int(np.nanargmax(np.where(valid, means, -np.inf))) if valid.any() else None
+    best_index = int(np.argmax(np.where(valid, means, -np.inf))) if valid.any() else None
     p_value = None
     blended_p = None
     has_blend = variant in PROXY_VARIANTS

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import kernels
 
 from dmlbench.cli import main
 from dmlbench.encoder import load_encoder
@@ -81,7 +82,11 @@ class TestTrainEvalCommands:
             blended = json.loads(capsys.readouterr().out)
             assert 0.0 <= blended["macro_f1"] <= 1.0
 
-    def test_proxyfree_loss_refuses_proxy_output(self, data_file, tmp_path, capsys):
+    def test_proxyfree_loss_refuses_proxy_output(self, data_file, tmp_path, capsys, monkeypatch):
+        def no_train(*args, **kwargs):
+            raise AssertionError("trained before refusing")
+
+        monkeypatch.setattr("dmlbench.cli.train", no_train)
         code = main([
             "train", "--data", str(data_file), "--loss", "supcon",
             "--epochs", "1", "--out-proxies", str(tmp_path / "p.bin"),
@@ -291,4 +296,4 @@ class TestOutputPins:
         return _sha(path.read_bytes())
 
     def test_outputs_pinned(self, tmp_path, capsys):
-        assert self.run(tmp_path, capsys) == self.PINNED
+        assert self.run(tmp_path, capsys) == self.PINNED, kernels()

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,4 +34,4 @@ def test_demo_output_is_pinned(name):
         [sys.executable, str(ROOT / "demos" / f"{name}.py")],
         cwd=ROOT, env=env, capture_output=True, check=True,
     )
-    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[name]
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED[name], kernels()

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import kernels
 
 from dmlbench.encoder import DEFAULT_VOCAB, tokenize
 from dmlbench.harness import synth_dataset
@@ -93,22 +94,23 @@ def test_every_variant_is_pinned():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_fingerprint_is_pinned(variant):
-    assert fingerprint(variant) == PINNED[variant]
+    assert fingerprint(variant) == PINNED[variant], kernels()
 
 
 def test_all_live_fingerprint_is_pinned():
     used = {i for text in fingerprint_data().texts for i in tokenize(text, ALL_LIVE_VOCAB)}
     assert used == set(range(ALL_LIVE_VOCAB))
-    assert fingerprint(ALL_LIVE_VARIANT, vocab_size=ALL_LIVE_VOCAB) == ALL_LIVE_PINNED
+    assert fingerprint(ALL_LIVE_VARIANT, vocab_size=ALL_LIVE_VOCAB) == ALL_LIVE_PINNED, kernels()
 
 
 @pytest.mark.parametrize("beta, variant", list(BLEND_PINNED))
 def test_blend_weight_fingerprint_is_pinned(beta, variant):
-    assert fingerprint(variant, beta=beta) == BLEND_PINNED[beta, variant]
+    assert fingerprint(variant, beta=beta) == BLEND_PINNED[beta, variant], kernels()
 
 
 def test_dml_only_fingerprint_is_blend_weight_zero():
-    assert fingerprint("proxyanchor", beta=0.0, dml_only=True) == BLEND_PINNED[0.0, "proxyanchor"]
+    got = fingerprint("proxyanchor", beta=0.0, dml_only=True)
+    assert got == BLEND_PINNED[0.0, "proxyanchor"], kernels()
 
 
 def test_benchmark_recipe_matches_pins():
@@ -118,6 +120,6 @@ def test_benchmark_recipe_matches_pins():
     sys.modules[spec.name] = bench_run  # dataclasses look their module up
     try:
         spec.loader.exec_module(bench_run)
-        assert bench_run.fingerprint(SEED) == PINNED
+        assert bench_run.fingerprint(SEED) == PINNED, kernels()
     finally:
         del sys.modules[spec.name]

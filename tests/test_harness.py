@@ -3,6 +3,9 @@ import json
 
 import numpy as np
 import pytest
+from conftest import kernels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dmlbench.errors import (
     ConfigError,
@@ -152,7 +155,7 @@ class TestSynth:
         h = hashlib.sha256()
         for text, label in zip(ds.texts, ds.labels):
             h.update(f"{label}\t{text}\n".encode())
-        assert h.hexdigest() == self.PINNED[key]
+        assert h.hexdigest() == self.PINNED[key], kernels()
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -163,6 +166,38 @@ class TestSynth:
             synth_dataset(2, 10, noise=1.5)
         with pytest.raises(ConfigError):
             synth_dataset(2, 10, signal_tokens=0)
+
+
+def old_largest_remainder_quotas(counts: np.ndarray, shot: int) -> np.ndarray:
+    """The quotas as they were computed with a cap at the class sizes and
+    an overflow loop, both of which cannot fire for shot < total."""
+    total = int(counts.sum())
+    if shot >= total:
+        return counts.copy()
+    raw = shot * counts / total
+    quota = np.floor(raw).astype(np.int64)
+    remainder = raw - quota
+    order = np.lexsort((np.arange(len(counts)), -remainder))
+    for idx in order[: shot - int(quota.sum())]:
+        quota[idx] += 1
+    overflow = int(np.maximum(quota - counts, 0).sum())
+    quota = np.minimum(quota, counts)
+    while overflow > 0:
+        spare = counts - quota
+        if spare.max() <= 0:
+            break
+        quota[int(np.argmax(spare))] += 1
+        overflow -= 1
+    nonempty = int(np.count_nonzero(counts))
+    if shot >= nonempty:
+        for c in range(len(counts)):
+            if counts[c] > 0 and quota[c] == 0:
+                donor = int(np.argmax(quota))
+                if quota[donor] <= 1:
+                    break
+                quota[donor] -= 1
+                quota[c] = 1
+    return quota
 
 
 class TestQuotas:
@@ -195,6 +230,20 @@ class TestQuotas:
             assert quota.sum() == min(shot, total)
             assert np.all(quota <= counts)
             assert np.all(quota >= 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(
+            st.one_of(st.integers(0, 50), st.integers(0, 10**6)), min_size=1, max_size=12
+        ).filter(lambda c: 0 < sum(c) <= 10**7),
+        data=st.data(),
+    )
+    def test_matches_capped_version(self, counts, data):
+        counts = np.array(counts, dtype=np.int64)
+        shot = data.draw(st.integers(0, int(counts.sum())), label="shot")
+        quota = _largest_remainder_quotas(counts, shot)
+        assert np.array_equal(quota, old_largest_remainder_quotas(counts, shot))
+        assert np.all(quota <= counts)
 
 
 class TestFoldPlans:
@@ -378,20 +427,27 @@ class TestRunGrid:
         assert np.array_equal(a.baseline_scores, b.baseline_scores)
 
     def test_worker_pool_matches_serial(self):
+        # a proxy-free and a proxy grid, each two points on two folds
         ds, plans = self.make_inputs(23, n=40, folds=2)
-        point = [{"variant": "supcon", "tau": 0.5, "beta": 0.5}]
-        serial = run_grid(ds, plans, point, 23, 20, train_overrides=small_overrides())
-        pooled = run_grid(
-            ds, plans, point, 23, 20, workers=2, train_overrides=small_overrides()
-        )
-        assert np.array_equal(serial.fold_scores, pooled.fold_scores)
-        assert np.array_equal(serial.baseline_scores, pooled.baseline_scores)
+        for variant in ("supcon", "proxyanchor"):
+            points = [{"variant": variant, "beta": b} for b in (0.3, 0.7)]
+            serial = run_grid(ds, plans, points, 23, 20, train_overrides=small_overrides())
+            pooled = run_grid(
+                ds, plans, points, 23, 20, workers=2, train_overrides=small_overrides()
+            )
+            assert (serial.blended_fold_scores is None) == (variant not in PROXY_VARIANTS)
+            for name in ("fold_scores", "blended_fold_scores", "baseline_scores"):
+                a, b = getattr(serial, name), getattr(pooled, name)
+                assert (a is None and b is None) or np.array_equal(a, b), (variant, name)
+            assert serial.best_index == pooled.best_index, variant
+            assert serial.p_value == pooled.p_value, variant
+            assert serial.blended_p_value == pooled.blended_p_value, variant
 
     def test_failed_point_excluded_from_best(self, monkeypatch):
         ds, plans = self.make_inputs(24)
 
         def fake_cell(texts, labels, nc, plan, point, seed, overrides, beta_inf):
-            if point is None:
+            if point["variant"] == "cce":
                 return (0.6 + 0.001 * plan.fold_id, float("nan"))
             if point["tau"] == 0.9:
                 return (float("nan"), float("nan"))
@@ -414,13 +470,26 @@ class TestRunGrid:
 
         def fake_cell(texts, labels, nc, plan, point, seed, overrides, beta_inf):
             nan = float("nan")
-            return (nan, nan) if point is None else (0.5, nan)
+            return (nan, nan) if point["variant"] == "cce" else (0.5, nan)
 
         monkeypatch.setattr("dmlbench.harness._train_eval_cell", fake_cell)
         with pytest.raises(TrainingDivergedError):
             run_grid(
                 ds, plans, [{"variant": "supcon", "tau": 0.5, "beta": 0.5}],
                 master_seed=25, shot=20, train_overrides=small_overrides(),
+            )
+
+    def test_single_fold_rejected_before_any_cell(self, monkeypatch):
+        ds, plans = self.make_inputs(28, folds=1)
+
+        def fake_cell(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr("dmlbench.harness._train_eval_cell", fake_cell)
+        with pytest.raises(ConfigError, match="two folds"):
+            run_grid(
+                ds, plans, [{"variant": "supcon", "tau": 0.5, "beta": 0.5}],
+                master_seed=28, shot=20, train_overrides=small_overrides(),
             )
 
     def test_mixed_variants_rejected(self):

@@ -34,8 +34,8 @@ print("batch: 6 embeddings in 8 dims, labels", labels.tolist())
 print()
 
 # --- triplet: squared-distance hinge over every (anchor, positive, negative)
-triplets = mine_triplets(batch, margin=1.0)
-out = triplet_loss(batch, triplets)
+triplets = mine_triplets(batch)
+out = triplet_loss(batch, triplets, margin=1.0)
 print(f"triplet      {out.value:10.4f}   ({len(triplets)} mined triplets)")
 
 # --- n-pairs: one positive per anchor, softmax over the cross-class rest

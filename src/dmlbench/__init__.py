@@ -52,7 +52,6 @@ from .losses import (
     EmbeddingBatch,
     LossConfig,
     LossOutput,
-    TripletSpec,
     cce_loss,
     combined_loss,
     dml_loss,

@@ -85,19 +85,17 @@ def _triplet_instance(rng: Rng):
     for _ in range(50):
         z = _random_embeddings(rng)
         batch = EmbeddingBatch(z, LABELS, CLASSES)
-        triplets = mine_triplets(batch, margin)
-        slacks = []
-        for t in triplets:
-            ap = z[t.anchor] - z[t.positive]
-            an = z[t.anchor] - z[t.negative]
-            slacks.append(float(ap @ ap - an @ an) + margin)
-        if min(abs(s) for s in slacks) > 1e-3:
+        triplets = mine_triplets(batch)
+        ap = z[triplets[:, 0]] - z[triplets[:, 1]]
+        an = z[triplets[:, 0]] - z[triplets[:, 2]]
+        slack = ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None] + margin
+        if np.abs(slack).min() > 1e-3:
 
             def f(flat):
                 b = EmbeddingBatch(flat.reshape(BATCH_SIZE, DIM), LABELS, CLASSES)
-                return triplet_loss(b, triplets).value
+                return triplet_loss(b, triplets, margin).value
 
-            out = triplet_loss(batch, triplets)
+            out = triplet_loss(batch, triplets, margin)
             return f, z.ravel(), out.grad_embeddings.ravel()
     raise RuntimeError("could not sample a kink-free triplet instance")
 

@@ -175,8 +175,6 @@ def _largest_remainder_quotas(counts: np.ndarray, shot: int) -> np.ndarray:
         for c in range(len(counts)):
             if counts[c] > 0 and quota[c] == 0:
                 donor = int(np.argmax(quota))
-                if quota[donor] <= 1:
-                    break
                 quota[donor] -= 1
                 quota[c] = 1
     return quota
@@ -223,14 +221,10 @@ def make_fold_plans(
                     f"fold {fold_id}: shot {shot} cannot cover {present} classes"
                 )
             quota = _largest_remainder_quotas(counts, shot)
-            taken = np.zeros(num_classes, dtype=np.int64)
-            few_list = []
-            for idx in train:  # train is already in shuffled order
-                c = labels[idx]
-                if taken[c] < quota[c]:
-                    few_list.append(int(idx))
-                    taken[c] += 1
-            few = np.sort(np.array(few_list, dtype=np.int64))
+            # each class's first quota members in train's shuffled order
+            few = np.sort(
+                np.concatenate([train[labels[train] == c][: quota[c]] for c in range(num_classes)])
+            )
         plans.append(
             FoldPlan(
                 fold_id=fold_id,

@@ -18,7 +18,8 @@ the trainer runs the classifier loss itself.
 
 Conventions:
 
-* triplet uses squared Euclidean distances;
+* triplet uses squared Euclidean distances and one margin over an int64
+  (T, 3) array of (anchor, positive, negative) row indices in [0, L);
 * proxy-NCA and soft-triple L2-normalize embeddings and proxies internally
   (gradients are still w.r.t. the raw inputs, chained through the
   normalization); proxy-anchor normalizes implicitly via cosine similarity;
@@ -85,16 +86,6 @@ class EmbeddingBatch:
 
 
 @dataclass
-class TripletSpec:
-    """Index triple into a batch: anchor/positive share a class, negative differs."""
-
-    anchor: int
-    positive: int
-    negative: int
-    margin: float = 1.0
-
-
-@dataclass
 class LossOutput:
     value: float
     grad_embeddings: np.ndarray
@@ -132,12 +123,16 @@ class LossConfig:
             raise ConfigError(f"unknown loss variant {self.variant!r}")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("beta must lie in [0, 1]")
+        if self.margin < 0.0:
+            raise ConfigError("margin must be >= 0")
         if self.tau <= 0.0:
             raise ConfigError("tau must be positive")
         if self.st_gamma <= 0.0:
             raise ConfigError("st_gamma must be positive")
         if self.st_k < 1:
             raise ConfigError("st_k must be >= 1")
+        if self.st_lambda <= 0.0:
+            raise ConfigError("st_lambda must be positive")
         if self.pa_alpha <= 0.0:
             raise ConfigError("pa_alpha must be positive")
         if self.softmax_scale <= 0.0:
@@ -195,50 +190,43 @@ def cce_loss(probs, labels) -> LossOutput:
 # triplet
 
 
-def _check_triplet(spec: TripletSpec, labels: np.ndarray) -> None:
-    a, p, n = spec.anchor, spec.positive, spec.negative
-    if len({a, p, n}) != 3:
-        raise InvalidTripletError(f"indices must be distinct, got ({a}, {p}, {n})")
-    if labels[a] != labels[p]:
-        raise InvalidTripletError(f"anchor {a} and positive {p} differ in class")
-    if labels[a] == labels[n]:
-        raise InvalidTripletError(f"anchor {a} and negative {n} share a class")
-    if spec.margin < 0.0:
-        raise InvalidTripletError("margin must be >= 0")
-
-
-def triplet_loss(batch: EmbeddingBatch, triplets) -> LossOutput:
+def triplet_loss(batch: EmbeddingBatch, triplets, margin: float) -> LossOutput:
     """Sum of hinge terms [d²(a,p) - d²(a,n) + margin]+ over the given triplets.
 
-    Squared Euclidean distances; the subgradient at the hinge kink is zero.
-    Every triplet is validated first; an invalid one raises what
-    `_check_triplet` raises for the first of them. The terms are computed
-    for all triplets at once but summed in triplet order, and each active
+    `triplets` is a (T, 3) int array of (anchor, positive, negative) rows,
+    each index in [0, L), under one margin. Squared Euclidean distances;
+    the subgradient at the hinge kink is zero. The first invalid row raises
+    the first of the checks below that it fails. The terms are computed for
+    all triplets at once but summed in triplet order, and each active
     triplet scatters its (anchor, positive, negative) rows in that order,
     so the result is the same to the bit as taking one triplet at a time.
     """
-    triplets = list(triplets)
-    if not triplets:
+    idx = np.asarray(triplets)
+    if idx.size == 0:
         raise InvalidTripletError("need at least one triplet")
+    if idx.ndim != 2 or idx.shape[1] != 3 or idx.dtype.kind not in "iu":
+        raise DimensionError(f"triplets must be integers of shape (T, 3), got {idx.dtype} {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
     z = batch.embeddings
     labels = batch.labels
-    idx = np.array([(t.anchor, t.positive, t.negative) for t in triplets], dtype=np.int64)
-    margins = np.array([t.margin for t in triplets], dtype=np.float64)
-    outside = np.any((idx < -batch.size) | (idx >= batch.size), axis=1)
-    a, p, n = np.where(outside[:, None], 0, idx).T
-    bad = (
-        outside
-        | (a == p) | (a == n) | (p == n)
-        | (labels[a] != labels[p])
-        | (labels[a] == labels[n])
-        | (margins < 0.0)
-    )
+    outside = np.any((idx < 0) | (idx >= batch.size), axis=1)
+    a, p, n = np.where(outside[:, None], 0, idx).T  # such rows fail the range check first
+    checks = [  # {0}, {1}, {2}: the row's anchor, positive and negative
+        (outside, "indices must lie in [0, {L}), got ({0}, {1}, {2})"),
+        ((a == p) | (a == n) | (p == n), "indices must be distinct, got ({0}, {1}, {2})"),
+        (labels[a] != labels[p], "anchor {0} and positive {1} differ in class"),
+        (labels[a] == labels[n], "anchor {0} and negative {2} share a class"),
+        (np.full(len(idx), margin < 0.0), "margin must be >= 0"),
+    ]
+    bad = np.array([mask for mask, _ in checks])  # (check, triplet)
     if bad.any():
-        _check_triplet(triplets[int(np.argmax(bad))], labels)
+        row = int(np.argmax(bad.any(axis=0)))
+        message = checks[int(np.argmax(bad[:, row]))][1]
+        raise InvalidTripletError(message.format(*idx[row].tolist(), L=batch.size))
     ap = z[a] - z[p]
     an = z[a] - z[n]
     # stacked (1, d) @ (d, 1) products are the same BLAS dots as ap @ ap per row
-    slack = (ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None])[:, 0, 0] + margins
+    slack = (ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None])[:, 0, 0] + margin
     hit = slack > 0.0
     grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
     if not hit.any():
@@ -251,15 +239,11 @@ def triplet_loss(batch: EmbeddingBatch, triplets) -> LossOutput:
     return LossOutput(value, grad)
 
 
-def mine_triplets(
-    batch: EmbeddingBatch,
-    margin: float,
-    rng: Rng | None = None,
-    cap: int = 512,
-) -> list[TripletSpec]:
-    """All valid (anchor, positive, negative) index triples in the batch, in
-    lexicographic order, subsampled to `cap` with the given rng when there
-    are more: rng.choice picks `cap` ranks of that order, kept sorted.
+def mine_triplets(batch: EmbeddingBatch, *, rng: Rng | None = None, cap: int = 512) -> np.ndarray:
+    """All valid (anchor, positive, negative) index triples in the batch, as
+    the rows of an int64 (T, 3) array in lexicographic order, indices in
+    [0, L), subsampled to `cap` with the given rng when there are more:
+    rng.choice picks `cap` ranks of that order, kept sorted.
 
     No triple is built that is not returned. Anchor a owns the block of
     |pos(a)| * |neg(a)| consecutive ranks; a rank is decoded from its
@@ -293,10 +277,7 @@ def mine_triplets(
     for c in np.unique(cls):
         sel = cls == c
         negative[sel] = np.nonzero(labels != c)[0][neg_rank[sel]]
-    return [
-        TripletSpec(a, p, n, margin)
-        for a, p, n in zip(anchor.tolist(), positive.tolist(), negative.tolist())
-    ]
+    return np.stack((anchor, positive, negative), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +598,8 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
 
 
 def _triplet(batch, config, bank, rng) -> LossOutput:
-    triplets = mine_triplets(batch, config.margin, rng)
-    return triplet_loss(batch, triplets) if triplets else zero_output(batch)
+    triplets = mine_triplets(batch, rng=rng)
+    return triplet_loss(batch, triplets, config.margin) if len(triplets) else zero_output(batch)
 
 
 def _npairs(batch, config, bank, rng) -> LossOutput:

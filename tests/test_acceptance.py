@@ -28,7 +28,6 @@ from dmlbench.harness import (
 from dmlbench.losses import (
     EmbeddingBatch,
     LossConfig,
-    TripletSpec,
     cce_loss,
     mine_triplets,
     npairs_loss,
@@ -168,8 +167,8 @@ def test_hand_computed_loss_values():
 
     z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
     batch3 = EmbeddingBatch(z, [0, 0, 1], 2)
-    active = triplet_loss(batch3, [TripletSpec(0, 1, 2, 4.0)]).value
-    inactive = triplet_loss(batch3, [TripletSpec(0, 1, 2, 2.0)]).value
+    active = triplet_loss(batch3, [(0, 1, 2)], 4.0).value
+    inactive = triplet_loss(batch3, [(0, 1, 2)], 2.0).value
     checks.append(("triplet", active == 1.0 and inactive == 0.0, f"{active}/{inactive}"))
 
     bank = ProxyBank(np.array([[0.0, 0.0], [3.0, 4.0]]), 2, 1)
@@ -221,13 +220,11 @@ def test_invariance_suite():
         "proxyanchor": lambda b: proxyanchor_loss(b, bank1, 16.0, 0.1).value,
     }
     drift = max(abs(fn(batch) - fn(permuted)) for fn in cases.values())
-    specs = mine_triplets(batch, 1.0)
-    remapped = [
-        TripletSpec(int(inv[s.anchor]), int(inv[s.positive]), int(inv[s.negative]), s.margin)
-        for s in specs
-    ]
+    specs = mine_triplets(batch)
+    remapped = inv[specs]
     drift = max(
-        drift, abs(triplet_loss(batch, specs).value - triplet_loss(permuted, remapped).value)
+        drift,
+        abs(triplet_loss(batch, specs, 1.0).value - triplet_loss(permuted, remapped, 1.0).value),
     )
 
     neg_floor = 0.0
@@ -239,7 +236,7 @@ def test_invariance_suite():
         pb2 = init_proxies(3, 2, 5, sample_rng)
         logits = sample_rng.normal(6 * 3).reshape(6, 3)
         values = [
-            triplet_loss(b, mine_triplets(b, 1.0)).value,
+            triplet_loss(b, mine_triplets(b), 1.0).value,
             npairs_loss(b).value,
             supcon_loss(b, 0.4).value,
             proxyanchor_loss(b, pb, 16.0, 0.1).value,

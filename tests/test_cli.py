@@ -94,6 +94,23 @@ class TestTrainEvalCommands:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--loss", "softtriple", "--lam", "0"], "st_lambda must be positive"),
+            (["--loss", "triplet", "--margin", "-1"], "margin must be >= 0"),
+        ],
+    )
+    def test_bad_loss_field_is_refused_before_training(
+        self, data_file, capsys, monkeypatch, flags, message
+    ):
+        def no_train(*args, **kwargs):
+            raise AssertionError("trained before refusing")
+
+        monkeypatch.setattr("dmlbench.cli.train", no_train)
+        assert main(["train", "--data", str(data_file), *flags, "--epochs", "1"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_blended_eval_needs_proxies(self, data_file, tmp_path, capsys):
         enc = tmp_path / "enc.bin"
         main(["train", "--data", str(data_file), "--epochs", "1",

@@ -53,6 +53,10 @@ BLEND_PINNED = {
     (0.0, "triplet"): "e3eebe0ca5c4eac0cf8b8a5d208968ab03f7e330f966940e8a28ef3f93f639ad",
     (0.0, "proxyanchor"): "3db989437b5ad8695dd926df9afce82ae8b6133201ad645580216cb5e864409b",
 }
+# softtriple at st_k = 100 proxies per class: the benchmark and the desk grid
+# stop at st_k = 5, so only this pin sees the (L, C, K) path at a large K
+LARGE_K = 100
+LARGE_K_PINNED = "55ad9530f190b1bfcf63f4da7835204293911fadc7d549e78a8a27a01b0e7244"
 BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
@@ -66,10 +70,11 @@ def fingerprint(
     vocab_size: int = DEFAULT_VOCAB,
     beta: float = 0.5,
     dml_only: bool = False,
+    **loss_fields,
 ) -> str:
     data = fingerprint_data(seed)
     config = TrainConfig(
-        loss=LossConfig(variant, beta=beta),
+        loss=LossConfig(variant, beta=beta, **loss_fields),
         epochs=2,
         batch_size=16,
         seed=derive_seed(seed, "fingerprint", variant),
@@ -111,6 +116,10 @@ def test_blend_weight_fingerprint_is_pinned(beta, variant):
 def test_dml_only_fingerprint_is_blend_weight_zero():
     got = fingerprint("proxyanchor", beta=0.0, dml_only=True)
     assert got == BLEND_PINNED[0.0, "proxyanchor"], kernels()
+
+
+def test_large_k_softtriple_fingerprint_is_pinned():
+    assert fingerprint("softtriple", st_k=LARGE_K) == LARGE_K_PINNED, kernels()
 
 
 def test_benchmark_recipe_matches_pins():

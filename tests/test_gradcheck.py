@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dmlbench.gradcheck import CheckResult, _builders, compare_gradients, run_gradcheck
-from dmlbench.losses import VARIANTS
-from dmlbench.numeric import Rng, derive_seed, fd_gradient
+from dmlbench.losses import VARIANTS, EmbeddingBatch, softtriple_loss
+from dmlbench.numeric import Rng, derive_seed, fd_gradient, l2_normalize_rows
+from dmlbench.proxies import ProxyBank
 
 
 class TestCompareGradients:
@@ -91,4 +94,38 @@ def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
     assert supcon.worst_rel == compare_gradients(analytic, fd_gradient(f, x0))[2]
     ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    assert ok, (worst_abs, worst_rel)
+
+
+@st.composite
+def softtriple_instances(draw):
+    # random labels over C classes, so absent and singleton classes occur
+    rows = draw(st.integers(2, 8))
+    dim = draw(st.integers(2, 6))
+    classes = draw(st.integers(2, 4))
+    per_class = draw(st.sampled_from([3, 4, 5]))
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows)))
+    rng = Rng(draw(st.integers(0, 2**32)))
+    z = rng.normal(rows * dim).reshape(rows, dim)
+    w = l2_normalize_rows(rng.normal(classes * per_class * dim).reshape(classes * per_class, dim))
+    return z, w, labels, classes, per_class
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instance=softtriple_instances())
+def test_softtriple_gradient_with_more_than_two_proxies_per_class(instance):
+    # the oracle's probe alternates K = 1 and K = 2 on one 6x8x3 shape; this
+    # checks K = 3..5 over other shapes at the oracle's settings and tolerances
+    z, w, labels, classes, per_class = instance
+    n_emb = z.size
+
+    def loss(flat):
+        batch = EmbeddingBatch(flat[:n_emb].reshape(z.shape), labels, classes)
+        bank = ProxyBank(flat[n_emb:].reshape(w.shape), classes, per_class)
+        return softtriple_loss(batch, bank, scale=4.0, gamma=0.1, delta=0.3)
+
+    x0 = np.concatenate([z.ravel(), w.ravel()])
+    out = loss(x0)
+    analytic = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
+    ok, worst_abs, worst_rel = compare_gradients(analytic, fd_gradient(lambda x: loss(x).value, x0))
     assert ok, (worst_abs, worst_rel)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dmlbench.encoder import backward_batch, forward_batch, init_encoder
 from dmlbench.errors import ConfigError, InvalidTripletError
 from dmlbench.harness import NOISE_POOL, synth_dataset
-from dmlbench.losses import EmbeddingBatch, LossConfig, TripletSpec, mine_triplets, triplet_loss
+from dmlbench.losses import EmbeddingBatch, LossConfig, mine_triplets, triplet_loss
 from dmlbench.numeric import Rng, add_rows_at, derive_seed, normalize_backward
 from dmlbench.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW, TrainConfig, train
 
@@ -57,7 +57,7 @@ def old_choice(rng: Rng, n: int, k: int) -> np.ndarray:
     return pool[:k].copy()
 
 
-def old_mine_triplets(batch, margin, rng=None, cap=512):
+def old_mine_triplets(batch, rng=None, cap=512):
     labels = batch.labels
     triples = []
     for a in range(batch.size):
@@ -73,38 +73,40 @@ def old_mine_triplets(batch, margin, rng=None, cap=512):
             raise ConfigError(f"{len(triples)} triplets exceed cap {cap}; rng required")
         keep = old_choice(rng, len(triples), cap)
         triples = [triples[i] for i in sorted(keep)]
-    return [TripletSpec(a, p, n, margin) for a, p, n in triples]
+    return triples
 
 
-def old_check_triplet(spec, labels):
-    a, p, n = spec.anchor, spec.positive, spec.negative
+def old_check_triplet(triplet, margin, labels):
+    a, p, n = triplet
+    if not all(0 <= i < labels.size for i in (a, p, n)):
+        raise InvalidTripletError(f"indices must lie in [0, {labels.size}), got ({a}, {p}, {n})")
     if len({a, p, n}) != 3:
         raise InvalidTripletError(f"indices must be distinct, got ({a}, {p}, {n})")
     if labels[a] != labels[p]:
         raise InvalidTripletError(f"anchor {a} and positive {p} differ in class")
     if labels[a] == labels[n]:
         raise InvalidTripletError(f"anchor {a} and negative {n} share a class")
-    if spec.margin < 0.0:
+    if margin < 0.0:
         raise InvalidTripletError("margin must be >= 0")
 
 
-def old_triplet_loss(batch, triplets):
+def old_triplet_loss(batch, triplets, margin):
     triplets = list(triplets)
     if not triplets:
         raise InvalidTripletError("need at least one triplet")
     z = batch.embeddings
     grad = np.zeros_like(z)
     value = 0.0
-    for spec in triplets:
-        old_check_triplet(spec, batch.labels)
-        ap = z[spec.anchor] - z[spec.positive]
-        an = z[spec.anchor] - z[spec.negative]
-        slack = float(ap @ ap - an @ an) + spec.margin
+    for a, p, n in triplets:
+        old_check_triplet((a, p, n), margin, batch.labels)
+        ap = z[a] - z[p]
+        an = z[a] - z[n]
+        slack = float(ap @ ap - an @ an) + margin
         if slack > 0.0:
             value += slack
-            grad[spec.anchor] += 2.0 * (ap - an)
-            grad[spec.positive] -= 2.0 * ap
-            grad[spec.negative] += 2.0 * an
+            grad[a] += 2.0 * (ap - an)
+            grad[p] -= 2.0 * ap
+            grad[n] += 2.0 * an
     return value, grad
 
 
@@ -221,21 +223,21 @@ def labelled_batches(draw, max_rows=24, max_dim=9):
     return EmbeddingBatch(z, np.array(labels), classes)
 
 
-def as_tuples(specs):
-    return [(s.anchor, s.positive, s.negative, s.margin) for s in specs]
+def as_tuples(triplets):
+    return [tuple(t) for t in np.asarray(triplets, dtype=np.int64).reshape(-1, 3).tolist()]
 
 
 @SETTINGS
 @given(batch=labelled_batches(), cap=st.integers(0, 600), seed=st.integers(0, 2**32))
 def test_mine_triplets_same_order_with_and_without_cap(batch, cap, seed):
     new_rng, old_rng = Rng(seed), Rng(seed)
-    new = mine_triplets(batch, 0.7, new_rng, cap)
-    old = old_mine_triplets(batch, 0.7, old_rng, cap)
+    new = mine_triplets(batch, rng=new_rng, cap=cap)
+    old = old_mine_triplets(batch, old_rng, cap)
     assert as_tuples(new) == as_tuples(old)
-    assert all(type(x) is int for s in new for x in (s.anchor, s.positive, s.negative))
+    assert new.dtype == np.int64 and new.shape == (len(old), 3)
     assert new_rng.counter == old_rng.counter
-    uncapped = mine_triplets(batch, 0.7, None, 10**9)
-    assert as_tuples(uncapped) == as_tuples(old_mine_triplets(batch, 0.7, None, 10**9))
+    uncapped = mine_triplets(batch, rng=None, cap=10**9)
+    assert as_tuples(uncapped) == as_tuples(old_mine_triplets(batch, None, 10**9))
 
 
 def test_mine_triplets_full_batch_of_two_classes():
@@ -243,8 +245,8 @@ def test_mine_triplets_full_batch_of_two_classes():
     labels = np.array([i % 2 for i in range(64)])
     batch = EmbeddingBatch(Rng(3).normal(64 * 4).reshape(64, 4), labels, 2)
     new_rng, old_rng = Rng(9), Rng(9)
-    assert as_tuples(mine_triplets(batch, 1.0, new_rng)) == as_tuples(
-        old_mine_triplets(batch, 1.0, old_rng)
+    assert as_tuples(mine_triplets(batch, rng=new_rng)) == as_tuples(
+        old_mine_triplets(batch, old_rng)
     )
     assert new_rng.counter == old_rng.counter == 512
 
@@ -256,11 +258,11 @@ def test_mine_triplets_full_batch_of_two_classes():
     seed=st.integers(0, 2**32),
 )
 def test_triplet_loss_matches_per_triplet_loop(batch, margin, seed):
-    specs = mine_triplets(batch, margin, Rng(seed), cap=200)
-    if not specs:
+    specs = mine_triplets(batch, rng=Rng(seed), cap=200)
+    if not len(specs):
         return
-    out = triplet_loss(batch, specs)
-    value, grad = old_triplet_loss(batch, specs)
+    out = triplet_loss(batch, specs, margin)
+    value, grad = old_triplet_loss(batch, specs, margin)
     assert same_bits(out.value, value)
     assert same_bits(out.grad_embeddings, grad)
 
@@ -269,24 +271,21 @@ def test_triplet_loss_matches_per_triplet_loop(batch, margin, seed):
 @given(
     batch=labelled_batches(max_rows=8),
     raw=st.lists(
-        st.tuples(
-            st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9),
-            st.sampled_from([1.0, 0.0, -0.5]),
-        ),
+        st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
         min_size=1,
         max_size=12,
     ),
+    margin=st.sampled_from([1.0, 0.0, -0.5]),
 )
-def test_triplet_loss_raises_what_the_loop_raised(batch, raw):
-    specs = [TripletSpec(a, p, n, m) for a, p, n, m in raw]
+def test_triplet_loss_raises_what_the_loop_raised(batch, raw, margin):
     try:
-        expected = old_triplet_loss(batch, specs)
+        expected = old_triplet_loss(batch, raw, margin)
     except Exception as exc:  # the same type and message, or no error at all
         with pytest.raises(type(exc)) as got:
-            triplet_loss(batch, specs)
+            triplet_loss(batch, raw, margin)
         assert str(got.value) == str(exc)
         return
-    out = triplet_loss(batch, specs)
+    out = triplet_loss(batch, raw, margin)
     assert same_bits(out.value, expected[0])
     assert same_bits(out.grad_embeddings, expected[1])
 
@@ -299,9 +298,9 @@ def test_triplet_loss_gradient_for_any_memory_layout(layout):
         z = Rng(4).normal(6 * 10).reshape(6, 10).T
     assert not z.flags.c_contiguous
     batch = EmbeddingBatch(z, np.array([i % 3 for i in range(10)]), 3)
-    specs = mine_triplets(batch, 5.0, Rng(2), cap=40)
-    out = triplet_loss(batch, specs)
-    value, grad = old_triplet_loss(batch, specs)
+    specs = mine_triplets(batch, rng=Rng(2), cap=40)
+    out = triplet_loss(batch, specs, 5.0)
+    value, grad = old_triplet_loss(batch, specs, 5.0)
     assert np.any(grad != 0.0)
     assert same_bits(out.value, value)
     assert same_bits(out.grad_embeddings, grad)
@@ -316,7 +315,7 @@ def test_add_rows_at_refuses_a_target_it_cannot_view_flat():
 def test_triplet_loss_rejects_empty_list():
     batch = EmbeddingBatch(np.eye(3), [0, 0, 1], 2)
     with pytest.raises(InvalidTripletError, match="at least one"):
-        triplet_loss(batch, [])
+        triplet_loss(batch, [], 1.0)
 
 
 # ---------------------------------------------------------------------------

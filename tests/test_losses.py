@@ -15,7 +15,6 @@ from dmlbench.losses import (
     EmbeddingBatch,
     LossConfig,
     LossOutput,
-    TripletSpec,
     cce_loss,
     combined_loss,
     dml_loss,
@@ -89,62 +88,86 @@ class TestTriplet:
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         batch = EmbeddingBatch(z, [0, 0, 1], 2)
         # d2(a,p)=1, d2(a,n)=4: slack = 1 - 4 + margin
-        assert triplet_loss(batch, [TripletSpec(0, 1, 2, 4.0)]).value == 1.0
-        assert triplet_loss(batch, [TripletSpec(0, 1, 2, 2.0)]).value == 0.0
+        assert triplet_loss(batch, [(0, 1, 2)], 4.0).value == 1.0
+        assert triplet_loss(batch, [(0, 1, 2)], 2.0).value == 0.0
 
     def test_inactive_triplet_zero_gradient(self):
         z = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         batch = EmbeddingBatch(z, [0, 0, 1], 2)
-        out = triplet_loss(batch, [TripletSpec(0, 1, 2, 2.0)])
+        out = triplet_loss(batch, [(0, 1, 2)], 2.0)
         assert np.all(out.grad_embeddings == 0.0)
 
     def test_sum_not_mean(self):
         rng = Rng(4)
         batch = random_batch(rng)
-        specs = mine_triplets(batch, 50.0)  # margin large: all active
-        single = [triplet_loss(batch, [s]).value for s in specs]
-        total = triplet_loss(batch, specs).value
+        specs = mine_triplets(batch)
+        single = [triplet_loss(batch, [s], 50.0).value for s in specs]  # margin large: all active
+        total = triplet_loss(batch, specs, 50.0).value
         assert math.isclose(total, sum(single), rel_tol=1e-12)
 
     def test_validation(self):
         batch = random_batch(Rng(5))
         with pytest.raises(InvalidTripletError):
-            triplet_loss(batch, [TripletSpec(0, 0, 2, 1.0)])  # repeated index
+            triplet_loss(batch, [(0, 0, 2)], 1.0)  # repeated index
         with pytest.raises(InvalidTripletError):
-            triplet_loss(batch, [TripletSpec(0, 2, 3, 1.0)])  # positive differs
+            triplet_loss(batch, [(0, 2, 3)], 1.0)  # positive differs
         with pytest.raises(InvalidTripletError):
-            triplet_loss(batch, [TripletSpec(0, 1, 1, 1.0)])
+            triplet_loss(batch, [(0, 1, 1)], 1.0)
         with pytest.raises(InvalidTripletError):
-            triplet_loss(batch, [TripletSpec(0, 1, 2, -0.5)])  # negative margin
+            triplet_loss(batch, [(0, 1, 2)], -0.5)  # negative margin
         with pytest.raises(InvalidTripletError):
-            triplet_loss(batch, [])
+            triplet_loss(batch, [], 1.0)
+
+    @pytest.mark.parametrize("triplet", [(5, -1, 0), (0, 1, 6), (0, 1, -7)])
+    def test_indices_outside_the_batch_are_invalid(self, triplet):
+        # -1 would read row 5, making anchor and positive one row; 6 and -7
+        # would index past the end
+        batch = EmbeddingBatch(Rng(5).normal(6 * 5).reshape(6, 5), [0, 0, 0, 1, 1, 1], 2)
+        valid = (0, 1, 3)
+        with pytest.raises(InvalidTripletError, match=r"must lie in \[0, 6\), got \({}, {}, {}\)".format(*triplet)):
+            triplet_loss(batch, [valid, triplet], 1.0)
+
+    @pytest.mark.parametrize(
+        "triplets",
+        [[0, 1, 2], [[0, 1, 2, 3]], np.zeros((2, 3, 1), dtype=np.int64), [[0.5, 1, 3]], [[True, False, True]]],
+    )
+    def test_triplets_must_be_integers_of_shape_t_by_3(self, triplets):
+        batch = random_batch(Rng(5))
+        with pytest.raises(DimensionError, match=r"shape \(T, 3\)"):
+            triplet_loss(batch, triplets, 1.0)
 
     def test_gradient_matches_fd(self):
         rng = Rng(6)
         for _ in range(5):
             batch = random_batch(rng)
-            specs = mine_triplets(batch, 1.0)
-            out = triplet_loss(batch, specs)
+            specs = mine_triplets(batch)
+            out = triplet_loss(batch, specs, 1.0)
 
             def f(flat):
                 b = EmbeddingBatch(flat.reshape(6, 5), LABELS6, 3)
-                return triplet_loss(b, specs).value
+                return triplet_loss(b, specs, 1.0).value
 
             fd_check(f, batch.embeddings.ravel(), out.grad_embeddings.ravel())
 
     def test_mining_enumerates_all(self):
         batch = random_batch(Rng(7))
-        specs = mine_triplets(batch, 1.0)
+        specs = mine_triplets(batch)
         # 6 anchors x 1 positive x 4 negatives
-        assert len(specs) == 24
-        assert len({(s.anchor, s.positive, s.negative) for s in specs}) == 24
+        assert specs.shape == (24, 3) and specs.dtype == np.int64
+        assert len({tuple(t) for t in specs.tolist()}) == 24
 
     def test_mining_cap(self):
         batch = random_batch(Rng(8))
-        capped = mine_triplets(batch, 1.0, rng=Rng(1), cap=10)
+        capped = mine_triplets(batch, rng=Rng(1), cap=10)
         assert len(capped) == 10
         with pytest.raises(ConfigError):
-            mine_triplets(batch, 1.0, rng=None, cap=10)
+            mine_triplets(batch, rng=None, cap=10)
+
+    def test_mining_takes_rng_and_cap_by_keyword_only(self):
+        # the old second parameter was the margin; a positional value there
+        # must not be read as the rng
+        with pytest.raises(TypeError):
+            mine_triplets(random_batch(Rng(8)), 1.0)
 
 
 class TestNPairs:
@@ -432,13 +455,13 @@ class TestPermutationInvariance:
     def test_triplet_with_remapped_indices(self):
         rng = Rng(33)
         batch = random_batch(rng)
-        specs = mine_triplets(batch, 1.0)
+        specs = mine_triplets(batch)
         perm = Rng(34).permutation(6)
         inv = np.argsort(perm)
         permuted = EmbeddingBatch(batch.embeddings[perm], LABELS6[perm], 3)
-        remapped = [TripletSpec(int(inv[s.anchor]), int(inv[s.positive]), int(inv[s.negative]), s.margin) for s in specs]
-        a = triplet_loss(batch, specs)
-        b = triplet_loss(permuted, remapped)
+        remapped = inv[specs]
+        a = triplet_loss(batch, specs, 1.0)
+        b = triplet_loss(permuted, remapped, 1.0)
         assert abs(a.value - b.value) < 1e-10
         assert np.allclose(a.grad_embeddings, b.grad_embeddings[inv], atol=1e-10)
 
@@ -539,3 +562,16 @@ class TestDispatch:
             LossConfig("supcon", tau=0.0)
         with pytest.raises(ConfigError):
             LossConfig("softtriple", st_k=0)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [({"margin": -1.0}, "margin must be >= 0"), ({"st_lambda": 0.0}, "st_lambda must be positive")],
+    )
+    def test_config_refuses_what_the_loss_would_refuse_at_step_0(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            LossConfig("triplet", **fields)
+
+    def test_config_keeps_zero_margin_and_negative_delta(self):
+        # --delta sets both deltas, and softtriple trains with a negative one
+        LossConfig("triplet", margin=0.0)
+        LossConfig("softtriple", st_delta=-2.0, pa_delta=-2.0)

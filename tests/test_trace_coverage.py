@@ -3,15 +3,16 @@
 `bench/layers.py` measures a layer by replacing the name its caller looks
 up (``trainer.dml_loss``, ``losses.proxynca_loss``, ...). Code that binds a
 function object once, at import, calls around such a patch, and that
-layer's metrics would read zero without any error. This test installs the
-tracer unchanged, trains every variant briefly and checks each layer's call
-count.
+layer's metrics would read zero without any error. These tests install the
+tracer unchanged, then train every variant briefly or run the gradient
+oracle once, and check each layer's call count.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from dmlbench.gradcheck import run_gradcheck
 from dmlbench.harness import synth_dataset
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.trainer import TrainConfig, train
@@ -30,6 +31,21 @@ EXPECTED_CALLS = {
     "numeric.rng": 11,
     "proxies.renorm": 6,
     "trainer.adamw_step": 14,
+}
+
+# one oracle instance per variant at seed 5: triplet mines its 24 triplets
+# once, and every probe calls its loss once for the analytic gradient and
+# twice per coordinate for the central differences
+EXPECTED_ORACLE_CALLS = {
+    "gradcheck.fd_gradient": 7,
+    "losses.cce": 37,
+    "losses.mine_triplets": 1,
+    "losses.triplet": 97,
+    "losses.npairs": 97,
+    "losses.supcon": 97,
+    "losses.proxynca": 145,
+    "losses.proxyanchor": 145,
+    "losses.softtriple": 193,
 }
 
 
@@ -56,3 +72,16 @@ def test_tracer_counts_every_layer_of_training():
         tracer.restore()
     calls = {name: entry["calls"] for name, entry in tracer.aggregate().items()}
     assert calls == EXPECTED_CALLS
+
+
+def test_tracer_counts_every_layer_of_the_gradient_oracle():
+    tracer = load_layers().Tracer()
+    tracer.install()
+    try:
+        run_gradcheck(instances=1, seed=5)
+    finally:
+        tracer.restore()
+    calls = {name: entry["calls"] for name, entry in tracer.aggregate().items()}
+    assert calls == EXPECTED_ORACLE_CALLS
+    assert tracer.counts["losses.mine_triplets.built"] == 24
+    assert tracer.counts["losses.mine_triplets.kept"] == 24

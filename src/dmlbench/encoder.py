@@ -33,35 +33,63 @@ DEFAULT_OUT_DIM = 16
 _PUNCT = string.punctuation
 
 
-@dataclass
 class EncoderParams:
-    """All trainable arrays. Field order is the checkpoint layout order."""
+    """All trainable arrays. Block order is the checkpoint layout order.
 
-    embedding_table: np.ndarray  # (V, d_emb)
-    projection: np.ndarray  # (d_emb, d)
-    projection_bias: np.ndarray  # (d,)
-    classifier: np.ndarray  # (d, C)
-    classifier_bias: np.ndarray  # (C,)
+    Decay settled on read. A trained model's table can hold rows that no
+    training text used: their gradient was zero at every step, so each
+    step's AdamW update of such a row was the decoupled decay alone,
+    ``tmp = p * wd; tmp += 0.0; tmp *= lr; p -= tmp`` (see
+    `dmlbench.trainer.AdamW`). `defer_decay` records those steps' learning
+    rates and weight decay instead of applying them; a stale row replays the
+    same operations in step order when it is first read, so it ends with the
+    bits it would have had if every step had touched it. `forward_batch`
+    settles only the rows it gathers; `embedding_table`, `blocks()` and so
+    `save_encoder` settle the whole table. No public path returns an
+    unsettled row.
+    """
 
-    def __post_init__(self):
-        v, d_emb = self.embedding_table.shape
-        if self.projection.shape[0] != d_emb:
+    def __init__(
+        self,
+        embedding_table: np.ndarray,  # (V, d_emb)
+        projection: np.ndarray,  # (d_emb, d)
+        projection_bias: np.ndarray,  # (d,)
+        classifier: np.ndarray,  # (d, C)
+        classifier_bias: np.ndarray,  # (C,)
+    ):
+        _, d_emb = embedding_table.shape
+        if projection.shape[0] != d_emb:
             raise DimensionError("projection rows must match embedding width")
-        d = self.projection.shape[1]
-        if self.projection_bias.shape != (d,):
+        d = projection.shape[1]
+        if projection_bias.shape != (d,):
             raise DimensionError("projection bias must match output width")
-        if self.classifier.shape[0] != d:
+        if classifier.shape[0] != d:
             raise DimensionError("classifier rows must match output width")
-        if self.classifier_bias.shape != (self.classifier.shape[1],):
+        if classifier_bias.shape != (classifier.shape[1],):
             raise DimensionError("classifier bias must match class count")
+        self.embedding_table = embedding_table
+        self.projection = projection
+        self.projection_bias = projection_bias
+        self.classifier = classifier
+        self.classifier_bias = classifier_bias
+
+    @property
+    def embedding_table(self) -> np.ndarray:
+        self._settle()
+        return self._table
+
+    @embedding_table.setter
+    def embedding_table(self, table: np.ndarray) -> None:
+        self._table = table
+        self._stale = None  # (V,) bool: the rows that owe the steps in _decay
 
     @property
     def vocab_size(self) -> int:
-        return self.embedding_table.shape[0]
+        return self._table.shape[0]
 
     @property
     def embed_dim(self) -> int:
-        return self.embedding_table.shape[1]
+        return self._table.shape[1]
 
     @property
     def out_dim(self) -> int:
@@ -80,6 +108,47 @@ class EncoderParams:
             ("classifier", self.classifier),
             ("classifier_bias", self.classifier_bias),
         ]
+
+    def defer_decay(self, fresh_rows: np.ndarray, lrs: list[float], weight_decay: float) -> None:
+        """Every row outside `fresh_rows` owes one decay step per entry of
+        `lrs`, in order, to be applied when the row is first read."""
+        self._settle()
+        stale = np.ones(self.vocab_size, dtype=bool)
+        stale[fresh_rows] = False
+        if stale.any():
+            self._stale = stale
+            self._decay = (tuple(lrs), weight_decay)  # (each step's lr, weight decay)
+
+    def _settle(self, ids: np.ndarray | None = None) -> None:
+        """Apply the owed decay steps to the stale rows among `ids`, or to
+        every stale row when `ids` is None."""
+        if self._stale is None:
+            return
+        if ids is None:
+            rows = np.flatnonzero(self._stale)
+        else:
+            ids = np.asarray(ids, dtype=np.int64)
+            rows = np.unique(ids[self._stale[ids]])
+        if rows.size:
+            lrs, weight_decay = self._decay
+            block = self._table[rows]
+            tmp = np.empty_like(block)
+            for lr in lrs:
+                np.multiply(block, weight_decay, out=tmp)
+                # as adding AdamW's +0.0 update does: a -0.0 decay becomes
+                # +0.0, and a -0.0 entry keeps its sign
+                tmp += 0.0
+                tmp *= lr
+                block -= tmp
+            self._table[rows] = block
+            self._stale[rows] = False
+        if ids is None:
+            self._stale = None
+
+    def table_for(self, ids: np.ndarray) -> np.ndarray:
+        """The table with the rows `ids` settled: read only those rows of it."""
+        self._settle(ids)
+        return self._table
 
 
 def init_encoder(
@@ -140,6 +209,7 @@ def forward_batch(
     that long, so each text's sum runs in token order starting from zero
     (for embed_dim >= 2 the sum numpy's mean over the text's rows takes),
     and the memory grows with the tokens, not with L times the longest text.
+    Only the gathered rows are settled (see EncoderParams).
     """
     if not token_lists:
         raise DimensionError("need at least one text")
@@ -153,7 +223,7 @@ def forward_batch(
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     longest_first = lengths[order]
-    table = params.embedding_table
+    table = params.table_for(ids)
     sums = np.zeros((len(token_lists), params.embed_dim))
     for j in range(int(longest_first[0])):
         active = int(np.count_nonzero(longest_first > j))

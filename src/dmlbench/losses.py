@@ -43,6 +43,7 @@ from .errors import (
     InvalidTripletError,
     LabelError,
     PairingError,
+    TrainingDivergedError,
 )
 from .numeric import (
     Rng,
@@ -92,13 +93,14 @@ class LossOutput:
     grad_proxies: np.ndarray | None = None
 
     def __post_init__(self):
+        # a non-finite loss is a diverging run, which poisons its grid cell
         self.value = float(self.value)
         if not np.isfinite(self.value):
-            raise ConfigError("loss value is not finite")
+            raise TrainingDivergedError("loss value is not finite")
         if not np.all(np.isfinite(self.grad_embeddings)):
-            raise ConfigError("embedding gradient contains NaN or Inf")
+            raise TrainingDivergedError("embedding gradient contains NaN or Inf")
         if self.grad_proxies is not None and not np.all(np.isfinite(self.grad_proxies)):
-            raise ConfigError("proxy gradient contains NaN or Inf")
+            raise TrainingDivergedError("proxy gradient contains NaN or Inf")
 
 
 @dataclass

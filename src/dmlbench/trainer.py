@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -85,8 +86,9 @@ class AdamW:
     learning rate (lr 0 freezes parameters exactly), and global L2 norm
     clipping across all blocks before any moment update.
 
-    A step allocates nothing: each block owns its work arrays, and every
-    operation writes into them with ``out=``. The operations and their
+    A step allocates nothing (but for the dense clip-norm array below):
+    each block owns its work arrays, and every operation writes into them
+    with ``out=``. The operations and their
     order are those of the textbook form
 
         g = grad * scale
@@ -96,63 +98,73 @@ class AdamW:
     so the result is the same to the bit. Gradients are C-contiguous
     arrays of each block's shape, as the trainer builds them.
 
-    Live rows. ``live_rows`` maps a block name to the rows that can ever
-    get a non-zero gradient (the trainer passes the token ids of its
-    training texts for the embedding table); the caller guarantees that
-    every other row's gradient is zero at every step. Those rows keep
-    g = m = v = +0.0 for good (a -0.0 gradient still gives m = v = +0.0),
-    so their Adam update is (+0 / bc1) / (sqrt(+0 / bc2) + eps) = +0.0 and
-    their step reduces to the decay part of the same sequence,
-    ``tmp = param * wd; tmp += 0.0; tmp *= lr; param -= tmp``. The
-    ``+= 0.0`` stays: it turns a -0.0 decay into +0.0, as adding the +0.0
-    update does, and so keeps the sign of a -0.0 parameter. The live rows
-    are gathered, run through the full sequence and scattered back, and
-    the moments are stored for them only.
-
-    The clip norm stays a sum of squares over the whole dense gradient:
-    numpy's pairwise sum groups its terms by position, so a sum over the
-    live rows alone could differ in the last bit.
-
-    The split is used only when at most half a block's rows are live: the
-    gather, the scatter and the decay pass cost more than they save on a
-    table that is mostly live (with every row live the split takes about
-    40% longer than the dense step).
+    Sparse blocks. ``sparse`` maps a block name to ``(rows, total)``: the
+    block holds the rows ``rows`` (increasing) of a table of ``total``
+    rows, and every other row of that table has a zero gradient (the
+    trainer passes its compact embedding table this way). Those rows never
+    reach the optimizer; the only thing that depends on them is the clip
+    norm, whose reference is numpy's pairwise sum of squares over the dense
+    (total, ...) gradient. That sum and the compact block's sum add the
+    same non-negative terms (the dense one adds exact zeros besides) in
+    other groupings. A pairwise sum of n non-negative terms lies within a
+    relative (log2(n) + 20)·2⁻⁵³ of the exact sum (at most sixteen
+    additions in a row within a block of 128, then halvings), under 1e-14
+    for any n that fits in memory, and the sum over the blocks adds a few
+    roundings more. Hence when the compact sum of squares is below
+    ``clip_norm² (1 - 1e-9)``, the dense norm is below clip_norm too,
+    clipping cannot fire under either, and the scale is exactly 1.0.
+    Otherwise (and when the sum is not finite) the step writes the
+    block's squares at ``rows`` of a zeroed dense array and sums that as
+    the reference does, so a step that clips, or that overflows, uses the
+    reference's own bits. The array lives for that sum only: held for the
+    whole run, it would add its size to the peak memory of every training
+    run. The decay the other rows owe is the caller's to apply
+    (`EncoderParams.defer_decay`).
     """
 
     def __init__(
         self,
         blocks: list[tuple[str, np.ndarray]],
         clip_norm: float,
-        live_rows: dict[str, np.ndarray] | None = None,
+        sparse: dict[str, tuple[np.ndarray, int]] | None = None,
     ):
         self.blocks = blocks
         self.clip_norm = clip_norm
-        self.live = {}
-        for name, arr in blocks:
-            if live_rows is None or name not in live_rows:
-                continue
-            rows = np.unique(np.asarray(live_rows[name], dtype=np.int64))
-            if rows.size and (rows[0] < 0 or rows[-1] >= len(arr)):
-                raise ConfigError(f"live rows of {name} outside [0, {len(arr)})")
-            if 2 * rows.size <= len(arr):
-                self.live[name] = rows
-        shapes = {name: arr.shape for name, arr in blocks}
-        for name, rows in self.live.items():
-            shapes[name] = (rows.size,) + shapes[name][1:]
-        self.m = {name: np.zeros(s) for name, s in shapes.items()}
-        self.v = {name: np.zeros(s) for name, s in shapes.items()}
-        self._work = {name: (np.empty(s), np.empty(s)) for name, s in shapes.items()}
-        # a live-row block's gathered rows, and a buffer for its whole
-        # gradient squared and for the decay of its other rows
-        self._gathered = {name: np.empty(shapes[name]) for name in self.live}
-        self._full = {name: np.empty(arr.shape) for name, arr in blocks if name in self.live}
+        self.sparse = {}
+        arrays = dict(blocks)
+        for name, (rows, total) in (sparse or {}).items():
+            rows = np.asarray(rows, dtype=np.int64)
+            shape = arrays[name].shape
+            if rows.shape != shape[:1] or np.any(np.diff(rows) <= 0) or (
+                rows.size and (rows[0] < 0 or rows[-1] >= total)
+            ):
+                raise ConfigError(f"rows of {name} must be {shape[0]} increasing ids in [0, {total})")
+            self.sparse[name] = (rows, total)
+        # below this compact sum of squares clipping cannot fire (see above);
+        # capped so that the dense sum cannot overflow either
+        self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
+        self.m = {name: np.zeros(arr.shape) for name, arr in blocks}
+        self.v = {name: np.zeros(arr.shape) for name, arr in blocks}
+        self._work = {name: (np.empty(arr.shape), np.empty(arr.shape)) for name, arr in blocks}
         self.t = 0
 
-    def step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float) -> None:
+    def _sum_of_squares(self, grads: dict[str, np.ndarray], dense: bool) -> float:
         sq = 0.0
         for name, _ in self.blocks:
-            out = self._full[name] if name in self.live else self._work[name][0]
-            sq += float(np.square(grads[name], out=out).sum())
+            squares = np.square(grads[name], out=self._work[name][0])
+            if dense and name in self.sparse:
+                rows, total = self.sparse[name]
+                full = np.zeros((total,) + squares.shape[1:])
+                full[rows] = squares
+                sq += float(full.sum())
+            else:
+                sq += float(squares.sum())
+        return sq
+
+    def step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float) -> None:
+        sq = self._sum_of_squares(grads, dense=False)
+        if self.sparse and not sq < self._no_clip_below:
+            sq = self._sum_of_squares(grads, dense=True)
         norm = math.sqrt(sq)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
@@ -160,15 +172,7 @@ class AdamW:
         bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, param in self.blocks:
             g, tmp = self._work[name]
-            rows = self.live.get(name)
-            if rows is None:
-                np.multiply(grads[name], scale, out=g)
-                target = param
-            else:
-                # rows lie in range (checked in __init__); "clip" takes them unbuffered
-                np.take(grads[name], rows, axis=0, out=g, mode="clip")
-                g *= scale
-                target = np.take(param, rows, axis=0, out=self._gathered[name], mode="clip")
+            np.multiply(grads[name], scale, out=g)
             m = self.m[name]
             v = self.v[name]
             m *= ADAM_BETA1
@@ -182,17 +186,10 @@ class AdamW:
             np.sqrt(tmp, out=tmp)
             tmp += ADAM_EPS
             update /= tmp
-            decayed = np.multiply(target, weight_decay, out=tmp)
+            decayed = np.multiply(param, weight_decay, out=tmp)
             decayed += update
             decayed *= lr
-            target -= decayed
-            if rows is not None:
-                # every other row: the same sequence with a +0.0 update
-                decayed = np.multiply(param, weight_decay, out=self._full[name])
-                decayed += 0.0
-                decayed *= lr
-                param -= decayed
-                param[rows] = target
+            param -= decayed
 
 
 @dataclass
@@ -250,6 +247,21 @@ def _check_finite(what: str, arr: np.ndarray, step: int) -> None:
 
 
 def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> TrainedModel:
+    """Train an encoder (and a proxy bank for proxy variants) on the texts.
+
+    Compact table. The full encoder is drawn with `init_encoder`, so the
+    init stream is that of every other run, but only the R table rows that
+    the training texts use can get a gradient. The step trains a copy of
+    the model whose table holds just those rows, with the token ids
+    renumbered by their rank in the sorted R. The renumbering is monotone:
+    `forward_batch` gathers the same values in the same order, and
+    `backward_batch` scatters its (text, row) pairs in the same order, so
+    every bit of the embeddings and gradients is that of the full table.
+    AdamW sees the table as rows R of a V-row block (for its clip norm).
+    At the end the trained rows are written back at R, and every other
+    row owes one decoupled decay step per training step, which
+    `EncoderParams` applies when the row is first read.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(texts)
     if n == 0 or labels.shape != (n,):
@@ -275,13 +287,29 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
     tokenized = [tokenize(t, config.vocab_size) for t in texts]
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
-    blocks = params.blocks()
+    # only the rows of tokens in the training texts ever get a gradient:
+    # train those rows of the table, renumbered in order, and no others
+    used = np.fromiter(itertools.chain.from_iterable(tokenized), dtype=np.int64)
+    rows = np.unique(used)
+    lut = np.empty(config.vocab_size, dtype=np.int64)
+    lut[rows] = np.arange(rows.size)
+    compact_ids = iter(lut[used].tolist())
+    tokenized = [list(itertools.islice(compact_ids, len(ids))) for ids in tokenized]
+    compact = EncoderParams(
+        params.embedding_table[rows],
+        params.projection,
+        params.projection_bias,
+        params.classifier,
+        params.classifier_bias,
+    )
+    blocks = compact.blocks()
     if bank is not None:
         blocks = blocks + [("proxies", bank.matrix)]
-    # only the rows of tokens in the training texts ever get a gradient
-    used = np.fromiter(itertools.chain.from_iterable(tokenized), dtype=np.int64)
-    optimizer = AdamW(blocks, config.clip_norm, live_rows={"embedding_table": np.unique(used)})
+    optimizer = AdamW(
+        blocks, config.clip_norm, sparse={"embedding_table": (rows, config.vocab_size)}
+    )
 
+    lrs: list[float] = []
     log: list[tuple[int, float]] = []
     step = 0
     for _epoch in range(config.epochs):
@@ -289,16 +317,16 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
             yb = labels[chosen]
-            z, cache = forward_batch(params, [tokenized[i] for i in chosen])
+            z, cache = forward_batch(compact, [tokenized[i] for i in chosen])
             _check_finite("embeddings", z, step)
 
             metric = ce = None
             if loss_cfg.is_metric:
                 metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
             if w > 0.0:
-                c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
+                c_out = cce_loss(softmax_rows(classify_logits(compact, z)), yb)
                 grad_logits = w * c_out.grad_embeddings
-                ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
+                ce = LossOutput(c_out.value, c_out.grad_embeddings @ compact.classifier.T)
             if ce is None:
                 out = metric
             elif metric is None:
@@ -307,7 +335,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 out = combined_loss(ce, metric, w)
             log.append((step, out.value))
 
-            grads = backward_batch(params, cache, out.grad_embeddings)
+            grads = backward_batch(compact, cache, out.grad_embeddings)
             if w > 0.0:
                 grads["classifier"] = z.T @ grad_logits
                 grads["classifier_bias"] = grad_logits.sum(axis=0)
@@ -316,6 +344,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
 
             lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
             optimizer.step(grads, lr, config.weight_decay)
+            lrs.append(lr)
             if bank is not None:
                 # a row norm overflows before an entry does: report it as a
                 # divergence before the renorm rejects the row
@@ -323,4 +352,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 bank.matrix[:] = l2_normalize_rows(bank.matrix)
             step += 1
 
+    # every other block is shared with compact; the unused rows owe the decay
+    params.embedding_table[rows] = compact.embedding_table
+    params.defer_decay(rows, lrs, config.weight_decay)
     return TrainedModel(params, bank, config, log)

@@ -35,8 +35,8 @@ PINNED = {
     "proxyanchor": "fb5fa92d8aedee7810f2bdc278e604d7963151369e3bcbebfec1c445d692cce9",
 }
 # the same recipe over a 16-row table, every row of which the texts use, so
-# AdamW keeps dense moments over the whole table (the default table of 4096
-# rows has few live rows and takes AdamW's live-row path)
+# the compact table that training updates is the whole table and no row's
+# decay is deferred (the default table of 4096 rows has few used rows)
 ALL_LIVE_VARIANT = "proxyanchor"
 ALL_LIVE_VOCAB = 16
 ALL_LIVE_PINNED = "71bcd5b3958d476bd4bad38f4109df1d793ba57dcb0e5636a7bcff25b150c9fb"

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dmlbench.gradcheck import CheckResult, _builders, compare_gradients, run_gradcheck
-from dmlbench.losses import VARIANTS, EmbeddingBatch, softtriple_loss
+from dmlbench.losses import VARIANTS, EmbeddingBatch, proxyanchor_loss, softtriple_loss
 from dmlbench.numeric import Rng, derive_seed, fd_gradient, l2_normalize_rows
 from dmlbench.proxies import ProxyBank
 
@@ -94,6 +94,35 @@ def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
     assert supcon.worst_rel == compare_gradients(analytic, fd_gradient(f, x0))[2]
     ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    assert ok, (worst_abs, worst_rel)
+
+
+@pytest.mark.parametrize("seed", [8, 45, 146])
+def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
+    # proxyanchor at the training default alpha 32 on random shapes (L 2-8,
+    # d 2-6, C 2-4, delta 0.1): 8 of numpy seeds 0-149 fail the central
+    # difference at h = 1e-5, worst_rel up to 1.8e-4. The loss is 22 to 48
+    # there, so the stencil's rounding error, about eps * |f| / h, is what
+    # fails: at h = 1e-6 it grows to 1e-3, while a five-point stencil at
+    # h = 1e-3 agrees with the analytic gradient to 4e-6.
+    g = np.random.default_rng(seed)
+    rows, dim, classes = g.integers(2, 9), g.integers(2, 7), g.integers(2, 5)
+    labels = g.integers(0, classes, size=rows)
+    z = g.normal(size=(rows, dim))
+    w = l2_normalize_rows(g.normal(size=(classes, dim)))
+
+    def loss(flat):
+        batch = EmbeddingBatch(flat[: z.size].reshape(z.shape), labels, classes)
+        bank = ProxyBank(flat[z.size :].reshape(w.shape), classes, 1)
+        return proxyanchor_loss(batch, bank, alpha=32.0, delta=0.1)
+
+    x0 = np.concatenate([z.ravel(), w.ravel()])
+    out = loss(x0)
+    analytic = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
+    assert not compare_gradients(analytic, fd_gradient(lambda x: loss(x).value, x0))[0]
+    ok, worst_abs, worst_rel = compare_gradients(
+        analytic, five_point(lambda x: loss(x).value, x0, 1e-3)
+    )
     assert ok, (worst_abs, worst_rel)
 
 

@@ -7,6 +7,7 @@ from conftest import kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmlbench import trainer
 from dmlbench.errors import (
     ConfigError,
     DatasetParseError,
@@ -32,7 +33,7 @@ from dmlbench.harness import (
     save_dataset,
     synth_dataset,
 )
-from dmlbench.losses import PROXY_VARIANTS, LossConfig
+from dmlbench.losses import PROXY_VARIANTS, LossConfig, LossOutput
 
 VARIANTS6 = ("triplet", "supcon", "npairs", "proxynca", "softtriple", "proxyanchor")
 # sha256 of canonical_json({"full": full_grid(v), "desk": desk_grid(v)}): a
@@ -464,6 +465,30 @@ class TestRunGrid:
         )
         assert res.failed_points() == [0]
         assert res.best_index == 1
+
+    def test_nan_loss_poisons_only_its_point(self, monkeypatch):
+        # a loss that goes non-finite mid-training fails its cells, as
+        # TrainingDivergedError; the grid and the baseline go on
+        ds, plans = self.make_inputs(24, n=40, folds=2)
+        points = [
+            {"variant": "supcon", "tau": 0.9, "beta": 0.5},
+            {"variant": "supcon", "tau": 0.5, "beta": 0.5},
+        ]
+        clean = run_grid(ds, plans, points, 24, 20, train_overrides=small_overrides())
+        real_loss = trainer.dml_loss
+
+        def nan_at_tau_09(batch, cfg, bank, rng):
+            out = real_loss(batch, cfg, bank, rng)
+            if cfg.tau == 0.9:
+                return LossOutput(float("nan"), out.grad_embeddings)
+            return out
+
+        monkeypatch.setattr(trainer, "dml_loss", nan_at_tau_09)
+        res = run_grid(ds, plans, points, 24, 20, train_overrides=small_overrides())
+        assert res.failed_points() == [0]
+        assert res.best_index == 1
+        assert np.array_equal(res.fold_scores[1], clean.fold_scores[1])
+        assert np.array_equal(res.baseline_scores, clean.baseline_scores)
 
     def test_diverged_baseline_raises(self, monkeypatch):
         ds, plans = self.make_inputs(25)

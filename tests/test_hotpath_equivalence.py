@@ -11,19 +11,55 @@ every comparison is on the raw bytes of the results, so a difference in the
 last bit or in the sign of a zero fails.
 """
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmlbench.encoder import backward_batch, forward_batch, init_encoder
+from dmlbench import trainer
+from dmlbench.encoder import (
+    EncoderParams,
+    backward_batch,
+    classify_logits,
+    forward_batch,
+    init_encoder,
+    tokenize,
+)
 from dmlbench.errors import ConfigError, InvalidTripletError
 from dmlbench.harness import NOISE_POOL, synth_dataset
-from dmlbench.losses import EmbeddingBatch, LossConfig, mine_triplets, triplet_loss
-from dmlbench.numeric import Rng, add_rows_at, derive_seed, normalize_backward
-from dmlbench.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW, TrainConfig, train
+from dmlbench.losses import (
+    VARIANTS,
+    EmbeddingBatch,
+    LossConfig,
+    LossOutput,
+    cce_loss,
+    combined_loss,
+    dml_loss,
+    mine_triplets,
+    triplet_loss,
+)
+from dmlbench.numeric import (
+    Rng,
+    add_rows_at,
+    derive_seed,
+    l2_normalize_rows,
+    normalize_backward,
+    softmax_rows,
+)
+from dmlbench.proxies import init_proxies
+from dmlbench.trainer import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    AdamW,
+    TrainConfig,
+    lr_schedule,
+    train,
+)
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -139,6 +175,7 @@ class OldAdamW:
         self.m = {name: np.zeros_like(arr) for name, arr in blocks}
         self.v = {name: np.zeros_like(arr) for name, arr in blocks}
         self.t = 0
+        self.norms = []
 
     def step(self, grads, lr, weight_decay):
         sq = 0.0
@@ -146,6 +183,7 @@ class OldAdamW:
             g = grads[name]
             sq += float((g * g).sum())
         norm = math.sqrt(sq)
+        self.norms.append(norm)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
@@ -448,18 +486,29 @@ def test_adamw_matches_temporaries(seed, steps, clip, weight_decay):
             assert same_bits(new.v[name], old.v[name])
 
 
+def settled(table, live, lrs, weight_decay):
+    """The table after its rows outside `live` have replayed one decay step
+    per entry of `lrs`, through EncoderParams' settle on read."""
+    dim = table.shape[1]
+    params = EncoderParams(table, np.zeros((dim, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+    params.defer_decay(live, lrs, weight_decay)
+    return params.embedding_table
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32),
     vocab=st.integers(1, 40),
     dim=st.integers(1, 4),
-    live_frac=st.floats(0.0, 0.5),
+    live_frac=st.floats(0.0, 1.0),
     steps=st.integers(1, 6),
     clip=st.sampled_from([1e-3, 1.0, 1e9]),
     weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
     lr=st.sampled_from([0.0, 1e-2, 0.5]),
 )
 def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, weight_decay, lr):
+    # AdamW over the live rows of a table, the other rows decayed on read,
+    # against OldAdamW over the whole table
     rng = Rng(seed)
     live = np.sort(rng.choice(vocab, int(live_frac * vocab)))
     dead = np.setdiff1d(np.arange(vocab), live)
@@ -470,21 +519,24 @@ def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, 
     negative = rng.random(zero_rows.size * dim).reshape(-1, dim) < 0.5
     start["table"][zero_rows] = np.where(negative, -0.0, 0.0)
     new_params = {name: arr.copy() for name, arr in start.items()}
+    new_params["table"] = start["table"][live]
     old_params = {name: arr.copy() for name, arr in start.items()}
-    new = AdamW(list(new_params.items()), clip, live_rows={"table": live})
+    new = AdamW(list(new_params.items()), clip, sparse={"table": (live, vocab)})
     old = OldAdamW(list(old_params.items()), clip)
-    assert same_bits(new.live["table"], live)
-    for _ in range(steps):
+    assert same_bits(new.sparse["table"][0], live)
+    for step in range(steps):
         grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
         # rows that are not live get +0.0 or -0.0; some live rows get all zeros
         dead_negative = rng.random(dead.size * dim).reshape(-1, dim) < 0.5
         grads["table"][dead] = np.where(dead_negative, -0.0, 0.0)
         grads["table"][live[rng.random(live.size) < 0.3]] = 0.0
-        new.step(grads, lr, weight_decay)
+        new.step({**grads, "table": grads["table"][live]}, lr, weight_decay)
         old.step(grads, lr, weight_decay)
-        for name in shapes:
-            assert same_bits(new_params[name], old_params[name])
+        table = start["table"].copy()
+        table[live] = new_params["table"]
+        assert same_bits(settled(table, live, [lr] * (step + 1), weight_decay), old_params["table"])
         for name in ("bias", "head"):
+            assert same_bits(new_params[name], old_params[name])
             assert same_bits(new.m[name], old.m[name])
             assert same_bits(new.v[name], old.v[name])
         assert same_bits(new.m["table"], old.m["table"][live])
@@ -493,25 +545,143 @@ def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, 
         assert same_bits(old.v["table"][dead], np.zeros((dead.size, dim)))
 
 
-class DenseAdamW(OldAdamW):
-    """The reference optimizer behind the trainer's signature."""
+def dense_train(texts, labels, num_classes, config):
+    """The training loop before the compact table: the whole table goes
+    through forward, backward and OldAdamW, and every row decays at every
+    step. Returns (params, bank, loss trace, the gradient norm of each step)."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(texts)
+    loss_cfg, w = config.loss, config.ce_weight
+    shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
+    mining_rng = Rng(derive_seed(config.seed, "mining"))
+    params = trainer.init_encoder(
+        num_classes, config.vocab_size, config.embed_dim, config.out_dim,
+        Rng(derive_seed(config.seed, "init")),
+    )
+    bank = None
+    if loss_cfg.is_proxy_based:
+        bank = init_proxies(
+            num_classes, loss_cfg.proxies_per_class(), config.out_dim,
+            Rng(derive_seed(config.seed, "proxies")),
+        )
+    tokenized = [tokenize(t, config.vocab_size) for t in texts]
+    total_steps = config.epochs * math.ceil(n / config.batch_size)
+    blocks = params.blocks() + ([("proxies", bank.matrix)] if bank is not None else [])
+    optimizer = OldAdamW(blocks, config.clip_norm)
+    log = []
+    step = 0
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            chosen = order[start : start + config.batch_size]
+            yb = labels[chosen]
+            z, cache = forward_batch(params, [tokenized[i] for i in chosen])
+            metric = ce = None
+            if loss_cfg.is_metric:
+                metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
+            if w > 0.0:
+                c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
+                grad_logits = w * c_out.grad_embeddings
+                ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
+            out = metric if ce is None else ce if metric is None else combined_loss(ce, metric, w)
+            log.append((step, out.value))
+            grads = backward_batch(params, cache, out.grad_embeddings)
+            if w > 0.0:
+                grads["classifier"] = z.T @ grad_logits
+                grads["classifier_bias"] = grad_logits.sum(axis=0)
+            if bank is not None:
+                grads["proxies"] = out.grad_proxies
+            lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
+            optimizer.step(grads, lr, config.weight_decay)
+            if bank is not None:
+                bank.matrix[:] = l2_normalize_rows(bank.matrix)
+            step += 1
+    return params, bank, log, optimizer.norms
 
-    def __init__(self, blocks, clip_norm=5.0, live_rows=None):
-        super().__init__(blocks, clip_norm)
+
+def assert_same_training(model, reference):
+    params, bank, log, _ = reference
+    for (name, a), (_, b) in zip(model.params.blocks(), params.blocks()):
+        assert same_bits(a, b), name
+    if bank is not None:
+        assert same_bits(model.bank.matrix, bank.matrix)
+    assert model.steps == log
 
 
 @pytest.mark.parametrize("variant", ["cce", "triplet", "proxyanchor"])
-def test_training_with_live_rows_matches_dense_adamw(variant, monkeypatch):
+def test_training_with_live_rows_matches_dense_adamw(variant):
     data = synth_dataset(2, 40, seed=5)
     config = TrainConfig(loss=LossConfig(variant, beta=0.5), epochs=2, batch_size=16, seed=3)
-    live = train(data.texts, data.labels, data.num_classes, config)
-    monkeypatch.setattr("dmlbench.trainer.AdamW", DenseAdamW)
-    dense = train(data.texts, data.labels, data.num_classes, config)
-    for (name, a), (_, b) in zip(live.params.blocks(), dense.params.blocks()):
-        assert same_bits(a, b), name
-    if live.bank is not None:
-        assert same_bits(live.bank.matrix, dense.bank.matrix)
-    assert live.steps == dense.steps
+    reference = dense_train(data.texts, data.labels, data.num_classes, config)
+    assert_same_training(train(data.texts, data.labels, data.num_classes, config), reference)
+
+
+@SETTINGS
+@given(
+    variant=st.sampled_from(VARIANTS),
+    texts=st.integers(6, 24),
+    vocab=st.integers(16, 400),
+    weight_decay=st.sampled_from([0.0, 0.01]),
+    signed_zeros=st.booleans(),
+    clip_ulps=st.sampled_from([None, -1, 0, 1]),
+    seed=st.integers(0, 2**16),
+)
+def test_compact_training_matches_dense_training(
+    variant, texts, vocab, weight_decay, signed_zeros, clip_ulps, seed
+):
+    # the vocab sizes put the share of rows the texts use on both sides of
+    # one half; clip_ulps puts clip_norm at the first step's dense gradient
+    # norm or one ulp either side of it, where only the dense sum of squares
+    # decides whether clipping fires
+    data = synth_dataset(2, texts, seed=seed)
+    config = TrainConfig(
+        loss=LossConfig(variant, beta=0.5), epochs=2, batch_size=8, seed=seed,
+        vocab_size=vocab, weight_decay=weight_decay,
+    )
+    init = trainer.init_encoder
+
+    def init_with_signed_zeros(*args):
+        params = init(*args)
+        if signed_zeros:
+            rows = params.embedding_table[::3]
+            rows[:] = np.where(Rng(seed).random(rows.size).reshape(rows.shape) < 0.5, -0.0, 0.0)
+        return params
+
+    with mock.patch.object(trainer, "init_encoder", init_with_signed_zeros):
+        if clip_ulps is not None:
+            norm = dense_train(data.texts, data.labels, data.num_classes, config)[3][0]
+            clip = norm if clip_ulps == 0 else np.nextafter(norm, np.inf * clip_ulps)
+            config = dataclasses.replace(config, clip_norm=float(clip))
+        reference = dense_train(data.texts, data.labels, data.num_classes, config)
+        model = train(data.texts, data.labels, data.num_classes, config)
+    assert_same_training(model, reference)
+
+
+def test_unused_rows_settle_on_read():
+    # rows no training text uses owe their decay until read; forward_batch
+    # settles the rows it gathers and only those
+    data = synth_dataset(2, 40, seed=5)
+    config = TrainConfig(loss=LossConfig("triplet", beta=0.5), epochs=2, batch_size=16, seed=3)
+    ref_params = dense_train(data.texts, data.labels, data.num_classes, config)[0]
+    start = trainer.init_encoder(2, config.vocab_size, config.embed_dim, config.out_dim,
+                                 Rng(derive_seed(config.seed, "init"))).embedding_table
+    used = {i for text in data.texts for i in tokenize(text, config.vocab_size)}
+    unused = [i for i in range(config.vocab_size) if i not in used][:5]
+    params = train(data.texts, data.labels, data.num_classes, config).params
+    # forward_batch reads one unused row: that row settles, the others wait
+    stale_before = int(params._stale.sum())
+    assert same_bits(
+        forward_batch(params, [[unused[0]]])[0], forward_batch(ref_params, [[unused[0]]])[0]
+    )
+    assert int(params._stale.sum()) == stale_before - 1
+    assert not params._stale[unused[0]] and params._stale[unused[1:]].all()
+    assert same_bits(params._table[unused[1:]], start[unused[1:]])
+    # texts of unused rows only, and of used and unused rows
+    batch = [unused[1:3], [unused[3], sorted(used)[0], unused[3]], [unused[4]]]
+    assert same_bits(forward_batch(params, batch)[0], forward_batch(ref_params, batch)[0])
+    # reading the table settles every row
+    assert same_bits(params.embedding_table, ref_params.embedding_table)
+    assert params._stale is None
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -528,9 +698,12 @@ def test_live_row_clip_at_the_dense_norm(seed):
                  dense * (1.0 - 1e-7), dense * (1.0 + 1e-7)):
         start = rng.normal(64 * 4).reshape(64, 4)
         new_table, old_table = start.copy(), start.copy()
-        AdamW([("table", new_table)], clip, live_rows={"table": live}).step(
-            {"table": grad}, 0.1, 0.01
+        compact = start[live]
+        AdamW([("table", compact)], clip, sparse={"table": (live, 64)}).step(
+            {"table": grad[live]}, 0.1, 0.01
         )
+        new_table[live] = compact
+        new_table = settled(new_table, live, [0.1], 0.01)
         OldAdamW([("table", old_table)], clip).step({"table": grad}, 0.1, 0.01)
         assert same_bits(new_table, old_table), clip
 
@@ -544,8 +717,13 @@ def test_live_row_nonfinite_norm(bad):
     grad[5, 2] = bad
     start = Rng(3).normal(36).reshape(12, 3)
     new_table, old_table = start.copy(), start.copy()
+    compact = start[live]
     with np.errstate(all="ignore"):
-        AdamW([("table", new_table)], 1.0, live_rows={"table": live}).step({"table": grad}, 0.1, 0.01)
+        AdamW([("table", compact)], 1.0, sparse={"table": (live, 12)}).step(
+            {"table": grad[live]}, 0.1, 0.01
+        )
+        new_table[live] = compact
+        new_table = settled(new_table, live, [0.1], 0.01)
         OldAdamW([("table", old_table)], 1.0).step({"table": grad}, 0.1, 0.01)
     assert same_bits(new_table, old_table)
 

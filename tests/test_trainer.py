@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dmlbench.encoder import EncoderParams
 from dmlbench.errors import ConfigError, ScheduleError, TrainingDivergedError
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.numeric import Rng
@@ -125,32 +126,36 @@ class TestAdamW:
         assert opt.blocks[0][1] is w
 
     def test_live_rows_keep_compact_moments(self):
-        table, head = np.ones((8, 2)), np.ones(3)
+        table, head = np.ones((2, 2)), np.ones(3)
         opt = AdamW(
-            [("table", table), ("head", head)], clip_norm=5.0, live_rows={"table": [5, 1, 5]}
+            [("table", table), ("head", head)], clip_norm=5.0, sparse={"table": ([1, 5], 8)}
         )
-        assert opt.live["table"].tolist() == [1, 5]
+        assert opt.sparse["table"][0].tolist() == [1, 5]
         assert opt.m["table"].shape == opt.v["table"].shape == (2, 2)
         assert opt.m["head"].shape == (3,)
-
-    def test_live_rows_over_half_stay_dense(self):
-        opt = AdamW([("table", np.ones((4, 2)))], clip_norm=5.0, live_rows={"table": [0, 1, 2]})
-        assert opt.live == {}
-        assert opt.m["table"].shape == (4, 2)
 
     def test_live_rows_out_of_range_rejected(self):
         for rows in ([8], [-1]):
             with pytest.raises(ConfigError):
-                AdamW([("table", np.ones((8, 2)))], clip_norm=5.0, live_rows={"table": rows})
+                AdamW([("table", np.ones((1, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
+        # rows must be increasing and one per row of the block
+        for rows in ([5, 1], [1, 1], [1]):
+            with pytest.raises(ConfigError):
+                AdamW([("table", np.ones((2, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
 
     def test_rows_outside_live_only_decay(self):
         table = np.full((8, 2), 2.0)
         table[6] = -0.0
         grad = np.zeros((8, 2))
         grad[1] = 1.0
-        AdamW([("table", table)], clip_norm=5.0, live_rows={"table": [1]}).step(
-            {"table": grad}, lr=0.1, weight_decay=0.5
+        compact = table[[1]]
+        AdamW([("table", compact)], clip_norm=5.0, sparse={"table": ([1], 8)}).step(
+            {"table": grad[[1]]}, lr=0.1, weight_decay=0.5
         )
+        table[[1]] = compact
+        params = EncoderParams(table, np.zeros((2, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))
+        params.defer_decay([1], [0.1], 0.5)
+        table = params.embedding_table
         assert np.array_equal(table[[0, 7]], np.full((2, 2), 2.0 - 0.1 * (2.0 * 0.5)))
         assert np.signbit(table[6]).all()
         assert (table[1] < 2.0 - 0.1).all()

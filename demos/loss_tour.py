@@ -18,6 +18,7 @@ from dmlbench import (
     npairs_loss,
     proxyanchor_loss,
     proxynca_loss,
+    select_npairs_pairs,
     softmax_rows,
     softtriple_loss,
     supcon_loss,
@@ -38,8 +39,8 @@ triplets = mine_triplets(batch)
 out = triplet_loss(batch, triplets, margin=1.0)
 print(f"triplet      {out.value:10.4f}   ({len(triplets)} mined triplets)")
 
-# --- n-pairs: one positive per anchor, softmax over the cross-class rest
-out = npairs_loss(batch)
+# --- n-pairs: one positive per anchor, softmax over the other pairs' rows
+out = npairs_loss(batch, select_npairs_pairs(labels))
 print(f"npairs       {out.value:10.4f}")
 
 # --- supcon: all positives count, temperature sharpens the contrast

@@ -59,6 +59,7 @@ from .losses import (
     npairs_loss,
     proxyanchor_loss,
     proxynca_loss,
+    select_npairs_pairs,
     softtriple_loss,
     supcon_loss,
     triplet_loss,

@@ -1,16 +1,21 @@
 """Finite-difference verification of every analytic gradient.
 
-Each loss is wrapped as a scalar function of one flat parameter vector
-(embeddings, plus proxies where applicable, plus logits for the
-cross-entropy head) and compared coordinate by coordinate against the
-central-difference estimate. A coordinate passes when the absolute error
-is below 1e-8 for near-zero derivatives (|fd| < 1e-6) and the relative
-error is below 1e-4 otherwise.
+Each metric loss is checked through its own `LOSSES` row, so the oracle
+checks what training calls: `draw_probe` draws a batch (and, for a proxy
+loss, a bank of unit rows), lets the row's `mine` pick the structure once
+per instance, and `probe` wraps the row's `call` at that fixed structure
+as a scalar function of one flat vector (embeddings, then proxies). Each
+variant checks at the `LossConfig` fields in `PROBE_SETTINGS`. The
+cross-entropy head is probed through its logits. The analytic gradient is
+compared coordinate by coordinate with the central-difference estimate. A
+coordinate passes when the absolute error is below 1e-8 for near-zero
+derivatives (|fd| < 1e-6) and the relative error is below 1e-4 otherwise.
 
-Instances are random but structured: six embeddings in eight dimensions,
-three classes with two members each, so every loss sees valid pairs,
-triplets, and positives. Hinge and distance kinks are resampled away so
-the finite differences never straddle a non-smooth point.
+`run_gradcheck`'s instances are random but structured: six embeddings in
+eight dimensions, three classes with two members each, so every loss sees
+valid pairs, triplets, and positives. Hinge and distance kinks are
+resampled away so the finite differences never straddle a non-smooth
+point.
 """
 
 from __future__ import annotations
@@ -19,18 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (
-    VARIANTS,
-    EmbeddingBatch,
-    cce_loss,
-    mine_triplets,
-    npairs_loss,
-    proxyanchor_loss,
-    proxynca_loss,
-    softtriple_loss,
-    supcon_loss,
-    triplet_loss,
-)
+from .losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig, cce_loss
+
+# unused here, but bench/layers.py patches the name on this module too
+# (ROADMAP item 14 lets the package time itself instead)
+from .losses import mine_triplets  # noqa: F401
 from .numeric import Rng, derive_seed, fd_gradient, l2_normalize_rows, softmax_rows
 from .proxies import ProxyBank
 
@@ -42,6 +40,18 @@ BATCH_SIZE = 6
 DIM = 8
 CLASSES = 3
 LABELS = np.array([0, 0, 1, 1, 2, 2], dtype=np.int64)
+TRIES = 50  # draws per instance before a kink-free one is given up on
+
+# the LossConfig fields each metric variant is checked at; softtriple also
+# draws st_k, 1 or 2, per instance
+PROBE_SETTINGS = {
+    "triplet": {"margin": 1.0},
+    "npairs": {},
+    "supcon": {"tau": 0.3},
+    "proxynca": {"softmax_scale": 1.3},
+    "softtriple": {"st_lambda": 4.0, "st_gamma": 0.1, "st_delta": 0.3},
+    "proxyanchor": {"pa_alpha": 8.0, "pa_delta": 0.1},
+}
 
 
 @dataclass
@@ -69,77 +79,67 @@ def compare_gradients(analytic: np.ndarray, fd: np.ndarray) -> tuple[bool, float
     return worst_abs < ABS_TOL and worst_rel < REL_TOL, worst_abs, worst_rel
 
 
-def _random_embeddings(rng: Rng) -> np.ndarray:
-    return rng.normal(BATCH_SIZE * DIM).reshape(BATCH_SIZE, DIM)
+def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure):
+    """(f, x0, analytic) for the variant's `LOSSES` row at a fixed
+    structure: f calls the row's `call` on the flat embeddings (then the
+    proxies) x, x0 is that vector for `batch` and `bank`, and analytic is
+    the call's gradient there."""
+    call = LOSSES[config.variant].call
+    shape, labels, classes = batch.embeddings.shape, batch.labels, batch.num_classes
+    n_emb = batch.embeddings.size
+
+    def f(flat):
+        b = EmbeddingBatch(flat[:n_emb].reshape(shape), labels, classes)
+        if bank is None:
+            return call(b, config, None, structure).value
+        at = ProxyBank(flat[n_emb:].reshape(bank.matrix.shape), bank.classes, bank.proxies_per_class)
+        return call(b, config, at, structure).value
+
+    out = call(batch, config, bank, structure)
+    if bank is None:
+        return f, batch.embeddings.ravel(), out.grad_embeddings.ravel()
+    x0 = np.concatenate([batch.embeddings.ravel(), bank.matrix.ravel()])
+    return f, x0, np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
 
 
-def _random_bank(rng: Rng, per_class: int) -> ProxyBank:
-    rows = rng.normal(CLASSES * per_class * DIM).reshape(CLASSES * per_class, DIM)
-    return ProxyBank(l2_normalize_rows(rows), CLASSES, per_class)
+def _clear_of_kinks(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure) -> bool:
+    """Whether every triplet hinge, and every embedding-to-proxy distance,
+    is comfortably away from its kink, so that centered differences stay
+    on one side of it."""
+    z = batch.embeddings
+    if config.variant == "triplet":
+        ap = z[structure[:, 0]] - z[structure[:, 1]]
+        an = z[structure[:, 0]] - z[structure[:, 2]]
+        slack = ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None] + config.margin
+        return np.abs(slack).min() > 1e-3
+    if bank is not None:
+        dists = np.linalg.norm(l2_normalize_rows(z)[:, None, :] - bank.matrix[None, :, :], axis=2)
+        return dists.min() > 1e-2
+    return True
 
 
-def _triplet_instance(rng: Rng):
-    # resample until every hinge is comfortably away from its kink, so the
-    # centered differences stay on one side of it
-    margin = 1.0
-    for _ in range(50):
-        z = _random_embeddings(rng)
-        batch = EmbeddingBatch(z, LABELS, CLASSES)
-        triplets = mine_triplets(batch)
-        ap = z[triplets[:, 0]] - z[triplets[:, 1]]
-        an = z[triplets[:, 0]] - z[triplets[:, 2]]
-        slack = ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None] + margin
-        if np.abs(slack).min() > 1e-3:
-
-            def f(flat):
-                b = EmbeddingBatch(flat.reshape(BATCH_SIZE, DIM), LABELS, CLASSES)
-                return triplet_loss(b, triplets, margin).value
-
-            out = triplet_loss(batch, triplets, margin)
-            return f, z.ravel(), out.grad_embeddings.ravel()
-    raise RuntimeError("could not sample a kink-free triplet instance")
-
-
-def _make_embedding_only(loss_fn):
-    def build(rng: Rng):
-        z = _random_embeddings(rng)
-        batch = EmbeddingBatch(z, LABELS, CLASSES)
-        out = loss_fn(batch)
-
-        def f(flat):
-            return loss_fn(EmbeddingBatch(flat.reshape(BATCH_SIZE, DIM), LABELS, CLASSES)).value
-
-        return f, z.ravel(), out.grad_embeddings.ravel()
-
-    return build
-
-
-def _make_proxy_loss(loss_fn, per_class_of):
-    def build(rng: Rng):
-        per_class = per_class_of(rng)
-        while True:
-            z = _random_embeddings(rng)
-            bank = _random_bank(rng, per_class)
-            batch = EmbeddingBatch(z, LABELS, CLASSES)
-            dists = np.linalg.norm(
-                l2_normalize_rows(z)[:, None, :] - bank.matrix[None, :, :], axis=2
-            )
-            if dists.min() > 1e-2:  # keep sqrt kinks away from the fd stencil
-                break
-        n_emb = z.size
-        out = loss_fn(batch, bank)
-
-        def f(flat):
-            zz = flat[:n_emb].reshape(BATCH_SIZE, DIM)
-            pp = flat[n_emb:].reshape(bank.matrix.shape)
-            b = ProxyBank(pp, CLASSES, per_class)
-            return loss_fn(EmbeddingBatch(zz, LABELS, CLASSES), b).value
-
-        x0 = np.concatenate([z.ravel(), bank.matrix.ravel()])
-        grad = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
-        return f, x0, grad
-
-    return build
+def draw_probe(config: LossConfig, rng: Rng, labels=LABELS, classes: int = CLASSES, dim: int = DIM):
+    """`probe` at a random batch with these labels: draw the embeddings
+    (and a bank of unit rows for a proxy loss), mine the row's structure
+    without an rng, and draw again until the instance is clear of kinks.
+    None when the labels give the loss no structure, where training takes
+    a zero step."""
+    spec = LOSSES[config.variant]
+    rows = len(labels)
+    for _ in range(TRIES):
+        z = rng.normal(rows * dim).reshape(rows, dim)
+        bank = None
+        if spec.proxies is not None:
+            per_class = config.proxies_per_class()
+            proxies = rng.normal(classes * per_class * dim).reshape(classes * per_class, dim)
+            bank = ProxyBank(l2_normalize_rows(proxies), classes, per_class)
+        batch = EmbeddingBatch(z, labels, classes)
+        structure = spec.mine(batch, None) if spec.mine is not None else None
+        if structure is not None and len(structure) == 0:
+            return None
+        if _clear_of_kinks(config, batch, bank, structure):
+            return probe(config, batch, bank, structure)
+    raise RuntimeError(f"could not sample a kink-free {config.variant} instance")
 
 
 def _cce_instance(rng: Rng):
@@ -154,38 +154,24 @@ def _cce_instance(rng: Rng):
     return f, logits.ravel(), out.grad_embeddings.ravel()
 
 
-def _builders():
-    """The probe of every variant, with the loss settings it checks at."""
-    return {
-        "cce": _cce_instance,
-        "triplet": _triplet_instance,
-        "npairs": _make_embedding_only(npairs_loss),
-        "supcon": _make_embedding_only(lambda b: supcon_loss(b, tau=0.3)),
-        "proxynca": _make_proxy_loss(
-            lambda b, bank: proxynca_loss(b, bank, scale=1.3), lambda rng: 1
-        ),
-        "softtriple": _make_proxy_loss(
-            lambda b, bank: softtriple_loss(b, bank, scale=4.0, gamma=0.1, delta=0.3),
-            lambda rng: 1 + rng.randint(2),  # alternate K = 1 and K = 2
-        ),
-        "proxyanchor": _make_proxy_loss(
-            lambda b, bank: proxyanchor_loss(b, bank, alpha=8.0, delta=0.1),
-            lambda rng: 1,
-        ),
-    }
+def _instance(variant: str, rng: Rng):
+    if variant == "cce":
+        return _cce_instance(rng)
+    settings = PROBE_SETTINGS[variant]
+    if variant == "softtriple":
+        settings = {**settings, "st_k": 1 + rng.randint(2)}  # alternate K = 1 and K = 2
+    return draw_probe(LossConfig(variant, **settings), rng)
 
 
 def run_gradcheck(instances: int = 50, seed: int = 17) -> list[CheckResult]:
-    builders = _builders()
     results = []
     for variant in VARIANTS:
-        build = builders[variant]
         rng = Rng(derive_seed(seed, "gradcheck", variant))
         failures = 0
         worst_abs = 0.0
         worst_rel = 0.0
         for _ in range(instances):
-            f, x0, analytic = build(rng)
+            f, x0, analytic = _instance(variant, rng)
             fd = fd_gradient(f, x0)
             ok, wa, wr = compare_gradients(analytic, fd)
             worst_abs = max(worst_abs, wa)

@@ -317,13 +317,21 @@ def _train_eval_cell(
     """Train one (grid point, fold) cell and evaluate on the fold's test
     split; the baseline's point is {"variant": "cce"}. Returns (dense F1,
     blended F1); the latter is NaN for proxy-free models, both are NaN when
-    training diverges."""
-    cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
-    few = plan.fewshot_indices
+    training diverges. Any other error is raised again, of the same type,
+    with the cell's point, fold and seed at the head of its message."""
     try:
-        model = train([texts[i] for i in few], labels[few], num_classes, cfg)
+        return _score_cell(texts, labels, num_classes, plan, point, seed, overrides, beta_inf)
     except TrainingDivergedError:
         return (float("nan"), float("nan"))
+    except Exception as exc:
+        exc.args = (f"cell {point} fold {plan.fold_id} seed {seed}: {exc}",)
+        raise
+
+
+def _score_cell(texts, labels, num_classes, plan, point, seed, overrides, beta_inf):
+    cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
+    few = plan.fewshot_indices
+    model = train([texts[i] for i in few], labels[few], num_classes, cfg)
     test = plan.test_indices
     tokenized = [tokenize(texts[i], cfg.vocab_size) for i in test]
     z, _ = forward_batch(model.params, tokenized)

@@ -9,17 +9,20 @@ derived by hand and verified against the central-difference oracle in the
 test suite; there is no autograd anywhere.
 
 `LOSSES`, at the end of the module, is the one table of variants: per loss
-it says how `dml_loss` calls it (after the mining or structure check the
-loss needs), whether it trains a proxy bank and with how many proxies per
-class, its full and desk hyperparameter grids, and which CLI flags set its
-`LossConfig` fields. `VARIANTS`, `PROXY_VARIANTS`, the trainer, the harness
-grids, the CLI and the gradient check all read it; cce's row is empty, as
-the trainer runs the classifier loss itself.
+it holds the miner that picks the structure the loss needs from a batch
+(if any) and the call that computes the loss on that structure, whether
+it trains a proxy bank and with how many proxies per class, its full and
+desk hyperparameter grids, and which CLI flags set its `LossConfig`
+fields. `VARIANTS`, `PROXY_VARIANTS`, `dml_loss` (and so the trainer), the
+harness grids, the CLI and the gradient check all read it; cce's row is
+empty, as the trainer runs the classifier loss itself.
 
 Conventions:
 
 * triplet uses squared Euclidean distances and one margin over an int64
   (T, 3) array of (anchor, positive, negative) row indices in [0, L);
+* n-pairs takes an int64 (P, 2) array of (anchor, positive) rows and
+  contrasts each anchor with the other classes' rows among the pairs;
 * proxy-NCA and soft-triple L2-normalize embeddings and proxies internally
   (gradients are still w.r.t. the raw inputs, chained through the
   normalization); proxy-anchor normalizes implicitly via cosine similarity;
@@ -286,58 +289,66 @@ def mine_triplets(batch: EmbeddingBatch, *, rng: Rng | None = None, cap: int = 5
 # n-pairs
 
 
-def npairs_loss(batch: EmbeddingBatch) -> LossOutput:
+def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
     """Softmax of the anchor-positive dot product against anchor-negative ones.
 
-    Anchors are the batch members with a same-class partner; each must have
-    exactly one (more raises PairingError). Members of singleton classes
-    act as negatives only. Negatives are all cross-class members; the value
-    is averaged over anchors.
+    `pairs` is a (P, 2) int array of (anchor, positive) rows, each index in
+    [0, L), every anchor in one pair only. An anchor's negatives are the
+    rows of other classes that appear in `pairs`, ascending (Sohn, NeurIPS
+    2016: the other pairs' members). The value and the gradient are
+    averaged over the pairs, taken in their given order.
     """
-    z = batch.embeddings
+    idx = np.asarray(pairs)
+    if idx.size == 0:
+        raise PairingError("need at least one (anchor, positive) pair")
+    if idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
+        raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
     labels = batch.labels
-    anchors = []
-    for i in range(batch.size):
-        partners = np.nonzero(labels == labels[i])[0]
-        partners = partners[partners != i]
-        if partners.size > 1:
-            raise PairingError(f"anchor {i} has {partners.size} positives, needs 1")
-        if partners.size == 1:
-            anchors.append((i, int(partners[0])))
-    if not anchors:
-        raise PairingError("no anchor has a positive partner")
+    if np.any((idx < 0) | (idx >= batch.size)):
+        raise PairingError(f"pair indices must lie in [0, {batch.size})")
+    anchors, positives = idx.T
+    if np.any(anchors == positives):
+        raise PairingError("an anchor cannot be its own positive")
+    if np.any(labels[anchors] != labels[positives]):
+        raise PairingError("an anchor and its positive differ in class")
+    if np.unique(anchors).size != anchors.size:
+        raise PairingError("an anchor appears in more than one pair")
+    z = batch.embeddings
+    members = np.unique(idx)
     grad = np.zeros_like(z)
     value = 0.0
-    for i, pos in anchors:
-        negatives = np.nonzero(labels != labels[i])[0]
-        idx = np.concatenate(([pos], negatives))
-        scores = z[idx] @ z[i]
+    for i, pos in idx.tolist():
+        rows = np.concatenate(([pos], members[labels[members] != labels[i]]))
+        scores = z[rows] @ z[i]
         lse = log_sum_exp(scores)
         value += lse - float(scores[0])
         coeff = np.exp(scores - lse)
         coeff[0] -= 1.0
-        grad[i] += coeff @ z[idx]
-        grad[idx] += np.outer(coeff, z[i])
-    n_anchors = len(anchors)
-    return LossOutput(value / n_anchors, grad / n_anchors)
+        grad[i] += coeff @ z[rows]
+        grad[rows] += np.outer(coeff, z[i])
+    return LossOutput(value / len(idx), grad / len(idx))
 
 
-def select_npairs_members(labels, rng: Rng | None = None) -> np.ndarray:
-    """Pick two members from every class with >= 2 of them, so the sub-batch
-    gives each anchor exactly one positive. Classes with one member are
-    dropped. Returns sorted batch indices (possibly empty)."""
+def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
+    """Two members of every class that has at least two, each the other's
+    positive: an int64 (P, 2) array of (anchor, positive) rows, anchors
+    ascending, empty when every class is a singleton. With an rng a larger
+    class's two are drawn by rng.choice, class by class in label order;
+    without one, or with exactly two, a class gives its first two."""
     labels = np.asarray(labels)
-    chosen = []
+    pairs = []
     for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
         if members.size < 2:
             continue
         if rng is None or members.size == 2:
-            pick = members[:2]
+            a, b = members[:2]
         else:
-            pick = members[rng.choice(members.size, 2)]
-        chosen.extend(int(i) for i in pick)
-    return np.array(sorted(chosen), dtype=np.int64)
+            a, b = members[rng.choice(members.size, 2)]
+        pairs += [(a, b), (b, a)]
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[np.argsort(pairs[:, 0])]
 
 
 # ---------------------------------------------------------------------------
@@ -595,39 +606,18 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
 # ---------------------------------------------------------------------------
 # the variant table
 
-# the non-proxy losses' calls: mine or check the structure the loss needs,
-# and give a zero contribution when the batch lacks it
-
-
-def _triplet(batch, config, bank, rng) -> LossOutput:
-    triplets = mine_triplets(batch, rng=rng)
-    return triplet_loss(batch, triplets, config.margin) if len(triplets) else zero_output(batch)
-
-
-def _npairs(batch, config, bank, rng) -> LossOutput:
-    members = select_npairs_members(batch.labels, rng)
-    if members.size < 2:
-        return zero_output(batch)
-    sub = EmbeddingBatch(batch.embeddings[members], batch.labels[members], batch.num_classes)
-    out = npairs_loss(sub)
-    grad = np.zeros_like(batch.embeddings)
-    grad[members] = out.grad_embeddings
-    return LossOutput(out.value, grad)
-
-
-def _supcon(batch, config, bank, rng) -> LossOutput:
-    counts = np.bincount(batch.labels, minlength=batch.num_classes)
-    if not np.any(counts[batch.labels] > 1):
-        return zero_output(batch)
-    return supcon_loss(batch, config.tau)
-
 
 @dataclass(frozen=True)
 class LossSpec:
-    """One loss variant. The callables look the loss functions up when
-    they run, so a name patched on this module is the one called."""
+    """One loss variant. Training (`dml_loss`) and the gradient check both
+    take the structure from `mine` once and hand it to `call`. The callables
+    look the loss functions up when they run, so a name patched on this
+    module is the one called."""
 
-    # (batch, config, bank, rng) -> LossOutput; None for cce
+    # (batch, rng) -> the int64 index array the loss needs: triplets (T, 3),
+    # n-pairs (P, 2), supcon's rows with a positive; None when it needs none
+    mine: Callable[..., np.ndarray] | None = None
+    # (batch, config, bank, structure) -> LossOutput; None for cce
     call: Callable[..., LossOutput] | None = None
     # config -> proxies per class; None when the loss trains no proxy bank
     proxies: Callable[[LossConfig], int] | None = None
@@ -641,20 +631,27 @@ class LossSpec:
 LOSSES: dict[str, LossSpec] = {
     "cce": LossSpec(),
     "triplet": LossSpec(
-        call=_triplet,
+        mine=lambda batch, rng: mine_triplets(batch, rng=rng),
+        call=lambda batch, config, bank, triplets: triplet_loss(batch, triplets, config.margin),
         full_grid={"margin": [1, 3, 5, 7, 9]},
         desk_grid={"margin": [1, 5, 9]},
         flags={"margin": "margin"},
     ),
-    "npairs": LossSpec(call=_npairs, full_grid={}, desk_grid={}),
+    "npairs": LossSpec(
+        mine=lambda batch, rng: select_npairs_pairs(batch.labels, rng),
+        call=lambda batch, config, bank, pairs: npairs_loss(batch, pairs),
+        full_grid={},
+        desk_grid={},
+    ),
     "supcon": LossSpec(
-        call=_supcon,
+        mine=lambda batch, rng: np.flatnonzero(np.bincount(batch.labels)[batch.labels] > 1),
+        call=lambda batch, config, bank, anchors: supcon_loss(batch, config.tau),
         full_grid={"tau": [0.1, 0.3, 0.5, 0.7, 0.9]},
         desk_grid={"tau": [0.1, 0.5, 0.9]},
         flags={"tau": "tau"},
     ),
     "proxynca": LossSpec(
-        call=lambda batch, config, bank, rng: proxynca_loss(
+        call=lambda batch, config, bank, structure: proxynca_loss(
             batch, bank, config.softmax_scale
         ),
         proxies=lambda config: 1,
@@ -663,7 +660,7 @@ LOSSES: dict[str, LossSpec] = {
         flags={"softmax_scale": "softmax_scale"},
     ),
     "softtriple": LossSpec(
-        call=lambda batch, config, bank, rng: softtriple_loss(
+        call=lambda batch, config, bank, structure: softtriple_loss(
             batch, bank, config.st_lambda, config.st_gamma, config.st_delta
         ),
         proxies=lambda config: config.st_k,
@@ -677,7 +674,7 @@ LOSSES: dict[str, LossSpec] = {
         flags={"k": "st_k", "gamma": "st_gamma", "lam": "st_lambda", "delta": "st_delta"},
     ),
     "proxyanchor": LossSpec(
-        call=lambda batch, config, bank, rng: proxyanchor_loss(
+        call=lambda batch, config, bank, structure: proxyanchor_loss(
             batch, bank, config.pa_alpha, config.pa_delta
         ),
         proxies=lambda config: 1,
@@ -697,16 +694,17 @@ def dml_loss(
     rng: Rng | None = None,
 ) -> LossOutput:
     """Evaluate the configured metric-learning loss on one batch, as its
-    `LOSSES` entry calls it.
-
-    Triplet and n-pairs mine their structure with `rng`; a non-proxy loss
-    degrades to a zero contribution when the batch lacks the structure it
-    needs (no valid triplet, fewer than two pairable classes, all classes
-    singleton).
+    `LOSSES` row calls it: the row's `mine` picks the structure once (with
+    `rng` where it subsamples), an empty structure gives a zero
+    contribution (no valid triplet, no class with two members, every
+    class a singleton), and otherwise the row's `call` takes it.
     """
-    call = LOSSES[config.variant].call
-    if call is None:
+    spec = LOSSES[config.variant]
+    if spec.call is None:
         raise ConfigError(f"{config.variant} is not a metric-learning loss")
-    if config.is_proxy_based and bank is None:
+    if spec.proxies is not None and bank is None:
         raise ConfigError(f"{config.variant} requires a proxy bank")
-    return call(batch, config, bank, rng)
+    structure = spec.mine(batch, rng) if spec.mine is not None else None
+    if structure is not None and len(structure) == 0:
+        return zero_output(batch)
+    return spec.call(batch, config, bank, structure)

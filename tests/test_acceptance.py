@@ -33,6 +33,7 @@ from dmlbench.losses import (
     npairs_loss,
     proxyanchor_loss,
     proxynca_loss,
+    select_npairs_pairs,
     softtriple_loss,
     supcon_loss,
     triplet_loss,
@@ -213,7 +214,7 @@ def test_invariance_suite():
     permuted = EmbeddingBatch(z[perm], LABELS6[perm], 3)
 
     cases = {
-        "npairs": lambda b: npairs_loss(b).value,
+        "npairs": lambda b: npairs_loss(b, select_npairs_pairs(b.labels)).value,
         "supcon": lambda b: supcon_loss(b, 0.4).value,
         "proxynca": lambda b: proxynca_loss(b, bank1, 1.2).value,
         "softtriple": lambda b: softtriple_loss(b, bank2, 5.0, 0.1, 0.2).value,
@@ -237,7 +238,7 @@ def test_invariance_suite():
         logits = sample_rng.normal(6 * 3).reshape(6, 3)
         values = [
             triplet_loss(b, mine_triplets(b), 1.0).value,
-            npairs_loss(b).value,
+            npairs_loss(b, select_npairs_pairs(b.labels)).value,
             supcon_loss(b, 0.4).value,
             proxyanchor_loss(b, pb, 16.0, 0.1).value,
             cce_loss(softmax_rows(logits), LABELS6).value,

@@ -3,8 +3,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmlbench.gradcheck import CheckResult, _builders, compare_gradients, run_gradcheck
-from dmlbench.losses import VARIANTS, EmbeddingBatch, proxyanchor_loss, softtriple_loss
+from dmlbench.gradcheck import (
+    PROBE_SETTINGS,
+    CheckResult,
+    compare_gradients,
+    draw_probe,
+    probe,
+    run_gradcheck,
+)
+from dmlbench.losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig
 from dmlbench.numeric import Rng, derive_seed, fd_gradient, l2_normalize_rows
 from dmlbench.proxies import ProxyBank
 
@@ -90,7 +97,8 @@ def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     # eps * |f| / h, exceeds the tolerance (at h = 1e-4 both pass). A
     # five-point stencil at h = 1e-3 agrees with the analytic gradient.
     seed = derive_seed(211, "gradcheck", call)
-    f, x0, analytic = _builders()["supcon"](Rng(derive_seed(seed, "gradcheck", "supcon")))
+    config = LossConfig("supcon", **PROBE_SETTINGS["supcon"])
+    f, x0, analytic = draw_probe(config, Rng(derive_seed(seed, "gradcheck", "supcon")))
     supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
     assert supcon.worst_rel == compare_gradients(analytic, fd_gradient(f, x0))[2]
     ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
@@ -110,19 +118,10 @@ def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
     labels = g.integers(0, classes, size=rows)
     z = g.normal(size=(rows, dim))
     w = l2_normalize_rows(g.normal(size=(classes, dim)))
-
-    def loss(flat):
-        batch = EmbeddingBatch(flat[: z.size].reshape(z.shape), labels, classes)
-        bank = ProxyBank(flat[z.size :].reshape(w.shape), classes, 1)
-        return proxyanchor_loss(batch, bank, alpha=32.0, delta=0.1)
-
-    x0 = np.concatenate([z.ravel(), w.ravel()])
-    out = loss(x0)
-    analytic = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
-    assert not compare_gradients(analytic, fd_gradient(lambda x: loss(x).value, x0))[0]
-    ok, worst_abs, worst_rel = compare_gradients(
-        analytic, five_point(lambda x: loss(x).value, x0, 1e-3)
-    )
+    config = LossConfig("proxyanchor", pa_alpha=32.0, pa_delta=0.1)
+    f, x0, analytic = probe(config, EmbeddingBatch(z, labels, classes), ProxyBank(w, classes, 1), None)
+    assert not compare_gradients(analytic, fd_gradient(f, x0))[0]
+    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
     assert ok, (worst_abs, worst_rel)
 
 
@@ -146,15 +145,38 @@ def test_softtriple_gradient_with_more_than_two_proxies_per_class(instance):
     # the oracle's probe alternates K = 1 and K = 2 on one 6x8x3 shape; this
     # checks K = 3..5 over other shapes at the oracle's settings and tolerances
     z, w, labels, classes, per_class = instance
-    n_emb = z.size
+    config = LossConfig("softtriple", st_k=per_class, **PROBE_SETTINGS["softtriple"])
+    batch = EmbeddingBatch(z, labels, classes)
+    f, x0, analytic = probe(config, batch, ProxyBank(w, classes, per_class), None)
+    ok, worst_abs, worst_rel = compare_gradients(analytic, fd_gradient(f, x0))
+    assert ok, (worst_abs, worst_rel)
 
-    def loss(flat):
-        batch = EmbeddingBatch(flat[:n_emb].reshape(z.shape), labels, classes)
-        bank = ProxyBank(flat[n_emb:].reshape(w.shape), classes, per_class)
-        return softtriple_loss(batch, bank, scale=4.0, gamma=0.1, delta=0.3)
 
-    x0 = np.concatenate([z.ravel(), w.ravel()])
-    out = loss(x0)
-    analytic = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
-    ok, worst_abs, worst_rel = compare_gradients(analytic, fd_gradient(lambda x: loss(x).value, x0))
+@st.composite
+def probe_shapes(draw):
+    # random labels over C classes, so absent and singleton classes occur
+    rows = draw(st.integers(2, 8))
+    dim = draw(st.integers(2, 6))
+    classes = draw(st.integers(2, 4))
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows)))
+    return labels, classes, dim, Rng(draw(st.integers(0, 2**32)))
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if LOSSES[v].call is not None])
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shape=probe_shapes(), st_k=st.integers(1, 2))
+def test_every_metric_row_over_random_shapes(variant, shape, st_k):
+    # each row as training calls it, with the structure its own miner
+    # picks, at the oracle's settings and tolerances; where the central
+    # difference misses, a five-point stencil at h = 1e-3 is the arbiter,
+    # as for the supcon and proxyanchor probes above
+    labels, classes, dim, rng = shape
+    fields = dict(PROBE_SETTINGS[variant], **({"st_k": st_k} if variant == "softtriple" else {}))
+    drawn = draw_probe(LossConfig(variant, **fields), rng, labels, classes, dim)
+    if drawn is None:  # no structure in these labels: training takes a zero step
+        return
+    f, x0, analytic = drawn
+    ok, worst_abs, worst_rel = compare_gradients(analytic, fd_gradient(f, x0))
+    if not ok:
+        ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
     assert ok, (worst_abs, worst_rel)

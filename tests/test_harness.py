@@ -7,10 +7,11 @@ from conftest import kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmlbench import trainer
+from dmlbench import harness, trainer
 from dmlbench.errors import (
     ConfigError,
     DatasetParseError,
+    LabelError,
     StratificationError,
     TrainingDivergedError,
 )
@@ -34,6 +35,7 @@ from dmlbench.harness import (
     synth_dataset,
 )
 from dmlbench.losses import PROXY_VARIANTS, LossConfig, LossOutput
+from dmlbench.numeric import derive_seed
 
 VARIANTS6 = ("triplet", "supcon", "npairs", "proxynca", "softtriple", "proxyanchor")
 # sha256 of canonical_json({"full": full_grid(v), "desk": desk_grid(v)}): a
@@ -489,6 +491,27 @@ class TestRunGrid:
         assert res.best_index == 1
         assert np.array_equal(res.fold_scores[1], clean.fold_scores[1])
         assert np.array_equal(res.baseline_scores, clean.baseline_scores)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cell_error_names_its_cell(self, monkeypatch, workers):
+        # an error other than divergence stops the grid with its own type,
+        # and its message names the point, fold and seed of the cell
+        ds, plans = self.make_inputs(29, n=40, folds=2)
+        point = {"variant": "supcon", "tau": 0.5, "beta": 0.5}
+        failing = derive_seed(29, "train", 0, plans[1].fold_id)
+        real_train = harness.train
+
+        def train_failing_on_one_cell(texts, labels, num_classes, config):
+            if config.seed == failing:
+                raise LabelError("label 7 is unknown")
+            return real_train(texts, labels, num_classes, config)
+
+        monkeypatch.setattr(harness, "train", train_failing_on_one_cell)
+        with pytest.raises(LabelError) as info:
+            run_grid(ds, plans, [point], 29, 20, workers=workers, train_overrides=small_overrides())
+        assert str(info.value) == (
+            f"cell {point} fold {plans[1].fold_id} seed {failing}: label 7 is unknown"
+        )
 
     def test_diverged_baseline_raises(self, monkeypatch):
         ds, plans = self.make_inputs(25)

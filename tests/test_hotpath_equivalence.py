@@ -4,6 +4,7 @@ replaced, bit for bit.
 The reference implementations below are the earlier loops, kept here and
 nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 `mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
+n-pairs on a sub-batch of two members per class scattered back,
 per-text pooling and scatter in the encoder, AdamW with fresh
 temporaries and dense moments over every row, `normalize_backward` one row
 at a time, and `synth_dataset` with two draws per token. Hypothesis varies the sizes;
@@ -29,7 +30,7 @@ from dmlbench.encoder import (
     init_encoder,
     tokenize,
 )
-from dmlbench.errors import ConfigError, InvalidTripletError
+from dmlbench.errors import ConfigError, InvalidTripletError, PairingError
 from dmlbench.harness import NOISE_POOL, synth_dataset
 from dmlbench.losses import (
     VARIANTS,
@@ -41,12 +42,14 @@ from dmlbench.losses import (
     dml_loss,
     mine_triplets,
     triplet_loss,
+    zero_output,
 )
 from dmlbench.numeric import (
     Rng,
     add_rows_at,
     derive_seed,
     l2_normalize_rows,
+    log_sum_exp,
     normalize_backward,
     softmax_rows,
 )
@@ -354,6 +357,84 @@ def test_triplet_loss_rejects_empty_list():
     batch = EmbeddingBatch(np.eye(3), [0, 0, 1], 2)
     with pytest.raises(InvalidTripletError, match="at least one"):
         triplet_loss(batch, [], 1.0)
+
+
+# ---------------------------------------------------------------------------
+# n-pairs: the (P, 2) pair array against the sub-batch it replaced
+
+
+def old_select_npairs_members(labels, rng=None):
+    labels = np.asarray(labels)
+    chosen = []
+    for cls in np.unique(labels):
+        members = np.nonzero(labels == cls)[0]
+        if members.size < 2:
+            continue
+        if rng is None or members.size == 2:
+            pick = members[:2]
+        else:
+            pick = members[rng.choice(members.size, 2)]
+        chosen.extend(int(i) for i in pick)
+    return np.array(sorted(chosen), dtype=np.int64)
+
+
+def old_npairs_loss(batch):
+    z = batch.embeddings
+    labels = batch.labels
+    anchors = []
+    for i in range(batch.size):
+        partners = np.nonzero(labels == labels[i])[0]
+        partners = partners[partners != i]
+        if partners.size > 1:
+            raise PairingError(f"anchor {i} has {partners.size} positives, needs 1")
+        if partners.size == 1:
+            anchors.append((i, int(partners[0])))
+    if not anchors:
+        raise PairingError("no anchor has a positive partner")
+    grad = np.zeros_like(z)
+    value = 0.0
+    for i, pos in anchors:
+        negatives = np.nonzero(labels != labels[i])[0]
+        idx = np.concatenate(([pos], negatives))
+        scores = z[idx] @ z[i]
+        lse = log_sum_exp(scores)
+        value += lse - float(scores[0])
+        coeff = np.exp(scores - lse)
+        coeff[0] -= 1.0
+        grad[i] += coeff @ z[idx]
+        grad[idx] += np.outer(coeff, z[i])
+    n_anchors = len(anchors)
+    return LossOutput(value / n_anchors, grad / n_anchors)
+
+
+def old_npairs_step(batch, rng):
+    """The trainer's n-pairs call before pairs: a sub-batch of two members
+    per class, its gradient scattered back into the full batch."""
+    members = old_select_npairs_members(batch.labels, rng)
+    if members.size < 2:
+        return zero_output(batch)
+    sub = EmbeddingBatch(batch.embeddings[members], batch.labels[members], batch.num_classes)
+    out = old_npairs_loss(sub)
+    grad = np.zeros_like(batch.embeddings)
+    grad[members] = out.grad_embeddings
+    return LossOutput(out.value, grad)
+
+
+@SETTINGS
+@given(
+    batch=labelled_batches(max_rows=40, max_dim=40),
+    seed=st.integers(0, 2**32),
+    layout=st.sampled_from(["c", "fortran"]),
+)
+def test_npairs_step_matches_the_sub_batch(batch, seed, layout):
+    if layout == "fortran":
+        batch.embeddings = np.asfortranarray(batch.embeddings)
+    new_rng, old_rng = Rng(seed), Rng(seed)
+    new = dml_loss(batch, LossConfig("npairs"), None, new_rng)
+    old = old_npairs_step(batch, old_rng)
+    assert same_bits(new.value, old.value)
+    assert same_bits(new.grad_embeddings, old.grad_embeddings)
+    assert new_rng.counter == old_rng.counter
 
 
 # ---------------------------------------------------------------------------

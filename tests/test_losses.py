@@ -22,7 +22,7 @@ from dmlbench.losses import (
     npairs_loss,
     proxyanchor_loss,
     proxynca_loss,
-    select_npairs_members,
+    select_npairs_pairs,
     softtriple_loss,
     supcon_loss,
     triplet_loss,
@@ -173,47 +173,82 @@ class TestTriplet:
 class TestNPairs:
     def test_no_negatives_is_zero(self):
         z = np.array([[1.0, 2.0], [0.5, -1.0]])
-        out = npairs_loss(EmbeddingBatch(z, [0, 0], 1))
+        out = npairs_loss(EmbeddingBatch(z, [0, 0], 1), [[0, 1], [1, 0]])
         assert out.value == 0.0
 
-    def test_equal_scores_give_log2(self):
-        z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-        out = npairs_loss(EmbeddingBatch(z, [0, 0, 1], 2))
-        assert math.isclose(out.value, math.log(2.0), rel_tol=1e-12)
+    def test_equal_scores_give_log_of_the_row_count(self):
+        # each anchor scores its positive and the other class's two rows
+        z = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        out = npairs_loss(EmbeddingBatch(z, [0, 0, 1, 1], 2), [[0, 1], [2, 3]])
+        assert math.isclose(out.value, math.log(3.0), rel_tol=1e-12)
+
+    def test_negatives_are_the_other_classes_among_the_pairs(self):
+        # row 4 is in no pair, so it is nobody's negative and gets no gradient
+        z = Rng(12).normal(5 * 3).reshape(5, 3)
+        pairs = [[0, 1], [1, 0], [2, 3]]
+        out = npairs_loss(EmbeddingBatch(z, [0, 0, 1, 1, 1], 2), pairs)
+        rows = {0: [1, 2, 3], 1: [0, 2, 3], 2: [3, 0, 1]}  # positive first
+        terms = [np.log(np.exp(z[r] @ z[a]).sum()) - z[r[0]] @ z[a] for a, r in rows.items()]
+        assert math.isclose(out.value, sum(terms) / 3, rel_tol=1e-12)
+        assert not np.any(out.grad_embeddings[4])
 
     def test_multiple_positives_rejected(self):
-        batch = random_batch(Rng(9), labels=np.array([0, 0, 0, 1, 1, 1]))
-        with pytest.raises(PairingError):
-            npairs_loss(batch)
+        with pytest.raises(PairingError, match="more than one pair"):
+            npairs_loss(random_batch(Rng(9)), [[0, 1], [1, 0], [0, 1]])
 
     def test_all_singletons_rejected(self):
-        batch = random_batch(Rng(10), labels=np.array([0, 1, 2, 0, 1, 2])[:6])
-        # relabel to make every class a singleton
-        z = batch.embeddings[:3]
-        with pytest.raises(PairingError):
-            npairs_loss(EmbeddingBatch(z, [0, 1, 2], 3))
+        labels = np.array([0, 1, 2])
+        pairs = select_npairs_pairs(labels, Rng(10))
+        assert pairs.dtype == np.int64 and pairs.shape == (0, 2)
+        with pytest.raises(PairingError, match="at least one"):
+            npairs_loss(EmbeddingBatch(Rng(10).normal(6).reshape(3, 2), labels, 3), pairs)
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([], "at least one"),
+            ([[0, 6]], r"lie in \[0, 6\)"),
+            ([[-1, 0]], r"lie in \[0, 6\)"),
+            ([[0, 0]], "its own positive"),
+            ([[0, 2]], "differ in class"),
+        ],
+    )
+    def test_bad_pairs_rejected(self, pairs, message):
+        with pytest.raises(PairingError, match=message):
+            npairs_loss(random_batch(Rng(9)), pairs)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[0, 1], [[0, 1, 2]], np.array([[0.0, 1.0]]), np.array([[[0, 1]]])],
+    )
+    def test_pair_array_shape_and_dtype(self, pairs):
+        with pytest.raises(DimensionError, match=r"\(P, 2\)"):
+            npairs_loss(random_batch(Rng(10)), pairs)
 
     def test_gradient_matches_fd(self):
         rng = Rng(11)
+        pairs = select_npairs_pairs(LABELS6)
         for _ in range(5):
             batch = random_batch(rng)
-            out = npairs_loss(batch)
+            out = npairs_loss(batch, pairs)
 
             def f(flat):
-                return npairs_loss(EmbeddingBatch(flat.reshape(6, 5), LABELS6, 3)).value
+                return npairs_loss(EmbeddingBatch(flat.reshape(6, 5), LABELS6, 3), pairs).value
 
             fd_check(f, batch.embeddings.ravel(), out.grad_embeddings.ravel())
 
-    def test_select_members_two_per_class(self):
+    def test_select_pairs_two_per_class(self):
         labels = np.array([0, 0, 0, 1, 1, 2])
-        members = select_npairs_members(labels, Rng(1))
-        assert members.size == 4  # class 2 is a singleton, dropped
-        kept = labels[members]
-        assert sorted(kept.tolist()) == [0, 0, 1, 1]
+        pairs = select_npairs_pairs(labels, Rng(1))
+        assert pairs.dtype == np.int64 and pairs.shape == (4, 2)  # class 2 is a singleton
+        assert pairs[:, 0].tolist() == sorted(pairs[:, 0].tolist())
+        assert np.array_equal(labels[pairs[:, 0]], labels[pairs[:, 1]])
+        assert sorted(labels[pairs[:, 0]].tolist()) == [0, 0, 1, 1]
+        assert sorted(map(tuple, pairs.tolist())) == sorted((b, a) for a, b in pairs.tolist())
 
-    def test_select_members_deterministic_without_rng(self):
+    def test_select_pairs_deterministic_without_rng(self):
         labels = np.array([1, 0, 1, 0, 1])
-        assert select_npairs_members(labels, None).tolist() == [0, 1, 2, 3]
+        assert select_npairs_pairs(labels, None).tolist() == [[0, 2], [1, 3], [2, 0], [3, 1]]
 
 
 class TestSupCon:
@@ -440,7 +475,7 @@ class TestPermutationInvariance:
         permuted = EmbeddingBatch(batch.embeddings[perm], LABELS6[perm], 3)
 
         cases = [
-            ("npairs", lambda b: npairs_loss(b)),
+            ("npairs", lambda b: npairs_loss(b, select_npairs_pairs(b.labels))),
             ("supcon", lambda b: supcon_loss(b, 0.4)),
             ("proxynca", lambda b: proxynca_loss(b, bank1, 1.2)),
             ("softtriple", lambda b: softtriple_loss(b, bank, 5.0, 0.1, 0.2)),

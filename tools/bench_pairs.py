@@ -8,10 +8,11 @@ Extracts the committed files of ``--base`` into a temporary directory with
 tree in turn, ``--pairs`` times per workload (base first in even pairs, the
 working tree first in odd ones, so a drift in the machine's speed reaches
 both sides alike). Writes ``BENCH_<label>.json`` at the repository root:
-every run's last-line JSON, its ``result_sha`` and ``fingerprint_sha``, the
-median and quartiles of each end-to-end metric on each side, how many pairs
-the working tree won on it, and the numpy version and CPU count of the
-machine. Entries are keyed by workload and seed, and the file is written
+the base commit's sha, every run's last-line JSON, its ``result_sha`` and
+``fingerprint_sha``, whether those two are the same in every run, each
+side's failed and attempted operations, the median and quartiles of each
+end-to-end metric on each side, how many pairs the working tree won on it,
+and the numpy version and CPU count of the machine. Entries are keyed by workload and seed, and the file is written
 after each workload; running the command again for another workload or seed
 adds to it.
 """
@@ -85,6 +86,27 @@ def compare(runs: dict, metrics: list) -> dict:
     return out
 
 
+def entry(workload: str, seed: int, seconds: float, base_sha: str, runs: dict, metrics: list) -> dict:
+    """The BENCH file's record of one workload and seed: the settings, the
+    base commit, `compare`'s table, each side's failed and attempted
+    operations, whether every run on both sides gave one `result_sha` and
+    one `fingerprint_sha`, and the runs themselves under "base" and "work"."""
+    hashes = {(run.get("result_sha"), run.get("fingerprint_sha")) for side in SIDES for run in runs[side]}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "seconds": seconds,
+        "base_sha": base_sha,
+        "metrics": compare(runs, metrics),
+        "totals": {
+            side: {key: sum(run["summary"][key] for run in runs[side]) for key in ("failed", "attempted")}
+            for side in SIDES
+        },
+        "same_hashes": len(hashes) == 1 and None not in next(iter(hashes)),
+        **runs,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare the working tree against")
@@ -112,14 +134,9 @@ def main(argv=None) -> int:
                     ops = runs[side][-1]["summary"]["metrics"]["ops_per_kref"]["value"]
                     print(f"{workload} seed {args.seed} pair {i + 1}/{args.pairs} {side}: "
                           f"ops_per_kref {ops:.4g}", flush=True)
-            report["runs"][f"{workload} seed {args.seed}"] = {
-                "workload": workload,
-                "seed": args.seed,
-                "seconds": seconds,
-                "base": base_sha,
-                "metrics": compare(runs, declared["end_to_end"]),
-                **runs,
-            }
+            report["runs"][f"{workload} seed {args.seed}"] = entry(
+                workload, args.seed, seconds, base_sha, runs, declared["end_to_end"]
+            )
             report.update(label=args.label, numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
             out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
             print(f"wrote {out_path}", flush=True)

@@ -213,6 +213,12 @@ def _cmd_grid(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
+    keys = ("name", "per_fold", "mean", "std", "p_value")
+    rows = report.get("rows") if isinstance(report, dict) else None
+    if not rows or not isinstance(rows, list) or not all(
+        isinstance(r, dict) and r.keys() >= set(keys) for r in rows
+    ):
+        raise ConfigError(f"{args.report}: not a grid report, whose rows have {', '.join(keys)}")
     if args.format == "table":
         print(render_table(report), end="")
     elif args.format == "csv":

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import itertools
 import string
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numeric import Rng, add_rows_at, fnv1a_64
+from .numeric import Rng, add_rows_at, fnv1a_64, read_arrays, write_arrays
 
 MAGIC = b"ENC1"
 DEFAULT_VOCAB = 4096
@@ -31,6 +30,11 @@ DEFAULT_EMBED_DIM = 32
 DEFAULT_OUT_DIM = 16
 
 _PUNCT = string.punctuation
+
+
+def block_shapes(vocab: int, embed: int, out: int, classes: int) -> list[tuple[int, ...]]:
+    """The shapes of the five parameter blocks, in checkpoint order."""
+    return [(vocab, embed), (embed, out), (out,), (out, classes), (classes,)]
 
 
 class EncoderParams:
@@ -57,16 +61,13 @@ class EncoderParams:
         classifier: np.ndarray,  # (d, C)
         classifier_bias: np.ndarray,  # (C,)
     ):
-        _, d_emb = embedding_table.shape
-        if projection.shape[0] != d_emb:
-            raise DimensionError("projection rows must match embedding width")
-        d = projection.shape[1]
-        if projection_bias.shape != (d,):
-            raise DimensionError("projection bias must match output width")
-        if classifier.shape[0] != d:
-            raise DimensionError("classifier rows must match output width")
-        if classifier_bias.shape != (classifier.shape[1],):
-            raise DimensionError("classifier bias must match class count")
+        blocks = (embedding_table, projection, projection_bias, classifier, classifier_bias)
+        dims = (
+            len(embedding_table), embedding_table.shape[-1], projection.shape[-1], classifier.shape[-1]
+        )
+        shapes = [b.shape for b in blocks]
+        if shapes != block_shapes(*dims):
+            raise DimensionError(f"block shapes {shapes} are not those of one encoder")
         self.embedding_table = embedding_table
         self.projection = projection
         self.projection_bias = projection_bias
@@ -152,26 +153,14 @@ class EncoderParams:
 
 
 def init_encoder(
-    num_classes: int,
-    vocab_size: int = DEFAULT_VOCAB,
-    embed_dim: int = DEFAULT_EMBED_DIM,
-    out_dim: int = DEFAULT_OUT_DIM,
-    rng: Rng | None = None,
+    num_classes: int, vocab_size: int, embed_dim: int, out_dim: int, rng: Rng
 ) -> EncoderParams:
     """Gaussian(0, 0.1) init for every block, drawn from one stream in
     checkpoint order so a given seed always yields the same model."""
     if num_classes < 1 or vocab_size < 1 or embed_dim < 1 or out_dim < 1:
         raise ConfigError("encoder dimensions must be positive")
-    rng = rng if rng is not None else Rng(0)
-    shapes = [
-        (vocab_size, embed_dim),
-        (embed_dim, out_dim),
-        (out_dim,),
-        (out_dim, num_classes),
-        (num_classes,),
-    ]
-    arrays = [rng.normal(int(np.prod(s)), scale=0.1).reshape(s) for s in shapes]
-    return EncoderParams(*arrays)
+    shapes = block_shapes(vocab_size, embed_dim, out_dim, num_classes)
+    return EncoderParams(*(rng.normal(int(np.prod(s)), scale=0.1).reshape(s) for s in shapes))
 
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
@@ -265,40 +254,11 @@ def backward_batch(
 
 
 def save_encoder(params: EncoderParams, path) -> None:
-    """Binary checkpoint: b"ENC1", four little-endian u32 dims (vocab,
-    embed, out, classes), then each block as little-endian f8 row-major."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(
-            struct.pack(
-                "<IIII",
-                params.vocab_size,
-                params.embed_dim,
-                params.out_dim,
-                params.num_classes,
-            )
-        )
-        for _, arr in params.blocks():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Binary checkpoint: the `dmlbench.numeric` container with magic
+    b"ENC1", dims (vocab, embed, out, classes), and the blocks in order."""
+    dims = (params.vocab_size, params.embed_dim, params.out_dim, params.num_classes)
+    write_arrays(path, MAGIC, dims, [arr for _, arr in params.blocks()])
 
 
 def load_encoder(path) -> EncoderParams:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise ConfigError(f"bad encoder checkpoint magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ConfigError("encoder checkpoint header is truncated")
-        vocab, embed, out, classes = struct.unpack("<IIII", header)
-        shapes = [(vocab, embed), (embed, out), (out,), (out, classes), (classes,)]
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ConfigError("encoder checkpoint is truncated")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
-        if fh.read(1):
-            raise ConfigError("encoder checkpoint has trailing bytes")
-    return EncoderParams(*arrays)
+    return EncoderParams(*read_arrays(path, MAGIC, 4, block_shapes)[1])

@@ -4,7 +4,7 @@ Prediction blends two views of a trained model: the classifier head's
 softmax probabilities and the cosine similarity of the embedding to each
 class proxy, mixed as beta * prob + (1 - beta) * cosine. A bank with K
 proxies per class scores each class by its best proxy (max cosine). The
-blend is not renormalized (entries live in [-1, 2]); argmax breaks ties
+blend is not renormalized (entries live in [-1, 1]); argmax breaks ties
 toward the lowest class index. Significance between per-fold score
 vectors uses a two-sided paired t-test whose CDF is computed here directly
 from the regularized incomplete beta function, keeping the runtime
@@ -51,10 +51,7 @@ def blended_scores(
     probs = softmax_rows(classify_logits(params, z))
     if probs.shape[1] != cos.shape[1]:
         raise DimensionError("classifier head and proxy bank disagree on classes")
-    scores = beta_inf * probs + (1.0 - beta_inf) * cos
-    if scores.min() < -1.0 - 1e-9 or scores.max() > 2.0 + 1e-9:
-        raise ConfigError("blended scores left [-1, 2]; inputs are inconsistent")
-    return scores
+    return beta_inf * probs + (1.0 - beta_inf) * cos
 
 
 def predict(scores: np.ndarray) -> np.ndarray:

@@ -320,28 +320,24 @@ def _train_eval_cell(
     training diverges. Any other error is raised again, of the same type,
     with the cell's point, fold and seed at the head of its message."""
     try:
-        return _score_cell(texts, labels, num_classes, plan, point, seed, overrides, beta_inf)
+        cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
+        few = plan.fewshot_indices
+        model = train([texts[i] for i in few], labels[few], num_classes, cfg)
+        test = plan.test_indices
+        tokenized = [tokenize(texts[i], cfg.vocab_size) for i in test]
+        z, _ = forward_batch(model.params, tokenized)
+        dense = predict(blended_scores(model.params, z, None, 1.0))
+        dense_f1 = macro_f1(dense, labels[test], num_classes).macro_f1
+        blended_f1 = float("nan")
+        if model.bank is not None:
+            blend = predict(blended_scores(model.params, z, model.bank, beta_inf))
+            blended_f1 = macro_f1(blend, labels[test], num_classes).macro_f1
+        return (dense_f1, blended_f1)
     except TrainingDivergedError:
         return (float("nan"), float("nan"))
     except Exception as exc:
         exc.args = (f"cell {point} fold {plan.fold_id} seed {seed}: {exc}",)
         raise
-
-
-def _score_cell(texts, labels, num_classes, plan, point, seed, overrides, beta_inf):
-    cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
-    few = plan.fewshot_indices
-    model = train([texts[i] for i in few], labels[few], num_classes, cfg)
-    test = plan.test_indices
-    tokenized = [tokenize(texts[i], cfg.vocab_size) for i in test]
-    z, _ = forward_batch(model.params, tokenized)
-    dense = predict(blended_scores(model.params, z, None, 1.0))
-    dense_f1 = macro_f1(dense, labels[test], num_classes).macro_f1
-    blended_f1 = float("nan")
-    if model.bank is not None:
-        blend = predict(blended_scores(model.params, z, model.bank, beta_inf))
-        blended_f1 = macro_f1(blend, labels[test], num_classes).macro_f1
-    return (dense_f1, blended_f1)
 
 
 def run_grid(

@@ -1,10 +1,11 @@
-"""Dense float64 kernels, stable reductions, a reproducible RNG, and the
-finite-difference gradient oracle.
+"""Dense float64 kernels, stable reductions, a reproducible RNG, the
+finite-difference gradient oracle, and the one checkpoint container
+(`write_arrays`, `read_arrays`) that the encoder and proxy bank share.
 
 Everything here operates on plain numpy arrays (1-D "vectors", 2-D row-major
 "matrices") in 64-bit floating point. All functions are pure except
-`add_rows_at`, which updates its target in place; `Rng` instances are
-single-owner streams.
+`add_rows_at`, which updates its target in place, and the checkpoint pair,
+which write and read files; `Rng` instances are single-owner streams.
 
 RNG algorithm (frozen; changing it is a breaking change)
 --------------------------------------------------------
@@ -22,9 +23,12 @@ rounding, which is stable for a fixed numpy build.
 
 from __future__ import annotations
 
+import math
+import struct
+
 import numpy as np
 
-from .errors import DegenerateVectorError, DimensionError, OracleFailureError
+from .errors import ConfigError, DegenerateVectorError, DimensionError, OracleFailureError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -153,6 +157,50 @@ def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:
             )
         grad[i] = (hi - lo) / (2.0 * h)
     return grad
+
+
+def write_arrays(path, magic: bytes, dims, arrays) -> None:
+    """Checkpoint container (frozen): the 4-byte ASCII `magic`, the `dims` as
+    little-endian u32, then each array as little-endian f8 in C order."""
+    with open(path, "wb") as fh:
+        fh.write(magic + struct.pack(f"<{len(dims)}I", *dims))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def read_arrays(path, magic: bytes, ndims: int, shapes) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The `ndims` dims and the float64 arrays of a `write_arrays` file,
+    where `shapes(*dims)` lists the arrays' shapes.
+
+    The file is read once. Before any array is built, a wrong magic, a
+    header shorter than its dims, a dim of 0, or a file size other than the
+    one the dims give (counted in Python ints, so no product overflows)
+    raises ConfigError.
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    name = magic.decode("ascii")
+    if blob[:4] != magic:
+        raise ConfigError(f"{path}: not a {name} checkpoint (magic {blob[:4]!r})")
+    start = 4 + 4 * ndims
+    if len(blob) < start:
+        raise ConfigError(f"{path}: {name} header is truncated")
+    dims = struct.unpack_from(f"<{ndims}I", blob, 4)
+    if 0 in dims:
+        raise ConfigError(f"{path}: {name} header has a zero dim {dims}")
+    layout = shapes(*dims)
+    sizes = [math.prod(shape) for shape in layout]
+    expected = start + 8 * sum(sizes)
+    if len(blob) != expected:
+        raise ConfigError(
+            f"{path}: expected {expected} bytes for a {name} with dims {dims}, got {len(blob)}"
+        )
+    arrays = []
+    for shape, size in zip(layout, sizes):
+        flat = np.frombuffer(blob, dtype="<f8", count=size, offset=start)
+        arrays.append(flat.astype(np.float64).reshape(shape))
+        start += 8 * size
+    return dims, arrays
 
 
 def fnv1a_64(data: bytes) -> int:

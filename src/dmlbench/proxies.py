@@ -7,13 +7,12 @@ SoftTriple K >= 1.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .numeric import Rng, l2_normalize_rows
+from .numeric import Rng, l2_normalize_rows, read_arrays, write_arrays
 
 _MAGIC = b"PXB1"
 
@@ -51,27 +50,13 @@ def init_proxies(classes: int, proxies_per_class: int, dim: int, rng: Rng) -> Pr
 
 
 def save_proxies(bank: ProxyBank, path) -> None:
-    """Little-endian binary: magic "PXB1", C/K/d as u32, then C*K*d float64 row-major."""
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", bank.classes, bank.proxies_per_class, bank.dim))
-        fh.write(np.ascontiguousarray(bank.matrix, dtype="<f8").tobytes())
+    """Binary checkpoint: the `dmlbench.numeric` container with magic
+    b"PXB1", dims (C, K, d), and the (C*K, d) matrix."""
+    write_arrays(path, _MAGIC, (bank.classes, bank.proxies_per_class, bank.dim), [bank.matrix])
 
 
 def load_proxies(path) -> ProxyBank:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _MAGIC:
-        raise ConfigError(f"{path}: not a proxy checkpoint (bad magic)")
-    if len(blob) < 16:
-        raise ConfigError(f"{path}: proxy checkpoint header is truncated")
-    classes, per_class, dim = struct.unpack_from("<III", blob, 4)
-    expected = 16 + 8 * classes * per_class * dim
-    if len(blob) != expected:
-        raise ConfigError(
-            f"{path}: expected {expected} bytes for a {classes}x{per_class}x{dim} bank, got {len(blob)}"
-        )
-    matrix = np.frombuffer(blob, dtype="<f8", offset=16).reshape(
-        classes * per_class, dim
+    (classes, per_class, _), (matrix,) = read_arrays(
+        path, _MAGIC, 3, lambda c, k, d: [(c * k, d)]
     )
-    return ProxyBank(matrix.astype(np.float64), classes, per_class)
+    return ProxyBank(matrix, classes, per_class)

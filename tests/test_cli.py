@@ -158,6 +158,20 @@ class TestGridReportCommands:
             assert main(["report", "--report", str(report_path), "--format", "json"]) == 0
             assert json.loads(capsys.readouterr().out) == report
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("content", ["object", "list", "fold plan"])
+    def test_report_refuses_what_is_not_a_report(self, content, fmt, data_file, tmp_path, capsys):
+        path = tmp_path / "not_a_report.json"
+        if content == "fold plan":
+            assert main(["folds", "--data", str(data_file), "--folds", "2",
+                         "--out", str(path)]) == 0
+        else:
+            path.write_text("{}" if content == "object" else "[1, 2]", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_grid_rejects_cce(self, data_file, capsys):
         assert main(["grid", "--data", str(data_file), "--loss", "cce"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -210,15 +210,34 @@ def _cmd_grid(args) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# each key of a report row: what its value must be, and the check
+REPORT_FIELDS = {
+    "name": ("a string", lambda v: isinstance(v, str)),
+    "per_fold": ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "mean": ("a number", _is_number),
+    "std": ("a number", _is_number),
+    "p_value": ("a number or null", lambda v: v is None or _is_number(v)),
+}
+
+
 def _cmd_report(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         report = json.load(fh)
-    keys = ("name", "per_fold", "mean", "std", "p_value")
     rows = report.get("rows") if isinstance(report, dict) else None
     if not rows or not isinstance(rows, list) or not all(
-        isinstance(r, dict) and r.keys() >= set(keys) for r in rows
+        isinstance(r, dict) and r.keys() >= REPORT_FIELDS.keys() for r in rows
     ):
-        raise ConfigError(f"{args.report}: not a grid report, whose rows have {', '.join(keys)}")
+        raise ConfigError(
+            f"{args.report}: not a grid report, whose rows have {', '.join(REPORT_FIELDS)}"
+        )
+    for i, row in enumerate(rows):
+        for key, (kind, check) in REPORT_FIELDS.items():
+            if not check(row[key]):
+                raise ConfigError(f"{args.report}: row {i} {key} must be {kind}, got {row[key]!r}")
     if args.format == "table":
         print(render_table(report), end="")
     elif args.format == "csv":

@@ -54,6 +54,7 @@ from .numeric import (
     as_matrix,
     l2_normalize_rows,
     log_sum_exp,
+    log_sum_exp_rows,
     normalize_backward,
     sigmoid,
     softmax_rows,
@@ -355,13 +356,54 @@ def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
 # supervised contrastive
 
 
+# Batch rows (supcon's anchors, proxynca's rows) per stacked pass. Each pass
+# holds a few (STACK_ROWS, L, d) or (STACK_ROWS, C, d) float64 arrays, so
+# their size grows with the batch only linearly; a pass adds the running
+# gradient sum in as its first slice, so blocks change no bit.
+STACK_ROWS = 64
+
+
+def rows_with_a_positive(labels) -> np.ndarray:
+    """The rows whose class has another member in the batch, ascending: the
+    anchors of supervised contrastive learning, as an int64 array."""
+    labels = np.asarray(labels)
+    return np.flatnonzero(np.bincount(labels)[labels] > 1)
+
+
 def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
     """Supervised contrastive loss over raw dot products at temperature tau.
 
-    Every batch member is an anchor; its positives are all same-class
-    others and the contrast set is everything else in the batch. Anchors
-    without a positive contribute zero (singleton classes are common in
-    few-shot batches); a batch where no anchor has one is degenerate.
+    Every batch member with a positive (`rows_with_a_positive`, which is
+    also the `LOSSES` row's miner) is an anchor; its positives are all
+    same-class others and the contrast set is everything else in the batch.
+    Anchors without a positive contribute zero (singleton classes are
+    common in few-shot batches); a batch where no anchor has one is
+    degenerate.
+
+    The anchors are taken STACK_ROWS at a time in stacked passes, to the
+    bit of one anchor at a time:
+
+    * each anchor's contrast row is its row of the similarities without
+      the diagonal, C-ordered (B, L-1), and its log-sum-exp is
+      `log_sum_exp_rows`, which raises exactly when the 1-D call on an
+      anchor's row did (a non-anchor's row, inf self-similarity included,
+      is never read);
+    * the mean over an anchor's positives stays a row sum per anchor, one
+      class at a time, since all of a class's anchors have the same count:
+      padding rows of different counts to one width would regroup numpy's
+      pairwise sum from 8 entries on;
+    * the anchor's own gradient row is one stacked (B, 1, L-1) @
+      (B, L-1, d) matmul, the same gemv per anchor as a 1-D @ 2-D product;
+    * the terms of every gradient row (its own term at its anchor's place,
+      the other anchors' outer products elsewhere) sit in one (1+B, L, d)
+      array after the running sum, which starts at zeros; and
+      `np.add.reduce(axis=0)` adds them in anchor order, as the scatter
+      onto a zeroed gradient did;
+    * the value adds each anchor's term in a Python loop, in order.
+
+    The equality with the per-anchor loop was seen with numpy 2.4.6 on
+    OpenBLAS 0.3.31's SkylakeX kernels; another BLAS may round a stacked
+    matmul otherwise.
     """
     if tau <= 0.0:
         raise ConfigError("tau must be positive")
@@ -369,26 +411,36 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
     labels = batch.labels
     length = batch.size
     sims = (z @ z.T) / tau
-    grad = np.zeros_like(z)
-    value = 0.0
-    any_anchor = False
-    for i in range(length):
-        positives = np.nonzero(labels == labels[i])[0]
-        positives = positives[positives != i]
-        if positives.size == 0:
-            continue
-        any_anchor = True
-        others = np.concatenate((np.arange(i), np.arange(i + 1, length)))
-        row = sims[i, others]
-        lse = log_sum_exp(row)
-        value += lse - float(sims[i, positives].mean())
-        coeff = np.exp(row - lse)
-        pos_mask = labels[others] == labels[i]
-        coeff[pos_mask] -= 1.0 / positives.size
-        grad[i] += (coeff @ z[others]) / tau
-        grad[others] += np.outer(coeff, z[i]) / tau
-    if not any_anchor:
+    anchors = rows_with_a_positive(labels)
+    if anchors.size == 0:
         raise DegenerateBatchError("no anchor in the batch has a positive")
+    value = 0.0
+    grad = np.zeros_like(z)
+    for start in range(0, anchors.size, STACK_ROWS):
+        block = anchors[start : start + STACK_ROWS]
+        count = block.size
+        others = np.arange(length - 1) + (np.arange(length - 1) >= block[:, None])  # (B, L-1)
+        rows = sims[block[:, None], others]
+        lse = log_sum_exp_rows(rows)
+        block_labels = labels[block]
+        positive = labels[others] == block_labels[:, None]
+        means = np.empty(count)
+        for cls in np.unique(block_labels):
+            members = block_labels == cls
+            pos = rows[members][positive[members]].reshape(int(members.sum()), -1)
+            means[members] = pos.sum(axis=1) / pos.shape[1]
+        for term in (lse - means).tolist():
+            value += term
+        coeff = np.exp(rows - lse[:, None])
+        coeff = np.where(positive, coeff - 1.0 / positive.sum(axis=1)[:, None], coeff)
+        spread = np.zeros((count, length))  # coeff at each anchor's others, 0 at the anchor
+        spread[np.arange(count)[:, None], others] = coeff
+        terms = np.empty((count + 1, length, z.shape[1]))
+        terms[0] = grad
+        np.multiply(spread[:, :, None], z[block][:, None, :], out=terms[1:])  # outer products
+        terms[1:] /= tau
+        terms[1 + np.arange(count), block] = (coeff[:, None, :] @ z.take(others, axis=0))[:, 0, :] / tau
+        np.add.reduce(terms, axis=0, out=grad)
     return LossOutput(value, grad)
 
 
@@ -409,6 +461,30 @@ def proxynca_loss(
     With `normalize` (the training default) embeddings and proxies are
     L2-normalized first and the returned gradients chain back to the raw
     inputs; the raw geometry is available with normalize=False.
+
+    The rows are taken STACK_ROWS at a time in stacked passes, to the bit
+    of one row at a time:
+
+    * the (B, C, d) differences are C-ordered, so each distance is numpy's
+      pairwise sum over one contiguous run of d entries, as it was for one
+      row's (C, d) block; embeddings are read C-ordered whatever their
+      layout, and a `ProxyBank` holds its matrix C-ordered;
+    * the non-target scores are the scaled distances without the target
+      column, C-ordered (B, C-1); `log_sum_exp_rows` keeps the 1-D call's
+      bits, its exact singleton case included (2 classes), and raises
+      exactly when that call did on some row;
+    * each row's pull is added over its C-1 proxies by `sum(axis=1)` on a
+      C-ordered (B, C-1, d) array, the same reduction as `sum(axis=0)` on
+      one row's (C-1, d) block;
+    * the terms of every proxy's gradient row (its target term where it is
+      the row's target, the pull elsewhere) sit in one (1+B, C, d) array
+      after the running sum, which starts at zeros; and
+      `np.add.reduce(axis=0)` adds them in batch-row order, as the scatter
+      onto a zeroed gradient did;
+    * the value adds each row's term in a Python loop, in order.
+
+    The equality with the per-row loop was seen with numpy 2.4.6 on
+    OpenBLAS 0.3.31's SkylakeX kernels.
     """
     if scale <= 0.0:
         raise ConfigError("scale must be positive")
@@ -422,28 +498,37 @@ def proxynca_loss(
     p_raw = bank.matrix
     z = l2_normalize_rows(z_raw) if normalize else z_raw
     p = l2_normalize_rows(p_raw) if normalize else p_raw
-    n = batch.size
+    n, classes, dim = batch.size, bank.classes, z.shape[1]
+    z_rows = np.ascontiguousarray(z)
+    value = 0.0
     grad_z = np.zeros_like(z)
     grad_p = np.zeros_like(p)
-    value = 0.0
-    for i in range(n):
-        y = int(batch.labels[i])
-        diffs = z[i] - p  # (C, d)
-        dists = np.linalg.norm(diffs, axis=1)
+    for start in range(0, n, STACK_ROWS):
+        block = slice(start, start + STACK_ROWS)
+        y = batch.labels[block]
+        count = y.size
+        rows = np.arange(count)
+        diffs = z_rows[block, None, :] - p  # (B, C, d)
+        dists = np.linalg.norm(diffs, axis=2)
         # unit direction of d(z, p_c) w.r.t. z; subgradient 0 at d == 0
         safe = np.where(dists > 0.0, dists, 1.0)
-        dirs = diffs / safe[:, None]
+        dirs = diffs / safe[:, :, None]
         dirs[dists == 0.0] = 0.0
-        others = np.concatenate((np.arange(y), np.arange(y + 1, bank.classes)))
-        neg_scores = -scale * dists[others]
-        lse = log_sum_exp(neg_scores)
-        value += scale * float(dists[y]) + lse
-        grad_z[i] += (scale / n) * dirs[y]
-        grad_p[y] -= (scale / n) * dirs[y]
-        weights = np.exp(neg_scores - lse)
-        pull = (scale / n) * weights[:, None] * dirs[others]
-        grad_z[i] -= pull.sum(axis=0)
-        grad_p[others] += pull
+        off_target = np.arange(classes) != y[:, None]  # (B, C)
+        neg_scores = (-scale * dists)[off_target].reshape(count, classes - 1)
+        lse = log_sum_exp_rows(neg_scores)
+        for term in (scale * dists[rows, y] + lse).tolist():
+            value += term
+        target = (scale / n) * dirs[rows, y]  # (B, d)
+        weights = np.exp(neg_scores - lse[:, None])
+        pull = (scale / n) * weights[:, :, None] * dirs[off_target].reshape(count, classes - 1, dim)
+        grad_z[block] += target
+        grad_z[block] -= pull.sum(axis=1)
+        terms = np.empty((count + 1, classes, dim))
+        terms[0] = grad_p
+        terms[1:][off_target] = pull.reshape(-1, dim)
+        terms[1 + rows, y] = -target
+        np.add.reduce(terms, axis=0, out=grad_p)
     value /= n
     if normalize:
         grad_z = normalize_backward(z_raw, grad_z)
@@ -644,7 +729,7 @@ LOSSES: dict[str, LossSpec] = {
         desk_grid={},
     ),
     "supcon": LossSpec(
-        mine=lambda batch, rng: np.flatnonzero(np.bincount(batch.labels)[batch.labels] > 1),
+        mine=lambda batch, rng: rows_with_a_positive(batch.labels),
         call=lambda batch, config, bank, anchors: supcon_loss(batch, config.tau),
         full_grid={"tau": [0.1, 0.3, 0.5, 0.7, 0.9]},
         desk_grid={"tau": [0.1, 0.5, 0.9]},

@@ -67,13 +67,35 @@ def softmax_rows(logits) -> np.ndarray:
 
 def log_sum_exp(xs) -> float:
     """max(x) + log(sum(exp(x - max(x)))). Exact for singletons."""
-    x = as_vector(xs)
-    if x.size == 0:
+    return float(log_sum_exp_rows(as_vector(xs)[None, :])[0])
+
+
+def log_sum_exp_rows(m) -> np.ndarray:
+    """`log_sum_exp` of each row of a 2-D array. `log_sum_exp` is this on
+    one row, and a row comes out to the same bits alone or stacked.
+
+    A row of one entry returns that entry itself, not x + log(1) (which
+    turns -0.0 into +0.0). The rows are taken C-ordered, so each row's sum
+    is numpy's pairwise sum over one contiguous run, as it is for a 1-D
+    array: over any other layout the reduction would add in another order.
+    The row max is exact in any order, and exp and log act entry by entry.
+    Pad no row to a common width: from 8 entries on, the pairwise sum
+    groups by position, so trailing zeros change which terms meet. A NaN or
+    Inf anywhere raises DimensionError, as `as_vector` does for one row.
+    The equality with the earlier 1-D code was seen with numpy 2.4.6 and
+    its X86_V4 loops.
+    """
+    x = np.ascontiguousarray(m, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"expected a 2-D matrix, got shape {x.shape}")
+    if x.shape[1] == 0:
         raise DimensionError("log_sum_exp of empty vector")
-    m = float(np.max(x))
-    if x.size == 1:
-        return m
-    return m + float(np.log(np.sum(np.exp(x - m))))
+    if not np.all(np.isfinite(x)):
+        raise DimensionError("vector contains NaN or Inf")
+    top = x.max(axis=1)
+    if x.shape[1] == 1:
+        return top
+    return top + np.log(np.exp(x - top[:, None]).sum(axis=1))
 
 
 def softplus(t: float) -> float:

@@ -19,12 +19,12 @@ _MAGIC = b"PXB1"
 
 @dataclass
 class ProxyBank:
-    matrix: np.ndarray  # (C*K, d) float64
+    matrix: np.ndarray  # (C*K, d) float64, C-ordered: the losses sum its rows in that layout
     classes: int
     proxies_per_class: int
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         expected = self.classes * self.proxies_per_class
         if self.classes < 1 or self.proxies_per_class < 1:
             raise ConfigError("class and proxy counts must be >= 1")

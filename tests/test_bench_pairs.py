@@ -39,16 +39,25 @@ def fake_runs(**work_kwargs):
     }
 
 
+def fake_traced(supcon_s):
+    run = fake_run(20.0, 1.0, 2)
+    run["summary"]["metrics"] = {"losses.supcon.s": {"value": supcon_s, "unit": "s"}}
+    return run
+
+
+TRACED = {"base": fake_traced(0.9), "work": fake_traced(0.2)}
+
+
 def test_entry_keeps_the_base_sha_beside_the_base_runs():
     runs = fake_runs()
-    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", runs, METRICS)
+    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
     assert got["base_sha"] == "abc123"
     assert got["base"] == runs["base"] and got["work"] == runs["work"]
     assert (got["workload"], got["seed"], got["seconds"]) == ("gradcheck", 31, 20)
 
 
 def test_entry_totals_and_compares_each_side():
-    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", fake_runs(), METRICS)
+    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", fake_runs(), METRICS, TRACED)
     assert got["totals"] == {
         "base": {"failed": 8, "attempted": 300},
         "work": {"failed": 6, "attempted": 300},
@@ -66,5 +75,27 @@ def test_entry_totals_and_compares_each_side():
     [{"result": "r2"}, {"fingerprint": "f2"}, {"result": None}, {"fingerprint": None}],
 )
 def test_entry_flags_any_run_whose_hashes_differ_or_are_missing(work_kwargs):
-    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", fake_runs(**work_kwargs), METRICS)
+    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", fake_runs(**work_kwargs), METRICS, TRACED)
     assert got["same_hashes"] is False
+
+
+def test_entry_keeps_traced_runs_out_of_the_comparison():
+    bench_pairs = load_bench_pairs()
+    runs = fake_runs()
+    got = bench_pairs.entry("fewshot-1000", 31, 20, "abc123", runs, METRICS, TRACED)
+    assert got["per_layer"] == {"losses.supcon.s": {"base": 0.9, "work": 0.2}}
+    other = {"base": fake_traced(5.0), "work": fake_traced(0.1)}
+    again = bench_pairs.entry("fewshot-1000", 31, 20, "abc123", runs, METRICS, other)
+    assert {k: v for k, v in again.items() if k != "per_layer"} == {
+        k: v for k, v in got.items() if k != "per_layer"
+    }
+
+
+def test_entry_lists_a_layer_only_one_side_traced():
+    traced = {"base": fake_traced(0.9), "work": fake_run(20.0, 1.0, 2)}
+    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", fake_runs(), METRICS, traced)
+    assert got["per_layer"] == {
+        "losses.supcon.s": {"base": 0.9, "work": None},
+        "ops_per_kref": {"base": None, "work": 20.0},
+        "setup_s": {"base": None, "work": 1.0},
+    }

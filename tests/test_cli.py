@@ -172,6 +172,21 @@ class TestGridReportCommands:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_value", "x"), ("per_fold", 3), ("per_fold", [1.0, "x"]), ("name", 7),
+         ("mean", None), ("std", True)],
+    )
+    def test_report_refuses_rows_of_the_wrong_types(self, field, value, fmt, tmp_path, capsys):
+        row = {"name": "cce", "per_fold": [1.0], "mean": 1.0, "std": 0.0, "p_value": None}
+        path = tmp_path / "bad_types.json"
+        path.write_text(json.dumps({"rows": [row, {**row, field: value}]}), encoding="utf-8")
+        assert main(["report", "--report", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and f"row 1 {field} must be" in captured.err
+
     def test_grid_rejects_cce(self, data_file, capsys):
         assert main(["grid", "--data", str(data_file), "--loss", "cce"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -7,13 +7,15 @@ nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 n-pairs on a sub-batch of two members per class scattered back,
 per-text pooling and scatter in the encoder, AdamW with fresh
 temporaries and dense moments over every row, `normalize_backward` one row
-at a time, and `synth_dataset` with two draws per token. Hypothesis varies the sizes;
-every comparison is on the raw bytes of the results, so a difference in the
-last bit or in the sign of a zero fails.
+at a time, `synth_dataset` with two draws per token, and supcon and
+proxy-NCA one anchor at a time on the 1-D log-sum-exp. Hypothesis varies
+the sizes; every comparison is on the raw bytes of the results, so a
+difference in the last bit or in the sign of a zero fails.
 """
 
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmlbench import trainer
+from dmlbench import losses, trainer
 from dmlbench.encoder import (
     EncoderParams,
     backward_batch,
@@ -30,7 +32,14 @@ from dmlbench.encoder import (
     init_encoder,
     tokenize,
 )
-from dmlbench.errors import ConfigError, InvalidTripletError, PairingError
+from dmlbench.errors import (
+    ConfigError,
+    DegenerateBatchError,
+    DimensionError,
+    InvalidTripletError,
+    LabelError,
+    PairingError,
+)
 from dmlbench.harness import NOISE_POOL, synth_dataset
 from dmlbench.losses import (
     VARIANTS,
@@ -41,6 +50,8 @@ from dmlbench.losses import (
     combined_loss,
     dml_loss,
     mine_triplets,
+    proxynca_loss,
+    supcon_loss,
     triplet_loss,
     zero_output,
 )
@@ -50,10 +61,11 @@ from dmlbench.numeric import (
     derive_seed,
     l2_normalize_rows,
     log_sum_exp,
+    log_sum_exp_rows,
     normalize_backward,
     softmax_rows,
 )
-from dmlbench.proxies import init_proxies
+from dmlbench.proxies import ProxyBank, init_proxies
 from dmlbench.trainer import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -435,6 +447,287 @@ def test_npairs_step_matches_the_sub_batch(batch, seed, layout):
     assert same_bits(new.value, old.value)
     assert same_bits(new.grad_embeddings, old.grad_embeddings)
     assert new_rng.counter == old_rng.counter
+
+
+# ---------------------------------------------------------------------------
+# supervised contrastive and proxy-NCA: the stacked passes against the
+# per-anchor loops, on the 1-D log-sum-exp they called
+
+
+def old_log_sum_exp(xs):
+    x = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise DimensionError("vector contains NaN or Inf")
+    if x.size == 0:
+        raise DimensionError("log_sum_exp of empty vector")
+    m = float(np.max(x))
+    if x.size == 1:
+        return m
+    return m + float(np.log(np.sum(np.exp(x - m))))
+
+
+def old_supcon_loss(batch, tau):
+    if tau <= 0.0:
+        raise ConfigError("tau must be positive")
+    z = batch.embeddings
+    labels = batch.labels
+    length = batch.size
+    sims = (z @ z.T) / tau
+    grad = np.zeros_like(z)
+    value = 0.0
+    any_anchor = False
+    for i in range(length):
+        positives = np.nonzero(labels == labels[i])[0]
+        positives = positives[positives != i]
+        if positives.size == 0:
+            continue
+        any_anchor = True
+        others = np.concatenate((np.arange(i), np.arange(i + 1, length)))
+        row = sims[i, others]
+        lse = old_log_sum_exp(row)
+        value += lse - float(sims[i, positives].mean())
+        coeff = np.exp(row - lse)
+        pos_mask = labels[others] == labels[i]
+        coeff[pos_mask] -= 1.0 / positives.size
+        grad[i] += (coeff @ z[others]) / tau
+        grad[others] += np.outer(coeff, z[i]) / tau
+    if not any_anchor:
+        raise DegenerateBatchError("no anchor in the batch has a positive")
+    return LossOutput(value, grad)
+
+
+def old_proxynca_loss(batch, bank, scale, normalize=True):
+    if scale <= 0.0:
+        raise ConfigError("scale must be positive")
+    if bank.proxies_per_class != 1:
+        raise ConfigError("proxy-NCA needs exactly one proxy per class")
+    if bank.classes < 2:
+        raise DegenerateBatchError("proxy-NCA needs >= 2 classes for its denominator")
+    if batch.num_classes > bank.classes:
+        raise LabelError("batch classes exceed the proxy bank")
+    z_raw = batch.embeddings
+    p_raw = bank.matrix
+    z = l2_normalize_rows(z_raw) if normalize else z_raw
+    p = l2_normalize_rows(p_raw) if normalize else p_raw
+    n = batch.size
+    grad_z = np.zeros_like(z)
+    grad_p = np.zeros_like(p)
+    value = 0.0
+    for i in range(n):
+        y = int(batch.labels[i])
+        diffs = z[i] - p
+        dists = np.linalg.norm(diffs, axis=1)
+        safe = np.where(dists > 0.0, dists, 1.0)
+        dirs = diffs / safe[:, None]
+        dirs[dists == 0.0] = 0.0
+        others = np.concatenate((np.arange(y), np.arange(y + 1, bank.classes)))
+        neg_scores = -scale * dists[others]
+        lse = old_log_sum_exp(neg_scores)
+        value += scale * float(dists[y]) + lse
+        grad_z[i] += (scale / n) * dirs[y]
+        grad_p[y] -= (scale / n) * dirs[y]
+        weights = np.exp(neg_scores - lse)
+        pull = (scale / n) * weights[:, None] * dirs[others]
+        grad_z[i] -= pull.sum(axis=0)
+        grad_p[others] += pull
+    value /= n
+    if normalize:
+        grad_z = normalize_backward(z_raw, grad_z)
+        grad_p = normalize_backward(p_raw, grad_p)
+    return LossOutput(value, grad_z, grad_p)
+
+
+def assert_same_outcome(new, old):
+    """new() raises what old() raised, of the same type and message, or
+    both return outputs with the same bits. Returns the error type or None."""
+    try:
+        expected = old()
+    except Exception as exc:
+        with pytest.raises(Exception) as got:
+            new()
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return type(exc)
+    out = new()
+    assert same_bits(out.value, expected.value)
+    assert same_bits(out.grad_embeddings, expected.grad_embeddings)
+    assert (out.grad_proxies is None) == (expected.grad_proxies is None)
+    if out.grad_proxies is not None:
+        assert same_bits(out.grad_proxies, expected.grad_proxies)
+    return None
+
+
+@st.composite
+def wide_batches(draw):
+    """Batches of 2-70 rows (often the benchmark's 64), d 1-64, 2-11
+    classes (singletons among them), at scales where the exponentials
+    saturate, in C or Fortran order."""
+    rows = draw(st.just(64) | st.integers(2, 70))
+    classes = draw(st.integers(2, 11))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    dim = draw(st.sampled_from([16, 32, 64]) | st.integers(1, 64))
+    scale = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    z = Rng(draw(st.integers(0, 2**32))).normal(rows * dim).reshape(rows, dim) * scale
+    batch = EmbeddingBatch(z, np.array(labels), classes)
+    if draw(st.booleans()):
+        batch.embeddings = np.asfortranarray(batch.embeddings)
+    return batch
+
+
+@given(xs=st.lists(st.floats(-700, 700) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=80))
+@SETTINGS
+def test_log_sum_exp_keeps_the_bits_of_the_1d_code(xs):
+    expected = old_log_sum_exp(xs)
+    assert same_bits(log_sum_exp(xs), expected)
+    assert same_bits(log_sum_exp_rows([xs, xs])[1], np.float64(expected))
+
+
+@SETTINGS
+@given(batch=wide_batches(), tau=st.sampled_from([0.05, 0.1, 0.3, 0.5, 0.9, 2.0]))
+def test_supcon_loss_matches_per_anchor_loop(batch, tau):
+    assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
+
+
+@SETTINGS
+@given(
+    batch=wide_batches(),
+    extra_classes=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+    touching=st.lists(st.integers(0, 69), max_size=4),
+    scale=st.sampled_from([0.4, 1.0, 2.0, 5.0, 30.0]),
+    normalize=st.booleans(),
+)
+def test_proxynca_loss_matches_per_row_loop(batch, extra_classes, seed, touching, scale, normalize):
+    classes = min(batch.num_classes + extra_classes, 11)
+    dim = batch.embeddings.shape[1]
+    proxies = Rng(seed).normal(classes * dim).reshape(classes, dim)
+    for row in touching:  # rows at zero distance from their own or another proxy
+        row %= batch.size
+        proxies[(batch.labels[row] + row % 2) % classes] = batch.embeddings[row]
+    bank = ProxyBank(proxies, classes, 1)
+    assert_same_outcome(
+        lambda: proxynca_loss(batch, bank, scale, normalize),
+        lambda: old_proxynca_loss(batch, bank, scale, normalize),
+    )
+
+
+def test_proxy_bank_holds_its_matrix_c_ordered():
+    # the loop's distances summed a Fortran-ordered matrix's rows in another
+    # order; a bank reads any layout in C order, so both give the same bits
+    # (normalize=False: l2_normalize_rows itself still rounds by layout)
+    batch = EmbeddingBatch(Rng(6).normal(40 * 24).reshape(40, 24), np.arange(40) % 5, 5)
+    proxies = Rng(7).normal(5 * 24).reshape(5, 24)
+    expected = old_proxynca_loss(batch, ProxyBank(proxies, 5, 1), 1.7, normalize=False)
+    for matrix in (proxies, np.asfortranarray(proxies)):
+        bank = ProxyBank(matrix, 5, 1)
+        assert bank.matrix.flags.c_contiguous
+        for out in (proxynca_loss(batch, bank, 1.7, normalize=False),
+                    old_proxynca_loss(batch, bank, 1.7, normalize=False)):
+            assert same_bits(out.value, expected.value)
+            assert same_bits(out.grad_embeddings, expected.grad_embeddings)
+            assert same_bits(out.grad_proxies, expected.grad_proxies)
+
+
+@SETTINGS
+@given(
+    batch=wide_batches(),
+    stack_rows=st.sampled_from([1, 2, 3, 7, 16]),
+    tau=st.sampled_from([0.1, 0.5]),
+    scale=st.sampled_from([1.0, 5.0]),
+    normalize=st.booleans(),
+)
+def test_stacked_losses_keep_the_bits_across_blocks(batch, stack_rows, tau, scale, normalize):
+    # the running gradient sum enters each block first, so no block size
+    # moves a bit
+    bank = ProxyBank(Rng(8).normal(batch.num_classes * batch.embeddings.shape[1]).reshape(
+        batch.num_classes, -1), batch.num_classes, 1)
+    with mock.patch.object(losses, "STACK_ROWS", stack_rows):
+        assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
+        assert_same_outcome(
+            lambda: proxynca_loss(batch, bank, scale, normalize),
+            lambda: old_proxynca_loss(batch, bank, scale, normalize),
+        )
+
+
+def test_supcon_loss_memory_grows_with_the_block_not_the_batch_squared():
+    # beyond the (L, L) similarities, a pass holds about two (STACK_ROWS+1,
+    # L, d) arrays, where one (A, L, d) array for all anchors would be 128 MiB
+    length, dim = 1024, 16
+    batch = EmbeddingBatch(Rng(9).normal(length * dim).reshape(length, dim), np.arange(length) % 50, 50)
+    tracemalloc.start()
+    try:
+        supcon_loss(batch, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (length * length + 3 * (losses.STACK_ROWS + 1) * length * dim)
+
+
+@st.composite
+def overflowing_batches(draw):
+    """Small batches with some rows near 1e150-1e300, whose products or
+    distances overflow to Inf."""
+    rows = draw(st.integers(2, 10))
+    classes = draw(st.integers(2, 4))
+    labels = draw(st.lists(st.integers(0, classes - 1), min_size=rows, max_size=rows))
+    dim = draw(st.integers(1, 5))
+    z = Rng(draw(st.integers(0, 2**32))).normal(rows * dim).reshape(rows, dim)
+    huge = draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3))
+    z[huge] *= draw(st.sampled_from([1e150, 1e155, 1e200, 1e300]))
+    return EmbeddingBatch(z, np.array(labels), classes)
+
+
+@SETTINGS
+@given(batch=overflowing_batches(), tau=st.sampled_from([0.1, 1.0]))
+def test_supcon_loss_raises_what_the_loop_raised(batch, tau):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
+
+
+@SETTINGS
+@given(
+    batch=overflowing_batches(),
+    big_proxy=st.sampled_from([1.0, 1e200]),
+    scale=st.sampled_from([1.0, 5.0]),
+    normalize=st.booleans(),
+)
+def test_proxynca_loss_raises_what_the_loop_raised(batch, big_proxy, scale, normalize):
+    proxies = Rng(3).normal(batch.num_classes * batch.embeddings.shape[1])
+    proxies = proxies.reshape(batch.num_classes, -1)
+    proxies[0] *= big_proxy
+    bank = ProxyBank(proxies, batch.num_classes, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same_outcome(
+            lambda: proxynca_loss(batch, bank, scale, normalize),
+            lambda: old_proxynca_loss(batch, bank, scale, normalize),
+        )
+
+
+@pytest.mark.parametrize(
+    "rows, labels, raised",
+    [
+        # anchors 0 and 1: their similarity overflows, and the loop raised
+        ([[1e200, 0.0], [1e200, 0.0], [1.0, 1.0]], [0, 0, 1], DimensionError),
+        # row 0 is no anchor: its own similarity overflows, but no anchor's row
+        # holds it and the loop never raised
+        ([[1e160, 0.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1], None),
+    ],
+)
+def test_supcon_loss_reads_only_anchor_rows_for_overflow(rows, labels, raised):
+    batch = EmbeddingBatch(np.array(rows), labels, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_same_outcome(lambda: supcon_loss(batch, 0.5), lambda: old_supcon_loss(batch, 0.5))
+    assert got is raised
+
+
+def test_proxynca_loss_raises_on_an_overflowing_distance():
+    batch = EmbeddingBatch(np.array([[1e200, 0.0], [1.0, 0.0]]), [0, 1], 2)
+    bank = ProxyBank(np.array([[-1e200, 0.0], [0.0, 1.0]]), 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_same_outcome(
+            lambda: proxynca_loss(batch, bank, 1.0, normalize=False),
+            lambda: old_proxynca_loss(batch, bank, 1.0, normalize=False),
+        )
+    assert got is DimensionError
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@ the base commit's sha, every run's last-line JSON, its ``result_sha`` and
 ``fingerprint_sha``, whether those two are the same in every run, each
 side's failed and attempted operations, the median and quartiles of each
 end-to-end metric on each side, how many pairs the working tree won on it,
-and the numpy version and CPU count of the machine. Entries are keyed by workload and seed, and the file is written
-after each workload; running the command again for another workload or seed
-adds to it.
+and the numpy version and CPU count of the machine. One more run per side
+and workload, with ``--trace 1``, follows the pairs; its per-layer metrics
+are stored in the entry side by side, and the untraced runs stay the only
+ones compared. Entries are keyed by workload and seed, and the file is
+written after each workload; running the command again for another
+workload or seed adds to it.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ def extract(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its summary line and its two hashes."""
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
+    """One benchmark run, traced if `trace`: its summary line and its two
+    hashes."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if not lines or not lines[-1].startswith("{"):
@@ -86,11 +90,16 @@ def compare(runs: dict, metrics: list) -> dict:
     return out
 
 
-def entry(workload: str, seed: int, seconds: float, base_sha: str, runs: dict, metrics: list) -> dict:
+def entry(
+    workload: str, seed: int, seconds: float, base_sha: str, runs: dict, metrics: list, traced: dict
+) -> dict:
     """The BENCH file's record of one workload and seed: the settings, the
     base commit, `compare`'s table, each side's failed and attempted
     operations, whether every run on both sides gave one `result_sha` and
-    one `fingerprint_sha`, and the runs themselves under "base" and "work"."""
+    one `fingerprint_sha`, the runs themselves under "base" and "work", and
+    under "per_layer" each metric of `traced`, one traced run per side, side
+    by side. The traced runs enter no comparison or total."""
+    layers = {side: traced[side]["summary"]["metrics"] for side in SIDES}
     hashes = {(run.get("result_sha"), run.get("fingerprint_sha")) for side in SIDES for run in runs[side]}
     return {
         "workload": workload,
@@ -103,6 +112,10 @@ def entry(workload: str, seed: int, seconds: float, base_sha: str, runs: dict, m
             for side in SIDES
         },
         "same_hashes": len(hashes) == 1 and None not in next(iter(hashes)),
+        "per_layer": {
+            name: {side: layers[side].get(name, {}).get("value") for side in SIDES}
+            for name in sorted(layers["base"].keys() | layers["work"].keys())
+        },
         **runs,
     }
 
@@ -134,8 +147,10 @@ def main(argv=None) -> int:
                     ops = runs[side][-1]["summary"]["metrics"]["ops_per_kref"]["value"]
                     print(f"{workload} seed {args.seed} pair {i + 1}/{args.pairs} {side}: "
                           f"ops_per_kref {ops:.4g}", flush=True)
+            traced = {side: run_bench(checkouts[side], workload, args.seed, seconds, trace=True) for side in SIDES}
+            print(f"{workload} seed {args.seed}: one traced run per side", flush=True)
             report["runs"][f"{workload} seed {args.seed}"] = entry(
-                workload, args.seed, seconds, base_sha, runs, declared["end_to_end"]
+                workload, args.seed, seconds, base_sha, runs, declared["end_to_end"], traced
             )
             report.update(label=args.label, numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
             out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")

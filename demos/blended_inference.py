@@ -17,6 +17,7 @@ from dmlbench import (
     blended_scores,
     forward_batch,
     macro_f1,
+    pack_tokens,
     predict,
     synth_dataset,
     tokenize,
@@ -40,7 +41,7 @@ model = train(
 print(f"trained {len(model.steps)} steps, final loss {model.steps[-1][1]:.4f}")
 print()
 
-tokens = [tokenize(ds.texts[i], cfg.vocab_size) for i in test_idx]
+tokens = pack_tokens([tokenize(ds.texts[i], cfg.vocab_size) for i in test_idx])
 z, _ = forward_batch(model.params, tokens)
 y = ds.labels[test_idx]
 

@@ -7,6 +7,7 @@ from .encoder import (
     forward_batch,
     init_encoder,
     load_encoder,
+    pack_tokens,
     save_encoder,
     tokenize,
 )

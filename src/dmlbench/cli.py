@@ -18,7 +18,7 @@ import inspect
 import json
 import sys
 
-from .encoder import forward_batch, load_encoder, save_encoder, tokenize
+from .encoder import forward_batch, load_encoder, pack_tokens, save_encoder, tokenize
 from .errors import ConfigError
 from .evaluation import blended_scores, macro_f1, predict
 from .gradcheck import run_gradcheck
@@ -175,8 +175,8 @@ def _cmd_eval(args) -> int:
     params = load_encoder(args.encoder)
     bank = load_proxies(args.proxies) if args.proxies else None
     beta_inf = float(args.beta_inf) if args.blended else 1.0
-    tokenized = [tokenize(t, params.vocab_size) for t in ds.texts]
-    z, _ = forward_batch(params, tokenized)
+    packed = pack_tokens([tokenize(t, params.vocab_size) for t in ds.texts])
+    z, _ = forward_batch(params, packed)
     scores = blended_scores(params, z, bank, beta_inf)
     result = macro_f1(predict(scores), ds.labels, ds.num_classes)
     print(canonical_json(result.to_dict()), end="")

@@ -10,12 +10,19 @@ differentiable by hand (`backward_batch`).
 Tokenization is frozen: lowercase, split on whitespace, strip surrounding
 ASCII punctuation, drop empties, hash with FNV-1a 64 modulo the vocabulary
 size. Texts with no surviving token map to the single token id 0 so every
-text has an embedding.
+text has an embedding. Each distinct token is hashed once while it stays
+in a bounded memo (`_token_hash`).
+
+`pack_tokens` packs the token lists of a set of texts once; a training
+step takes its batch from the pack by index (`TokenBatch.take`), and
+`forward_batch` embeds a packed batch.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import string
 from dataclasses import dataclass
 
@@ -28,6 +35,8 @@ MAGIC = b"ENC1"
 DEFAULT_VOCAB = 4096
 DEFAULT_EMBED_DIM = 32
 DEFAULT_OUT_DIM = 16
+INIT_SCALE = 0.1  # standard deviation of every initial parameter
+BLOCK_NAMES = ("embedding_table", "projection", "projection_bias", "classifier", "classifier_bias")
 
 _PUNCT = string.punctuation
 
@@ -40,17 +49,27 @@ def block_shapes(vocab: int, embed: int, out: int, classes: int) -> list[tuple[i
 class EncoderParams:
     """All trainable arrays. Block order is the checkpoint layout order.
 
-    Decay settled on read. A trained model's table can hold rows that no
-    training text used: their gradient was zero at every step, so each
-    step's AdamW update of such a row was the decoupled decay alone,
-    ``tmp = p * wd; tmp += 0.0; tmp *= lr; p -= tmp`` (see
-    `dmlbench.trainer.AdamW`). `defer_decay` records those steps' learning
-    rates and weight decay instead of applying them; a stale row replays the
-    same operations in step order when it is first read, so it ends with the
-    bits it would have had if every step had touched it. `forward_batch`
-    settles only the rows it gathers; `embedding_table`, `blocks()` and so
-    `save_encoder` settle the whole table. No public path returns an
-    unsettled row.
+    Table rows settled on read. A table row can owe work that is done only
+    when the row is first read, in this order:
+
+    * its init draw. `init_encoder` leaves the table undrawn: row i holds
+      entries i*E .. i*E + E-1 of the table's `normal(V*E, INIT_SCALE)`
+      draw, which `Rng.peek_normal` makes for that row alone with the
+      same bits;
+    * its decay. A trained model's table can hold rows that no training
+      text used: their gradient was zero at every step, so each step's
+      AdamW update of such a row was the decoupled decay alone,
+      ``tmp = p * wd; tmp += 0.0; tmp *= lr; p -= tmp`` (see
+      `dmlbench.trainer.AdamW`). `defer_decay` records those steps'
+      learning rates and weight decay instead of applying them; a stale
+      row replays the same operations in step order when it is first
+      read, so it ends with the bits it would have had if every step had
+      touched it.
+
+    `table_for(ids)`, and so `forward_batch`, settles only the rows it is
+    asked for; `embedding_table`, `blocks()` and so `save_encoder` settle
+    the whole table, drawing the undrawn rows as one contiguous `normal`
+    range. No public path returns an unsettled row.
     """
 
     def __init__(
@@ -82,7 +101,15 @@ class EncoderParams:
     @embedding_table.setter
     def embedding_table(self, table: np.ndarray) -> None:
         self._table = table
+        self._init = None  # the stream whose next normal(V*E) is the table's init
+        self._undrawn = None  # (V,) bool: the rows that owe their init draw
         self._stale = None  # (V,) bool: the rows that owe the steps in _decay
+
+    def _defer_init(self, stream: Rng) -> None:
+        """Leave every table row undrawn: row i owes its entries of
+        `stream.normal(V*E, INIT_SCALE)`."""
+        self._init = stream
+        self._undrawn = np.ones(self.vocab_size, dtype=bool)
 
     @property
     def vocab_size(self) -> int:
@@ -102,37 +129,49 @@ class EncoderParams:
 
     def blocks(self) -> list[tuple[str, np.ndarray]]:
         """Named views of every parameter array, in checkpoint order."""
-        return [
-            ("embedding_table", self.embedding_table),
-            ("projection", self.projection),
-            ("projection_bias", self.projection_bias),
-            ("classifier", self.classifier),
-            ("classifier_bias", self.classifier_bias),
-        ]
+        return [(name, getattr(self, name)) for name in BLOCK_NAMES]
 
     def defer_decay(self, fresh_rows: np.ndarray, lrs: list[float], weight_decay: float) -> None:
         """Every row outside `fresh_rows` owes one decay step per entry of
-        `lrs`, in order, to be applied when the row is first read."""
-        self._settle()
+        `lrs`, in order, to be applied when the row is first read. Rows
+        that owe an earlier deferral settle it first; no row is drawn for
+        this alone."""
+        if self._stale is not None:
+            self._settle(np.flatnonzero(self._stale))
         stale = np.ones(self.vocab_size, dtype=bool)
         stale[fresh_rows] = False
-        if stale.any():
-            self._stale = stale
-            self._decay = (tuple(lrs), weight_decay)  # (each step's lr, weight decay)
+        self._stale = stale if stale.any() else None
+        self._decay = (tuple(lrs), weight_decay)  # (each step's lr, weight decay)
 
     def _settle(self, ids: np.ndarray | None = None) -> None:
-        """Apply the owed decay steps to the stale rows among `ids`, or to
-        every stale row when `ids` is None."""
-        if self._stale is None:
+        """Draw the undrawn rows among `ids`, then apply the owed decay steps
+        to the stale rows among them; every row when `ids` is None."""
+        if self._undrawn is None and self._stale is None:
             return
         if ids is None:
-            rows = np.flatnonzero(self._stale)
+            if self._undrawn is not None:
+                # the whole draw becomes the table, with the drawn rows
+                # copied in: one table's worth of memory at a time
+                shape, drawn = self._table.shape, np.flatnonzero(~self._undrawn)
+                kept, self._table = self._table[drawn], None
+                self._table = self._init.normal(math.prod(shape), scale=INIT_SCALE).reshape(shape)
+                self._table[drawn] = kept
+            stale = None if self._stale is None else np.flatnonzero(self._stale)
+            self._init = self._undrawn = self._stale = None
         else:
             ids = np.asarray(ids, dtype=np.int64)
-            rows = np.unique(ids[self._stale[ids]])
-        if rows.size:
+            if self._undrawn is not None:
+                rows = np.unique(ids[self._undrawn[ids]])
+                if rows.size:
+                    width = self.embed_dim
+                    index = (rows[:, None] * width + np.arange(width)).ravel()
+                    drawn = self._init.peek_normal(index, scale=INIT_SCALE)
+                    self._table[rows] = drawn.reshape(-1, width)
+                    self._undrawn[rows] = False
+            stale = None if self._stale is None else np.unique(ids[self._stale[ids]])
+        if stale is not None and stale.size:
             lrs, weight_decay = self._decay
-            block = self._table[rows]
+            block = self._table[stale]
             tmp = np.empty_like(block)
             for lr in lrs:
                 np.multiply(block, weight_decay, out=tmp)
@@ -141,10 +180,9 @@ class EncoderParams:
                 tmp += 0.0
                 tmp *= lr
                 block -= tmp
-            self._table[rows] = block
-            self._stale[rows] = False
-        if ids is None:
-            self._stale = None
+            self._table[stale] = block
+            if ids is not None:
+                self._stale[stale] = False
 
     def table_for(self, ids: np.ndarray) -> np.ndarray:
         """The table with the rows `ids` settled: read only those rows of it."""
@@ -155,12 +193,30 @@ class EncoderParams:
 def init_encoder(
     num_classes: int, vocab_size: int, embed_dim: int, out_dim: int, rng: Rng
 ) -> EncoderParams:
-    """Gaussian(0, 0.1) init for every block, drawn from one stream in
-    checkpoint order so a given seed always yields the same model."""
+    """Gaussian(0, INIT_SCALE) init for every block, drawn from one stream
+    in checkpoint order so a given seed always yields the same model.
+
+    The table's rows are left undrawn (see EncoderParams): the stream moves
+    past the table's 2 * ceil(V*E / 2) uniforms as if it had drawn them, so
+    every later block gets the bits it always had, and a row is drawn when
+    first read."""
     if num_classes < 1 or vocab_size < 1 or embed_dim < 1 or out_dim < 1:
         raise ConfigError("encoder dimensions must be positive")
-    shapes = block_shapes(vocab_size, embed_dim, out_dim, num_classes)
-    return EncoderParams(*(rng.normal(int(np.prod(s)), scale=0.1).reshape(s) for s in shapes))
+    table_shape, *shapes = block_shapes(vocab_size, embed_dim, out_dim, num_classes)
+    table_stream = rng.defer_normal(vocab_size * embed_dim)
+    params = EncoderParams(
+        np.empty(table_shape),
+        *(rng.normal(int(np.prod(s)), scale=INIT_SCALE).reshape(s) for s in shapes),
+    )
+    params._defer_init(table_stream)
+    return params
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _token_hash(token: str) -> int:
+    """FNV-1a 64 of the token's UTF-8 bytes. The memo is bounded, and a
+    hash depends on the token alone, so it holds no state of any run."""
+    return fnv1a_64(token.encode("utf-8"))
 
 
 def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
@@ -170,7 +226,7 @@ def tokenize(text: str, vocab_size: int = DEFAULT_VOCAB) -> list[int]:
     for raw in text.lower().split():
         token = raw.strip(_PUNCT)
         if token:
-            ids.append(fnv1a_64(token.encode("utf-8")) % vocab_size)
+            ids.append(_token_hash(token) % vocab_size)
     return ids if ids else [0]
 
 
@@ -178,28 +234,55 @@ def classify_logits(params: EncoderParams, z: np.ndarray) -> np.ndarray:
     return z @ params.classifier + params.classifier_bias
 
 
-@dataclass
-class ForwardCache:
-    """Intermediates saved by forward_batch for the manual backward pass."""
+def _spans(starts: np.ndarray, sizes: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Indices, into a flat array of runs that start at `starts` and hold
+    `sizes` entries, of the runs `chosen`, one after another in the order
+    chosen."""
+    taken = sizes[chosen]
+    ends = np.cumsum(taken)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts[chosen] - (ends - taken), taken) + np.arange(total)
 
-    ids: np.ndarray  # (total tokens,) every text's token ids, one text after another
-    lengths: np.ndarray  # (L,) tokens per text
-    pooled: np.ndarray  # (L, d_emb) mean embedding per text
-    embeddings: np.ndarray  # (L, d) tanh outputs
+
+class TokenBatch:
+    """The token ids of a batch of texts, packed (`pack_tokens`): flat ids,
+    per-text lengths, and each text's (row, count) pairs, its distinct ids
+    in increasing order with how often each occurs in it. The pairs are
+    counted once per pack; `take` gathers a batch of texts, pairs
+    included, with index arrays. A plain class with slots: one is built
+    at every training step, and the class adds next to nothing to the
+    package's import time."""
+
+    __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_starts")
+
+    def __init__(self, ids, lengths, rows, counts, widths):
+        self.ids = ids  # (T,) every text's token ids, one text after another
+        self.lengths = lengths  # (L,) tokens per text, each at least 1
+        self.rows = rows  # (P,) each text's distinct ids, increasing, one text after another
+        self.counts = counts  # (P,) occurrences of each of those ids in its text
+        self.widths = widths  # (L,) distinct ids per text
+        self._starts = None  # where each text's ids and pairs start, once take needs them
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def take(self, chosen) -> TokenBatch:
+        """The texts `chosen` (indices into this batch), in that order."""
+        chosen = np.asarray(chosen, dtype=np.int64)
+        if self._starts is None:
+            self._starts = tuple(np.cumsum(n) - n for n in (self.lengths, self.widths))
+        id_starts, pair_starts = self._starts
+        pairs = _spans(pair_starts, self.widths, chosen)
+        return TokenBatch(
+            self.ids[_spans(id_starts, self.lengths, chosen)], self.lengths[chosen],
+            self.rows[pairs], self.counts[pairs], self.widths[chosen],
+        )
 
 
-def forward_batch(
-    params: EncoderParams, token_lists: list[list[int]]
-) -> tuple[np.ndarray, ForwardCache]:
-    """Embeddings z = tanh(mean(embedding rows) @ projection + bias) of a
-    batch of token-id lists, shape (L, d), with the cache for backward_batch.
-
-    The rows are pooled one token position at a time over every text still
-    that long, so each text's sum runs in token order starting from zero
-    (for embed_dim >= 2 the sum numpy's mean over the text's rows takes),
-    and the memory grows with the tokens, not with L times the longest text.
-    Only the gathered rows are settled (see EncoderParams).
-    """
+def pack_tokens(token_lists: list[list[int]]) -> TokenBatch:
+    """Pack token-id lists (as `tokenize` returns them) into a TokenBatch:
+    one np.unique over the (text, id) pairs of every text counts the
+    pairs in (text, id) order."""
     if not token_lists:
         raise DimensionError("need at least one text")
     lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
@@ -208,19 +291,51 @@ def forward_batch(
     ids = np.fromiter(
         itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
     )
+    if ids.min() < 0:
+        raise DimensionError("token ids must be non-negative")
+    span = int(ids.max()) + 1
+    text_of = np.repeat(np.arange(lengths.size), lengths)
+    pairs, counts = np.unique(text_of * span + ids, return_counts=True)
+    texts, rows = np.divmod(pairs, span)
+    return TokenBatch(ids, lengths, rows, counts, np.bincount(texts, minlength=lengths.size))
+
+
+@dataclass
+class ForwardCache:
+    """Intermediates saved by forward_batch for the manual backward pass."""
+
+    batch: TokenBatch
+    pooled: np.ndarray  # (L, d_emb) mean embedding per text
+    embeddings: np.ndarray  # (L, d) tanh outputs
+
+
+def forward_batch(params: EncoderParams, batch: TokenBatch) -> tuple[np.ndarray, ForwardCache]:
+    """Embeddings z = tanh(mean(embedding rows) @ projection + bias) of a
+    packed batch of texts (`pack_tokens`, `TokenBatch.take`), shape (L, d),
+    with the cache for backward_batch.
+
+    The rows are pooled one token position at a time over every text still
+    that long, so each text's sum runs in token order starting from zero
+    (for embed_dim >= 2 the sum numpy's mean over the text's rows takes),
+    and the memory grows with the tokens, not with L times the longest text.
+    Only the gathered rows are settled (see EncoderParams).
+    """
+    if not len(batch):
+        raise DimensionError("need at least one text")
+    ids, lengths = batch.ids, batch.lengths
     # texts longest first, so the texts with a token at position j are a prefix
     order = np.argsort(-lengths, kind="stable")
     starts = (np.cumsum(lengths) - lengths)[order]
     longest_first = lengths[order]
     table = params.table_for(ids)
-    sums = np.zeros((len(token_lists), params.embed_dim))
+    sums = np.zeros((len(batch), params.embed_dim))
     for j in range(int(longest_first[0])):
         active = int(np.count_nonzero(longest_first > j))
         sums[:active] += table[ids[starts[:active] + j]]
     pooled = np.empty_like(sums)
     pooled[order] = sums / longest_first[:, None]
     z = np.tanh(pooled @ params.projection + params.projection_bias)
-    return z, ForwardCache(ids, lengths, pooled, z)
+    return z, ForwardCache(batch, pooled, z)
 
 
 def backward_batch(
@@ -229,27 +344,27 @@ def backward_batch(
     """Gradients for every parameter block given the upstream gradient on
     the batch embeddings.
 
-    Returns a dict keyed like EncoderParams.blocks(); the classifier blocks
-    are zero, as the caller chains its own head gradient. Each text's pooled
-    gradient is distributed over its embedding rows in proportion to how
-    often the row's token occurs in the text. The (text, token) pairs are
-    counted with one np.unique and scattered in (text, token) order with
-    one add_rows_at, so every table row sums its texts' terms in text order.
+    Returns a dict of C-ordered float64 arrays keyed like
+    EncoderParams.blocks(); the classifier blocks are zero, as the caller
+    chains its own head gradient. Nothing of the table is read or settled.
+    Each text's pooled gradient is distributed over its embedding rows in
+    proportion to how often the row's token occurs in the text. The
+    (text, row) pairs come from the batch, counted when it was packed, in
+    (text, row) order; one add_rows_at scatters them in that order, so
+    every table row sums its texts' terms in text order.
     """
     z = cache.embeddings
-    # C-ordered whatever the params' layout, for add_rows_at
-    grads = {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.blocks()}
+    batch = cache.batch
+    dims = (params.vocab_size, params.embed_dim, params.out_dim, params.num_classes)
+    grads = {name: np.zeros(shape) for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
     grad_z = np.asarray(grad_embeddings, dtype=np.float64)
     grad_u = grad_z * (1.0 - z * z)  # through tanh
     grads["projection"] = cache.pooled.T @ grad_u
     grads["projection_bias"] = grad_u.sum(axis=0)
     grad_pooled = grad_u @ params.projection.T  # (L, d_emb)
-    vocab = params.vocab_size
-    text_of = np.repeat(np.arange(cache.lengths.size), cache.lengths)
-    pairs, counts = np.unique(text_of * vocab + cache.ids, return_counts=True)
-    texts, rows = np.divmod(pairs, vocab)
-    shares = counts / cache.lengths[texts]
-    add_rows_at(grads["embedding_table"], rows, shares[:, None] * grad_pooled[texts])
+    texts = np.repeat(np.arange(len(batch)), batch.widths)
+    shares = batch.counts / batch.lengths[texts]
+    add_rows_at(grads["embedding_table"], batch.rows, shares[:, None] * grad_pooled[texts])
     return grads
 
 

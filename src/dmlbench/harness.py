@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoder import forward_batch, tokenize
+from .encoder import forward_batch, pack_tokens, tokenize
 from .errors import (
     ConfigError,
     DatasetParseError,
@@ -324,8 +324,8 @@ def _train_eval_cell(
         few = plan.fewshot_indices
         model = train([texts[i] for i in few], labels[few], num_classes, cfg)
         test = plan.test_indices
-        tokenized = [tokenize(texts[i], cfg.vocab_size) for i in test]
-        z, _ = forward_batch(model.params, tokenized)
+        packed = pack_tokens([tokenize(texts[i], cfg.vocab_size) for i in test])
+        z, _ = forward_batch(model.params, packed)
         dense = predict(blended_scores(model.params, z, None, 1.0))
         dense_f1 = macro_f1(dense, labels[test], num_classes).macro_f1
         blended_f1 = float("nan")

@@ -19,6 +19,18 @@ Uniform doubles take the top 53 bits over 2**53, so the uniform stream is
 exact integer arithmetic and identical on every platform. Gaussian draws are
 Box-Muller over consecutive uniform pairs; they inherit libm's log/cos
 rounding, which is stable for a fixed numpy build.
+
+Draws at any stream position. A draw depends on its position alone, so any
+entry of a `normal` draw can be made by itself: `Rng.peek_normal` gives
+chosen entries of the next `normal(n)` without moving the counter, and
+`Rng.defer_normal` hands a whole `normal(n)` to a second stream while this
+one moves past it. Both draw their uniforms by stream position and share
+one Box-Muller core, so an entry has the same bits either way, on the
+condition that numpy's elementwise log1p, sqrt, cos and sin give an element
+the same bits whatever the array's length and the element's place in it
+(the SIMD body or its remainder). That holds for numpy 2.4.6 with its
+X86_V4 loops and with them disabled down to AVX2
+(`tests/test_hotpath_equivalence.py`, `tests/test_cpu_dispatch.py`).
 """
 
 from __future__ import annotations
@@ -115,7 +127,12 @@ def sigmoid(t: float) -> float:
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     """Each row over its L2 norm. A zero norm raises, and so does a
     non-finite one: finite entries of about 1e154 or more overflow the sum
-    of squares, and dividing by the inf norm would give a zero row."""
+    of squares, and dividing by the inf norm would give a zero row.
+
+    The rows are read C-ordered, so each row's sum of squares is numpy's
+    sum over one contiguous run and a Fortran-ordered or transposed matrix
+    gives the bits of its C-ordered copy; the result is C-ordered."""
+    m = np.ascontiguousarray(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise DegenerateVectorError("cannot normalize zero-norm row")
@@ -280,24 +297,59 @@ class Rng:
         self.counter += n
         return _mix64(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
 
+    def _uniforms_at(self, positions: np.ndarray) -> np.ndarray:
+        """The uniforms of the draws at `positions` (uint64 counter values):
+        the top 53 bits of each raw draw / 2**53."""
+        raw = _mix64(np.uint64(self.seed) + positions * np.uint64(_GOLDEN))
+        u = (raw >> np.uint64(11)).astype(np.float64)
+        return u / 9007199254740992.0
+
     def random(self, n: int | None = None):
         """Uniform float64 in [0, 1): top 53 bits of the raw stream / 2**53."""
         if n is None:
             return float(self._raw(1)[0] >> np.uint64(11)) / 9007199254740992.0
-        u = (self._raw(n) >> np.uint64(11)).astype(np.float64)
-        return u / 9007199254740992.0
+        positions = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        return self._uniforms_at(positions)
 
-    def normal(self, n: int, scale: float = 1.0) -> np.ndarray:
-        """Standard Gaussians via Box-Muller over consecutive uniform pairs."""
-        pairs = (n + 1) // 2
-        u = self.random(2 * pairs)
+    @staticmethod
+    def _box_muller(u: np.ndarray) -> np.ndarray:
+        """Gaussians from uniforms taken in pairs (u1, u2) back to back: pair
+        k gives entry 2k, r cos(theta), and entry 2k + 1, r sin(theta)."""
         u1, u2 = u[0::2], u[1::2]
         r = np.sqrt(-2.0 * np.log1p(-u1))
         theta = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs)
+        z = np.empty(u.size)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        return scale * z[:n]
+        return z
+
+    def normal(self, n: int, scale: float = 1.0) -> np.ndarray:
+        """Standard Gaussians via Box-Muller over consecutive uniform pairs;
+        draws 2 * ceil(n / 2) uniforms."""
+        pairs = (n + 1) // 2
+        return scale * self._box_muller(self.random(2 * pairs))[:n]
+
+    def peek_normal(self, index: np.ndarray, scale: float = 1.0) -> np.ndarray:
+        """Entries `index` (any order, repeats allowed) of what
+        `normal(n, scale)` would return next, for any n above them, with the
+        same bits: each entry's pair of uniforms is drawn at its stream
+        position and goes through the same Box-Muller core. The counter
+        does not move."""
+        index = np.asarray(index, dtype=np.uint64)
+        first = np.uint64(self.counter + 1) + (index >> np.uint64(1)) * np.uint64(2)
+        pairs = np.stack([first, first + np.uint64(1)], axis=1).ravel()
+        z = self._box_muller(self._uniforms_at(pairs))
+        return scale * z[2 * np.arange(index.size) + (index & np.uint64(1)).astype(np.int64)]
+
+    def defer_normal(self, n: int) -> "Rng":
+        """Move past the draws of `normal(n)` and return a stream that makes
+        them: its `normal(n)` and `peek_normal` give this stream's next n
+        Gaussians, while this stream goes on as if it had drawn them."""
+        ahead = Rng(self.seed)
+        ahead.counter = self.counter
+        self.counter += 2 * ((n + 1) // 2)
+        return ahead
 
     def randint(self, bound: int) -> int:
         """Integer in [0, bound) via floor(u * bound); exact for bound < 2**53."""

@@ -25,7 +25,6 @@ bit for bit. Two consequences the tests lean on:
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -37,10 +36,12 @@ from .encoder import (
     DEFAULT_OUT_DIM,
     DEFAULT_VOCAB,
     EncoderParams,
+    TokenBatch,
     backward_batch,
     classify_logits,
     forward_batch,
     init_encoder,
+    pack_tokens,
     tokenize,
 )
 from .errors import ConfigError, ScheduleError, TrainingDivergedError
@@ -249,18 +250,22 @@ def _check_finite(what: str, arr: np.ndarray, step: int) -> None:
 def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> TrainedModel:
     """Train an encoder (and a proxy bank for proxy variants) on the texts.
 
-    Compact table. The full encoder is drawn with `init_encoder`, so the
-    init stream is that of every other run, but only the R table rows that
-    the training texts use can get a gradient. The step trains a copy of
-    the model whose table holds just those rows, with the token ids
-    renumbered by their rank in the sorted R. The renumbering is monotone:
-    `forward_batch` gathers the same values in the same order, and
-    `backward_batch` scatters its (text, row) pairs in the same order, so
-    every bit of the embeddings and gradients is that of the full table.
-    AdamW sees the table as rows R of a V-row block (for its clip norm).
-    At the end the trained rows are written back at R, and every other
-    row owes one decoupled decay step per training step, which
-    `EncoderParams` applies when the row is first read.
+    The texts are tokenized and packed once (`pack_tokens`); each step
+    takes its batch from the pack by index.
+
+    Compact table. The encoder comes from `init_encoder`, so the init
+    stream is that of every other run, but only the R table rows that the
+    training texts use can get a gradient, and only those rows are drawn.
+    The step trains a copy of the model whose table holds just those rows,
+    with the token ids renumbered by their rank in the sorted R. The
+    renumbering is monotone: `forward_batch` gathers the same values in the
+    same order, and `backward_batch` scatters its (text, row) pairs in the
+    same order, so every bit of the embeddings and gradients is that of
+    the full table. AdamW sees the table as rows R of a V-row block (for
+    its clip norm). At the end the trained rows are written back at R, and
+    every other row owes its init draw and one decoupled decay step per
+    training step, which `EncoderParams` applies when the row is first
+    read.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n = len(texts)
@@ -284,19 +289,18 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
             num_classes, loss_cfg.proxies_per_class(), config.out_dim, proxy_rng
         )
 
-    tokenized = [tokenize(t, config.vocab_size) for t in texts]
+    packed = pack_tokens([tokenize(t, config.vocab_size) for t in texts])
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     # only the rows of tokens in the training texts ever get a gradient:
     # train those rows of the table, renumbered in order, and no others
-    used = np.fromiter(itertools.chain.from_iterable(tokenized), dtype=np.int64)
-    rows = np.unique(used)
-    lut = np.empty(config.vocab_size, dtype=np.int64)
-    lut[rows] = np.arange(rows.size)
-    compact_ids = iter(lut[used].tolist())
-    tokenized = [list(itertools.islice(compact_ids, len(ids))) for ids in tokenized]
+    rows = np.unique(packed.rows)
+    packed = TokenBatch(
+        np.searchsorted(rows, packed.ids), packed.lengths,
+        np.searchsorted(rows, packed.rows), packed.counts, packed.widths,
+    )
     compact = EncoderParams(
-        params.embedding_table[rows],
+        params.table_for(rows)[rows],
         params.projection,
         params.projection_bias,
         params.classifier,
@@ -317,7 +321,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
             yb = labels[chosen]
-            z, cache = forward_batch(compact, [tokenized[i] for i in chosen])
+            z, cache = forward_batch(compact, packed.take(chosen))
             _check_finite("embeddings", z, step)
 
             metric = ce = None
@@ -352,7 +356,8 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 bank.matrix[:] = l2_normalize_rows(bank.matrix)
             step += 1
 
-    # every other block is shared with compact; the unused rows owe the decay
-    params.embedding_table[rows] = compact.embedding_table
+    # every other block is shared with compact; the unused rows owe their
+    # init draw and the decay
+    params.table_for(rows)[rows] = compact.embedding_table
     params.defer_decay(rows, lrs, config.weight_decay)
     return TrainedModel(params, bank, config, log)

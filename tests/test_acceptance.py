@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from dmlbench.cli import main as cli_main
-from dmlbench.encoder import forward_batch, tokenize
+from dmlbench.encoder import forward_batch, pack_tokens, tokenize
 from dmlbench.errors import ConfigError
 from dmlbench.evaluation import blended_scores, macro_f1, paired_significance, predict
 from dmlbench.gradcheck import run_gradcheck
@@ -136,7 +136,7 @@ def test_inference_blend_endpoint():
     )
     probe_texts, _ = fewshot_texts(n=64, seed=9)
     tokens = [tokenize(t, 128) for t in probe_texts]
-    z, _ = forward_batch(model.params, tokens)
+    z, _ = forward_batch(model.params, pack_tokens(tokens))
     from dmlbench.encoder import classify_logits
 
     dense_pred = predict(classify_logits(model.params, z))
@@ -322,7 +322,7 @@ def test_classifier_sanity_convergence():
         cfg,
     )
     tokens = [tokenize(ds.texts[i], cfg.vocab_size) for i in plan.test_indices]
-    z, _ = forward_batch(model.params, tokens)
+    z, _ = forward_batch(model.params, pack_tokens(tokens))
     f1 = macro_f1(
         predict(blended_scores(model.params, z, None, 1.0)),
         ds.labels[plan.test_indices],

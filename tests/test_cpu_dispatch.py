@@ -1,0 +1,94 @@
+"""Results do not depend on the AVX-512 kernels of numpy or OpenBLAS.
+
+numpy picks its float loops by CPU feature at run time, and OpenBLAS picks
+its kernels by core type. A subprocess runs a small `grid` and `report`
+once as the machine allows and once with numpy held to AVX2
+(``NPY_DISABLE_CPU_FEATURES``) and OpenBLAS to its Haswell kernels
+(``OPENBLAS_CORETYPE``); the JSON reports, per-fold macro-F1 and
+p-values included, must be equal. On a machine without AVX-512 both runs
+take the same kernels and the test shows nothing.
+
+Each subprocess also checks the condition that table rows drawn on first
+read rely on: numpy's elementwise loops give an element the same bits
+whatever the array's length and the element's place in it, so a row drawn
+alone equals its entries of one contiguous `Rng.normal` draw, byte for
+byte, under either set of kernels.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+AVX2_ONLY = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+
+SCRIPT = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+import numpy as np
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+
+from dmlbench.cli import main
+from dmlbench.encoder import init_encoder
+from dmlbench.numeric import Rng
+
+tmp = Path(sys.argv[1])
+data, report = tmp / "data.tsv", tmp / "report.json"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["synth", "--classes", "3", "--size", "90", "--noise", "0.3",
+                 "--seed", "4", "--out", str(data)]) == 0
+    assert main(["grid", "--data", str(data), "--loss", "proxyanchor", "--folds", "2",
+                 "--shots", "20", "--epochs", "2", "--seed", "8", "--out", str(report)]) == 0
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["report", "--report", str(report), "--format", "json"]) == 0
+
+lazy_equal = True
+for vocab, embed, seed in ((4096, 32, 1), (61, 7, 2), (5, 1, 3), (33, 9, 4)):
+    params = init_encoder(2, vocab, embed, 3, Rng(seed))
+    eager = Rng(seed).normal(vocab * embed, scale=0.1).reshape(vocab, embed)
+    picks = Rng(seed + 100).choice(vocab, min(vocab, 97))
+    for ids in (picks[:1], picks[1:8], picks[8:]):
+        lazy_equal &= params.table_for(ids)[ids].tobytes() == eager[ids].tobytes()
+    lazy_equal &= params.embedding_table.tobytes() == eager.tobytes()
+
+print(json.dumps({
+    "report": json.loads(out.getvalue()),
+    "lazy_equal": bool(lazy_equal),
+    "x86_v4": bool(__cpu_features__.get("X86_V4", False)),
+}))
+"""
+
+
+def run(tmp_path, name, extra_env):
+    work = tmp_path / name
+    work.mkdir()
+    env = {k: v for k, v in os.environ.items() if k not in AVX2_ONLY}
+    env.update(extra_env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(work)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_avx2_kernels_give_the_same_f1_and_lazy_rows(tmp_path):
+    default = run(tmp_path, "default", {})
+    avx2 = run(tmp_path, "avx2", AVX2_ONLY)
+    assert not avx2["x86_v4"]  # numpy took the AVX2 loops
+    assert default["lazy_equal"] and avx2["lazy_equal"]
+    assert [row["name"] for row in default["report"]["rows"]] == [
+        "cce", "proxyanchor", "proxyanchor+inf"
+    ]
+    assert avx2["report"] == default["report"]

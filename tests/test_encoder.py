@@ -1,8 +1,12 @@
+import string
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dmlbench import encoder
 from dmlbench.encoder import (
     MAGIC,
     EncoderParams,
@@ -11,11 +15,12 @@ from dmlbench.encoder import (
     forward_batch,
     init_encoder,
     load_encoder,
+    pack_tokens,
     save_encoder,
     tokenize,
 )
 from dmlbench.errors import ConfigError, DimensionError
-from dmlbench.numeric import Rng, fd_gradient
+from dmlbench.numeric import Rng, fd_gradient, fnv1a_64
 
 
 def tiny_params(seed=0, vocab=7, embed=3, out=2, classes=2):
@@ -59,6 +64,35 @@ class TestTokenize:
     def test_repeated_word_repeats_id(self):
         a, b = tokenize("buffalo buffalo")
         assert a == b
+
+    @staticmethod
+    def reference(text, vocab_size):
+        """tokenize with every token hashed afresh."""
+        ids = []
+        for raw in text.lower().split():
+            token = raw.strip(string.punctuation)
+            if token:
+                ids.append(fnv1a_64(token.encode("utf-8")) % vocab_size)
+        return ids or [0]
+
+    WORDS = st.one_of(
+        st.text(max_size=12),  # any Unicode, whitespace included
+        st.text(alphabet=string.punctuation, min_size=1, max_size=4),  # punctuation only
+        st.sampled_from(["Proxy", "PROXY", "proxy,", "(proxy)", "ÄÖÜß", "İstanbul", "ǅ", "ﬁ"]),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.lists(WORDS, max_size=12).map(" ".join), vocab_size=st.integers(1, 5000))
+    @example(text="", vocab_size=1)
+    @example(text="  ... !!! ", vocab_size=5000)
+    def test_memo_matches_hashing_every_token(self, text, vocab_size):
+        expected = self.reference(text, vocab_size)
+        assert tokenize(text, vocab_size) == expected
+        assert tokenize(text, vocab_size) == expected  # the memo's hits
+
+    def test_memo_is_bounded(self):
+        maxsize = encoder._token_hash.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
 
     def test_vocab_must_be_positive(self):
         with pytest.raises(ConfigError):
@@ -116,18 +150,18 @@ def formula(params, ids):
 class TestForward:
     def test_encode_matches_formula(self):
         p = tiny_params()
-        z, _ = forward_batch(p, [[1, 1, 4]])
+        z, _ = forward_batch(p, pack_tokens([[1, 1, 4]]))
         assert np.allclose(z[0], formula(p, [1, 1, 4]))
 
     def test_outputs_bounded(self):
         p = tiny_params(3)
-        z, _ = forward_batch(p, [[0, 2, 5]])
+        z, _ = forward_batch(p, pack_tokens([[0, 2, 5]]))
         assert np.all(np.abs(z) < 1.0)
 
     def test_batch_matches_single(self):
         p = tiny_params(4)
         lists = [[0, 3], [2], [5, 5, 1]]
-        z, cache = forward_batch(p, lists)
+        z, cache = forward_batch(p, pack_tokens(lists))
         assert z.shape == (3, p.out_dim)
         for i, ids in enumerate(lists):
             assert np.allclose(z[i], formula(p, ids))
@@ -135,20 +169,25 @@ class TestForward:
 
     def test_logits_shape(self):
         p = tiny_params(5)
-        z, _ = forward_batch(p, [[1], [2]])
+        z, _ = forward_batch(p, pack_tokens([[1], [2]]))
         logits = classify_logits(p, z)
         assert logits.shape == (2, p.num_classes)
         assert np.allclose(logits, z @ p.classifier + p.classifier_bias)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionError):
-            forward_batch(tiny_params(), [])
+            forward_batch(tiny_params(), pack_tokens([]))
+
+    def test_negative_token_id_rejected(self):
+        # the packed (text, id) pairs would mix up texts
+        with pytest.raises(DimensionError):
+            pack_tokens([[1], [2, -1]])
 
     def test_empty_token_list_rejected(self):
         # tokenize never returns [], so an empty list is a caller error,
         # not a text to embed as NaN
         with pytest.raises(DimensionError):
-            forward_batch(tiny_params(), [[], [1]])
+            forward_batch(tiny_params(), pack_tokens([[], [1]]))
 
 
 class TestBackward:
@@ -159,13 +198,13 @@ class TestBackward:
 
     def run_fd(self, loss_of_embeddings, upstream_of_embeddings, seed):
         params = tiny_params(seed)
-        z, cache = forward_batch(params, self.LISTS)
+        z, cache = forward_batch(params, pack_tokens(self.LISTS))
         grads = backward_batch(params, cache, upstream_of_embeddings(z))
         analytic = np.concatenate([grads[name].ravel() for name, _ in params.blocks()])
 
         def f(flat):
             p = unflatten_params(flat, params)
-            z2, _ = forward_batch(p, self.LISTS)
+            z2, _ = forward_batch(p, pack_tokens(self.LISTS))
             return loss_of_embeddings(z2)
 
         fd = fd_gradient(f, flatten_params(params))
@@ -191,7 +230,7 @@ class TestBackward:
 
     def test_no_logit_grad_leaves_classifier_untouched(self):
         params = tiny_params(9)
-        z, cache = forward_batch(params, self.LISTS)
+        z, cache = forward_batch(params, pack_tokens(self.LISTS))
         grads = backward_batch(params, cache, np.ones_like(z))
         assert np.all(grads["classifier"] == 0.0)
         assert np.all(grads["classifier_bias"] == 0.0)
@@ -199,14 +238,14 @@ class TestBackward:
 
     def test_untouched_vocab_rows_get_zero(self):
         params = tiny_params(10)
-        z, cache = forward_batch(params, [[1], [3]])
+        z, cache = forward_batch(params, pack_tokens([[1], [3]]))
         grads = backward_batch(params, cache, np.ones_like(z))
         touched = np.nonzero(np.any(grads["embedding_table"] != 0.0, axis=1))[0]
         assert touched.tolist() == [1, 3]
 
     def test_repeated_token_weighted_by_count(self):
         params = tiny_params(11)
-        z, cache = forward_batch(params, [[2, 2, 5]])
+        z, cache = forward_batch(params, pack_tokens([[2, 2, 5]]))
         grads = backward_batch(params, cache, np.ones_like(z))
         row2 = grads["embedding_table"][2]
         row5 = grads["embedding_table"][5]

@@ -3,7 +3,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from dmlbench.encoder import classify_logits, forward_batch, init_encoder, tokenize
+from dmlbench.encoder import classify_logits, forward_batch, init_encoder, pack_tokens, tokenize
 from dmlbench.errors import ConfigError, DegenerateVectorError, DimensionError
 from dmlbench.evaluation import (
     EvalResult,
@@ -21,7 +21,7 @@ def tiny_model(seed=0, classes=3, per_class=1):
     rng = Rng(seed)
     params = init_encoder(classes, 50, 6, 4, rng)
     bank = init_proxies(classes, per_class, 4, rng)
-    z, _ = forward_batch(params, [tokenize(f"text {i}", 50) for i in range(5)])
+    z, _ = forward_batch(params, pack_tokens([tokenize(f"text {i}", 50) for i in range(5)]))
     return params, bank, z
 
 

@@ -5,7 +5,8 @@ The reference implementations below are the earlier loops, kept here and
 nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 `mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
 n-pairs on a sub-batch of two members per class scattered back,
-per-text pooling and scatter in the encoder, AdamW with fresh
+per-text pooling and scatter in the encoder, the encoder on token lists
+counted at every step, the eager init of the whole table, AdamW with fresh
 temporaries and dense moments over every row, `normalize_backward` one row
 at a time, `synth_dataset` with two draws per token, and supcon and
 proxy-NCA one anchor at a time on the 1-D log-sum-exp. Hypothesis varies
@@ -14,8 +15,11 @@ difference in the last bit or in the sign of a zero fails.
 """
 
 import dataclasses
+import itertools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,9 +31,12 @@ from dmlbench import losses, trainer
 from dmlbench.encoder import (
     EncoderParams,
     backward_batch,
+    block_shapes,
     classify_logits,
     forward_batch,
     init_encoder,
+    pack_tokens,
+    save_encoder,
     tokenize,
 )
 from dmlbench.errors import (
@@ -50,7 +57,9 @@ from dmlbench.losses import (
     combined_loss,
     dml_loss,
     mine_triplets,
+    proxyanchor_loss,
     proxynca_loss,
+    softtriple_loss,
     supcon_loss,
     triplet_loss,
     zero_output,
@@ -181,6 +190,51 @@ def old_backward_batch(params, token_lists, pooled, z, grad_embeddings):
         uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
         table[uniq] += (counts[:, None] / len(ids)) * grad_pooled[i]
     return grads
+
+
+def list_forward_batch(params, token_lists):
+    """forward_batch on a list of token-id lists, as it was before packing."""
+    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    ids = np.fromiter(
+        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
+    )
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longest_first = lengths[order]
+    table = params.table_for(ids)
+    sums = np.zeros((len(token_lists), params.embed_dim))
+    for j in range(int(longest_first[0])):
+        active = int(np.count_nonzero(longest_first > j))
+        sums[:active] += table[ids[starts[:active] + j]]
+    pooled = np.empty_like(sums)
+    pooled[order] = sums / longest_first[:, None]
+    z = np.tanh(pooled @ params.projection + params.projection_bias)
+    return z, (ids, lengths, pooled)
+
+
+def list_backward_batch(params, cache, grad_embeddings, z):
+    """backward_batch with its np.unique over the (text, token) pairs at
+    every call, as it was before packing."""
+    ids, lengths, pooled = cache
+    grads = {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.blocks()}
+    grad_u = np.asarray(grad_embeddings, dtype=np.float64) * (1.0 - z * z)
+    grads["projection"] = pooled.T @ grad_u
+    grads["projection_bias"] = grad_u.sum(axis=0)
+    grad_pooled = grad_u @ params.projection.T
+    vocab = params.vocab_size
+    text_of = np.repeat(np.arange(lengths.size), lengths)
+    pairs, counts = np.unique(text_of * vocab + ids, return_counts=True)
+    texts, rows = np.divmod(pairs, vocab)
+    shares = counts / lengths[texts]
+    add_rows_at(grads["embedding_table"], rows, shares[:, None] * grad_pooled[texts])
+    return grads
+
+
+def eager_init_encoder(num_classes, vocab_size, embed_dim, out_dim, rng):
+    """init_encoder as it was before the table rows were drawn on read:
+    every block drawn in checkpoint order, the table first."""
+    shapes = block_shapes(vocab_size, embed_dim, out_dim, num_classes)
+    return EncoderParams(*(rng.normal(int(np.prod(s)), scale=0.1).reshape(s) for s in shapes))
 
 
 class OldAdamW:
@@ -613,7 +667,7 @@ def test_proxynca_loss_matches_per_row_loop(batch, extra_classes, seed, touching
 def test_proxy_bank_holds_its_matrix_c_ordered():
     # the loop's distances summed a Fortran-ordered matrix's rows in another
     # order; a bank reads any layout in C order, so both give the same bits
-    # (normalize=False: l2_normalize_rows itself still rounds by layout)
+    # (normalize=False, so only the bank's own layout is under test)
     batch = EmbeddingBatch(Rng(6).normal(40 * 24).reshape(40, 24), np.arange(40) % 5, 5)
     proxies = Rng(7).normal(5 * 24).reshape(5, 24)
     expected = old_proxynca_loss(batch, ProxyBank(proxies, 5, 1), 1.7, normalize=False)
@@ -625,6 +679,34 @@ def test_proxy_bank_holds_its_matrix_c_ordered():
             assert same_bits(out.value, expected.value)
             assert same_bits(out.grad_embeddings, expected.grad_embeddings)
             assert same_bits(out.grad_proxies, expected.grad_proxies)
+
+
+def normalized_loss(loss, z, seed):
+    labels = np.arange(len(z)) % 3
+    per_class = 2 if loss == "softtriple" else 1
+    proxies = l2_normalize_rows(Rng(seed + 1).normal(3 * per_class * 24).reshape(-1, 24))
+    bank = ProxyBank(proxies, 3, per_class)
+    batch = EmbeddingBatch(z, labels, 3)
+    if loss == "proxynca":
+        return proxynca_loss(batch, bank, 3.0, normalize=True)
+    if loss == "softtriple":
+        return softtriple_loss(batch, bank, 10.0, 0.1, 0.2)
+    return proxyanchor_loss(batch, bank, 32.0, 0.1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("layout", ["fortran", "transposed"])
+@pytest.mark.parametrize("loss", ["proxynca", "softtriple", "proxyanchor"])
+def test_normalized_losses_keep_the_bits_for_any_memory_layout(loss, layout, seed):
+    # l2_normalize_rows reads its rows C-ordered: a strided row sum would
+    # add its 24 squares in another order than the contiguous one
+    z = Rng(seed).normal(12 * 24).reshape(12, 24)
+    other = np.asfortranarray(z) if layout == "fortran" else np.ascontiguousarray(z.T).T
+    assert not other.flags.c_contiguous
+    expected, out = normalized_loss(loss, z, seed), normalized_loss(loss, other, seed)
+    assert same_bits(out.value, expected.value)
+    assert same_bits(out.grad_embeddings, expected.grad_embeddings)
+    assert same_bits(out.grad_proxies, expected.grad_proxies)
 
 
 @SETTINGS
@@ -760,7 +842,7 @@ def token_batches(draw):
 @given(case=token_batches())
 def test_forward_and_backward_match_per_text_loops(case):
     params, texts, seed = case
-    z, cache = forward_batch(params, texts)
+    z, cache = forward_batch(params, pack_tokens(texts))
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     assert same_bits(cache.pooled, pooled_old)
@@ -784,7 +866,7 @@ def test_forward_and_backward_match_per_text_loops(case):
 )
 def test_encoder_fixed_cases(texts):
     params = init_encoder(2, 8, 4, 3, Rng(17))
-    z, cache = forward_batch(params, texts)
+    z, cache = forward_batch(params, pack_tokens(texts))
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     grad_z = Rng(18).normal(z.size).reshape(z.shape)
@@ -801,7 +883,7 @@ def test_encoder_fortran_ordered_params():
             setattr(params, name, np.asfortranarray(arr))
     assert not params.embedding_table.flags.c_contiguous
     texts = [[2, 2, 2, 5], [5, 2], [7], [1] * 12]
-    z, cache = forward_batch(params, texts)
+    z, cache = forward_batch(params, pack_tokens(texts))
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     grad_z = Rng(18).normal(z.size).reshape(z.shape)
@@ -819,7 +901,7 @@ def test_embed_dim_one_pools_in_token_order():
     params = init_encoder(2, 10, 1, 3, Rng(17))
     params.embedding_table[:, 0] = [1e16] + [1.0] * 9
     long_text, short_text = list(range(10)), [0, 1, 2]
-    _, cache = forward_batch(params, [long_text, short_text])
+    _, cache = forward_batch(params, pack_tokens([long_text, short_text]))
     for row, text in zip(cache.pooled, [long_text, short_text]):
         total = 0.0
         for i in text:
@@ -828,6 +910,98 @@ def test_embed_dim_one_pools_in_token_order():
     pairwise = params.embedding_table[long_text].mean(axis=0)
     assert not same_bits(cache.pooled[0], pairwise)  # the known deviation
     assert same_bits(cache.pooled[1], params.embedding_table[short_text].mean(axis=0))
+
+
+@SETTINGS
+@given(
+    vocab=st.integers(1, 40),
+    texts=st.lists(
+        st.lists(st.integers(0, 39), min_size=1, max_size=30), min_size=1, max_size=80
+    ),
+    data=st.data(),
+)
+def test_take_matches_the_list_based_encoder(vocab, texts, data):
+    # texts of mixed lengths with repeated tokens, packed once; batches of
+    # 1 to 70 of them, in any order and with repeats, taken from the pack
+    texts = [[i % vocab for i in text] for text in texts]
+    params = init_encoder(3, vocab, data.draw(st.integers(1, 9)), 4, Rng(vocab))
+    packed = pack_tokens(texts)
+    chosen = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=70))
+    batch = packed.take(chosen)
+    lists = [texts[i] for i in chosen]
+    assert same_bits(batch.ids, np.concatenate(lists).astype(np.int64))
+    z, cache = forward_batch(params, batch)
+    z_list, cache_list = list_forward_batch(params, lists)
+    assert same_bits(z, z_list)
+    assert same_bits(cache.pooled, cache_list[2])
+    grad_z = Rng(len(chosen)).normal(z.size).reshape(z.shape)
+    new = backward_batch(params, cache, grad_z)
+    old = list_backward_batch(params, cache_list, grad_z, z_list)
+    assert list(new) == list(old)
+    for name in old:
+        assert same_bits(new[name], old[name]), name
+
+
+def full_table(params, way):
+    """The whole table, read through one of the paths that settle it all."""
+    if way == "embedding_table":
+        return params.embedding_table
+    if way == "blocks":
+        return dict(params.blocks())["embedding_table"]
+    if way == "table_for":
+        every = np.arange(params.vocab_size)
+        return params.table_for(every)[every]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "enc.bin"
+        save_encoder(params, path)
+        return path.read_bytes()
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32),
+    vocab=st.integers(1, 64),
+    embed=st.integers(1, 9),
+    data=st.data(),
+)
+def test_lazy_rows_match_the_eager_init(seed, vocab, embed, data):
+    rng, eager_rng = Rng(seed), Rng(seed)
+    lazy = init_encoder(3, vocab, embed, 2, rng)
+    eager = eager_init_encoder(3, vocab, embed, 2, eager_rng)
+    # the stream ends where the eager draw left it, and the later blocks
+    # have their bits
+    assert rng.counter == eager_rng.counter
+    for name in ("projection", "projection_bias", "classifier", "classifier_bias"):
+        assert same_bits(getattr(lazy, name), getattr(eager, name)), name
+    read = st.lists(st.lists(st.integers(0, vocab - 1), max_size=2 * vocab), max_size=4)
+    for ids in data.draw(read):  # random subsets in random order
+        ids = np.array(ids, dtype=np.int64)
+        assert same_bits(lazy.table_for(ids)[ids], eager.embedding_table[ids])
+    if data.draw(st.booleans()):
+        fresh = np.array(sorted(data.draw(st.sets(st.integers(0, vocab - 1)))), dtype=np.int64)
+        lrs = data.draw(st.lists(st.sampled_from([0.0, 1e-3, 0.5]), min_size=1, max_size=4))
+        weight_decay = data.draw(st.sampled_from([0.0, 0.01, 0.3]))
+        undrawn = lazy._undrawn.copy()
+        lazy.defer_decay(fresh, lrs, weight_decay)
+        eager.defer_decay(fresh, lrs, weight_decay)
+        assert same_bits(lazy._undrawn, undrawn)  # the deferral drew no row
+        for ids in data.draw(read):
+            ids = np.array(ids, dtype=np.int64)
+            assert same_bits(lazy.table_for(ids)[ids], eager.table_for(ids)[ids])
+    way = data.draw(st.sampled_from(["embedding_table", "blocks", "table_for", "save_encoder"]))
+    assert same_bits(full_table(lazy, way), full_table(eager, way))
+    if way != "table_for":
+        assert lazy._undrawn is None and lazy._stale is None
+
+
+def test_rows_drawn_first_keep_their_bits_in_a_full_settle():
+    # rows drawn one by one and the whole draw give the same bits, and the
+    # rng draws no more than the eager init did
+    lazy = init_encoder(2, 50, 7, 3, Rng(11))
+    lazy.table_for(np.array([3, 49, 0]))
+    reference = Rng(11).normal(50 * 7, scale=0.1).reshape(50, 7)
+    assert same_bits(lazy.embedding_table, reference)
+    assert lazy.embedding_table.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -949,7 +1123,7 @@ def dense_train(texts, labels, num_classes, config):
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
             yb = labels[chosen]
-            z, cache = forward_batch(params, [tokenized[i] for i in chosen])
+            z, cache = forward_batch(params, pack_tokens([tokenized[i] for i in chosen]))
             metric = ce = None
             if loss_cfg.is_metric:
                 metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
@@ -1032,30 +1206,29 @@ def test_compact_training_matches_dense_training(
 
 
 def test_unused_rows_settle_on_read():
-    # rows no training text uses owe their decay until read; forward_batch
-    # settles the rows it gathers and only those
+    # rows no training text uses owe their init draw and their decay until
+    # read; forward_batch settles the rows it gathers and only those
     data = synth_dataset(2, 40, seed=5)
     config = TrainConfig(loss=LossConfig("triplet", beta=0.5), epochs=2, batch_size=16, seed=3)
     ref_params = dense_train(data.texts, data.labels, data.num_classes, config)[0]
-    start = trainer.init_encoder(2, config.vocab_size, config.embed_dim, config.out_dim,
-                                 Rng(derive_seed(config.seed, "init"))).embedding_table
     used = {i for text in data.texts for i in tokenize(text, config.vocab_size)}
     unused = [i for i in range(config.vocab_size) if i not in used][:5]
     params = train(data.texts, data.labels, data.num_classes, config).params
+    # only the rows the training texts use were drawn
+    assert np.flatnonzero(~params._undrawn).tolist() == sorted(used)
     # forward_batch reads one unused row: that row settles, the others wait
     stale_before = int(params._stale.sum())
-    assert same_bits(
-        forward_batch(params, [[unused[0]]])[0], forward_batch(ref_params, [[unused[0]]])[0]
-    )
+    one = pack_tokens([[unused[0]]])
+    assert same_bits(forward_batch(params, one)[0], forward_batch(ref_params, one)[0])
     assert int(params._stale.sum()) == stale_before - 1
     assert not params._stale[unused[0]] and params._stale[unused[1:]].all()
-    assert same_bits(params._table[unused[1:]], start[unused[1:]])
+    assert not params._undrawn[unused[0]] and params._undrawn[unused[1:]].all()
     # texts of unused rows only, and of used and unused rows
-    batch = [unused[1:3], [unused[3], sorted(used)[0], unused[3]], [unused[4]]]
+    batch = pack_tokens([unused[1:3], [unused[3], sorted(used)[0], unused[3]], [unused[4]]])
     assert same_bits(forward_batch(params, batch)[0], forward_batch(ref_params, batch)[0])
     # reading the table settles every row
     assert same_bits(params.embedding_table, ref_params.embedding_table)
-    assert params._stale is None
+    assert params._stale is None and params._undrawn is None
 
 
 @pytest.mark.parametrize("seed", range(8))

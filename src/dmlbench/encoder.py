@@ -36,6 +36,7 @@ DEFAULT_VOCAB = 4096
 DEFAULT_EMBED_DIM = 32
 DEFAULT_OUT_DIM = 16
 INIT_SCALE = 0.1  # standard deviation of every initial parameter
+_POOL_TEXTS = 64  # texts per gather in forward_batch: a training batch's in one
 BLOCK_NAMES = ("embedding_table", "projection", "projection_bias", "classifier", "classifier_bias")
 
 _PUNCT = string.punctuation
@@ -48,6 +49,7 @@ def block_shapes(vocab: int, embed: int, out: int, classes: int) -> list[tuple[i
 
 class EncoderParams:
     """All trainable arrays. Block order is the checkpoint layout order.
+    The blocks may be views of one vector, as those `train` steps are.
 
     Table rows settled on read. A table row can owe work that is done only
     when the row is first read, in this order:
@@ -314,58 +316,55 @@ def forward_batch(params: EncoderParams, batch: TokenBatch) -> tuple[np.ndarray,
     packed batch of texts (`pack_tokens`, `TokenBatch.take`), shape (L, d),
     with the cache for backward_batch.
 
-    The rows are pooled one token position at a time over every text still
-    that long, so each text's sum runs in token order starting from zero
-    (for embed_dim >= 2 the sum numpy's mean over the text's rows takes),
-    and the memory grows with the tokens, not with L times the longest text.
-    Only the gathered rows are settled (see EncoderParams).
+    The texts are pooled by length, up to _POOL_TEXTS at a time: one gather
+    of their rows, position-major (l, n + 1, E) with a spare text, and
+    np.add.reduce over axis 0 from +0.0 sum each text in token order, in
+    memory near a training batch's. The spare text keeps the summed axis
+    from being the contiguous one (E = 1, one text), which numpy sums
+    pairwise. Only the gathered rows are settled (see EncoderParams).
     """
     if not len(batch):
         raise DimensionError("need at least one text")
     ids, lengths = batch.ids, batch.lengths
-    # texts longest first, so the texts with a token at position j are a prefix
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longest_first = lengths[order]
+    starts = np.cumsum(lengths) - lengths
     table = params.table_for(ids)
-    sums = np.zeros((len(batch), params.embed_dim))
-    for j in range(int(longest_first[0])):
-        active = int(np.count_nonzero(longest_first > j))
-        sums[:active] += table[ids[starts[:active] + j]]
-    pooled = np.empty_like(sums)
-    pooled[order] = sums / longest_first[:, None]
+    sums = np.empty((len(batch), params.embed_dim))
+    for length in np.unique(lengths):
+        same = np.flatnonzero(lengths == length)
+        for first in range(0, same.size, _POOL_TEXTS):
+            texts = same[first : first + _POOL_TEXTS]
+            at = np.append(starts[texts], starts[texts[0]]) + np.arange(length)[:, None]
+            sums[texts] = np.add.reduce(table[ids[at]], axis=0, initial=0.0)[:-1]
+    pooled = sums / lengths[:, None]
     z = np.tanh(pooled @ params.projection + params.projection_bias)
     return z, ForwardCache(batch, pooled, z)
 
 
 def backward_batch(
-    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Gradients for every parameter block given the upstream gradient on
-    the batch embeddings.
+    params: EncoderParams, cache: ForwardCache, grad_embeddings: np.ndarray, grads: dict
+) -> None:
+    """Write the gradients of the table and projection blocks, given the
+    upstream gradient on the batch embeddings, into `grads` (C-ordered
+    float64 arrays keyed like EncoderParams.blocks(); in training, views of
+    one vector). The classifier blocks are the caller's, who chains its own
+    head gradient. Nothing of the table is read or settled.
 
-    Returns a dict of C-ordered float64 arrays keyed like
-    EncoderParams.blocks(); the classifier blocks are zero, as the caller
-    chains its own head gradient. Nothing of the table is read or settled.
     Each text's pooled gradient is distributed over its embedding rows in
     proportion to how often the row's token occurs in the text. The
     (text, row) pairs come from the batch, counted when it was packed, in
     (text, row) order; one add_rows_at scatters them in that order, so
-    every table row sums its texts' terms in text order.
+    every table row sums its texts' terms in text order. Every product
+    keeps its operand layouts: a GEMM can round otherwise.
     """
-    z = cache.embeddings
-    batch = cache.batch
-    dims = (params.vocab_size, params.embed_dim, params.out_dim, params.num_classes)
-    grads = {name: np.zeros(shape) for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
-    grad_z = np.asarray(grad_embeddings, dtype=np.float64)
-    grad_u = grad_z * (1.0 - z * z)  # through tanh
-    grads["projection"] = cache.pooled.T @ grad_u
-    grads["projection_bias"] = grad_u.sum(axis=0)
+    z, batch = cache.embeddings, cache.batch
+    grad_u = np.asarray(grad_embeddings, dtype=np.float64) * (1.0 - z * z)  # through tanh
+    np.matmul(cache.pooled.T, grad_u, out=grads["projection"])
+    np.add.reduce(grad_u, axis=0, out=grads["projection_bias"])
     grad_pooled = grad_u @ params.projection.T  # (L, d_emb)
     texts = np.repeat(np.arange(len(batch)), batch.widths)
     shares = batch.counts / batch.lengths[texts]
+    grads["embedding_table"].fill(0.0)
     add_rows_at(grads["embedding_table"], batch.rows, shares[:, None] * grad_pooled[texts])
-    return grads
 
 
 def save_encoder(params: EncoderParams, path) -> None:

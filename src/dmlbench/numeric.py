@@ -1,6 +1,7 @@
 """Dense float64 kernels, stable reductions, a reproducible RNG, the
-finite-difference gradient oracle, and the one checkpoint container
-(`write_arrays`, `read_arrays`) that the encoder and proxy bank share.
+finite-difference gradient oracles, named block views of one flat vector
+(`block_views`), and the one checkpoint container (`write_arrays`,
+`read_arrays`) that the encoder and proxy bank share.
 
 Everything here operates on plain numpy arrays (1-D "vectors", 2-D row-major
 "matrices") in 64-bit floating point. All functions are pure except
@@ -173,6 +174,20 @@ def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     np.add.at(target.reshape(-1), flat, values.reshape(-1))
 
 
+def block_views(flat: np.ndarray, blocks) -> dict[str, np.ndarray]:
+    """A C-ordered view of the 1-D `flat` for each (name, shape) of
+    `blocks`, by name in that order, each over the run after the one
+    before: one vector holds every block."""
+    views, start = {}, 0
+    for name, shape in blocks:
+        size = math.prod(shape)
+        views[name] = flat[start : start + size].reshape(shape)
+        start += size
+    if start != flat.size:
+        raise DimensionError(f"blocks of {start} entries do not fill a vector of {flat.size}")
+    return views
+
+
 def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient oracle: (f(x+h*e_i) - f(x-h*e_i)) / 2h.
 
@@ -195,6 +210,30 @@ def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:
                 f"non-finite function value while probing coordinate {i}"
             )
         grad[i] = (hi - lo) / (2.0 * h)
+    return grad
+
+
+def five_point(f, x, h: float, coords) -> np.ndarray:
+    """Fourth-order central difference at the coordinates `coords` of x,
+    in that order:
+    (-f(x+2h) + 8 f(x+h) - 8 f(x-h) + f(x-2h)) / 12h. Its truncation error
+    is O(h^4), so a step far larger than `fd_gradient`'s is accurate, and
+    the rounding error, about eps * |f| / h, is far smaller. Raises
+    OracleFailureError as `fd_gradient` does."""
+    if h <= 0.0:
+        raise ValueError("step size h must be positive")
+    x = as_vector(x).copy()
+    grad = np.zeros(len(coords))
+    for k, i in enumerate(coords):
+        orig = x[i]
+        vals = []
+        for step in (2 * h, h, -h, -2 * h):
+            x[i] = orig + step
+            vals.append(float(f(x)))
+        x[i] = orig
+        if not np.isfinite(vals).all():
+            raise OracleFailureError(f"non-finite function value while probing coordinate {i}")
+        grad[k] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
     return grad
 
 

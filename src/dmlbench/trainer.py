@@ -9,7 +9,8 @@ loss when w > 0, and blends the two with `combined_loss` at weight w when
 both ran; when only one ran, its output is the step's. The classifier
 loss's gradient g w.r.t. the logits is chained by hand: the embeddings
 get w * (g @ W.T), through the blend, and the head gets z.T @ (w * g) and
-the column sums of w * g.
+the column sums of w * g. The blocks stepped (the compact encoder's, then
+the bank's) and the gradient each step writes are one vector each.
 
 Determinism contract: every random decision draws from its own stream
 derived from the run seed ("init", "proxies", "shuffle", "mining"), so
@@ -32,6 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .encoder import (
+    BLOCK_NAMES,
     DEFAULT_EMBED_DIM,
     DEFAULT_OUT_DIM,
     DEFAULT_VOCAB,
@@ -53,7 +55,7 @@ from .losses import (
     combined_loss,
     dml_loss,
 )
-from .numeric import Rng, derive_seed, l2_normalize_rows, softmax_rows
+from .numeric import Rng, block_views, derive_seed, l2_normalize_rows, softmax_rows
 from .proxies import ProxyBank, init_proxies
 
 ADAM_BETA1 = 0.9
@@ -81,23 +83,23 @@ def lr_schedule(step: int, total_steps: int, base_lr: float, warmup_fraction: fl
 
 
 class AdamW:
-    """AdamW over named parameter blocks, updated in place.
+    """AdamW over one flat parameter vector, updated in place.
 
     Bias-corrected moments, decoupled weight decay scaled by the current
     learning rate (lr 0 freezes parameters exactly), and global L2 norm
     clipping across all blocks before any moment update.
 
-    A step allocates nothing (but for the dense clip-norm array below):
-    each block owns its work arrays, and every operation writes into them
-    with ``out=``. The operations and their
-    order are those of the textbook form
+    The parameters `params`, the gradient and the moments are one vector
+    each, with the blocks `blocks` names in order (`m` and `v` name the
+    moments' blocks); a step runs its ufunc chain once over the whole
+    vector, into two work vectors with ``out=``, in the order of the form
 
         g = grad * scale
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g²
         param -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd param)
 
-    so the result is the same to the bit. Gradients are C-contiguous
-    arrays of each block's shape, as the trainer builds them.
+    entry by entry, so the result is that of a step block by block, to the
+    bit. The clip norm's sum of squares is taken block by block, in order.
 
     Sparse blocks. ``sparse`` maps a block name to ``(rows, total)``: the
     block holds the rows ``rows`` (increasing) of a table of ``total``
@@ -125,17 +127,18 @@ class AdamW:
 
     def __init__(
         self,
+        params: np.ndarray,
         blocks: list[tuple[str, np.ndarray]],
         clip_norm: float,
         sparse: dict[str, tuple[np.ndarray, int]] | None = None,
     ):
+        self.params = params
         self.blocks = blocks
         self.clip_norm = clip_norm
         self.sparse = {}
-        arrays = dict(blocks)
         for name, (rows, total) in (sparse or {}).items():
             rows = np.asarray(rows, dtype=np.int64)
-            shape = arrays[name].shape
+            shape = dict(blocks)[name].shape
             if rows.shape != shape[:1] or np.any(np.diff(rows) <= 0) or (
                 rows.size and (rows[0] < 0 or rows[-1] >= total)
             ):
@@ -144,15 +147,14 @@ class AdamW:
         # below this compact sum of squares clipping cannot fire (see above);
         # capped so that the dense sum cannot overflow either
         self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
-        self.m = {name: np.zeros(arr.shape) for name, arr in blocks}
-        self.v = {name: np.zeros(arr.shape) for name, arr in blocks}
-        self._work = {name: (np.empty(arr.shape), np.empty(arr.shape)) for name, arr in blocks}
+        self._m, self._v, self._g, self._tmp = (np.zeros(params.shape) for _ in range(4))
+        shapes = [(name, arr.shape) for name, arr in blocks]
+        self.m, self.v, self._squares = (block_views(x, shapes) for x in (self._m, self._v, self._g))
         self.t = 0
 
-    def _sum_of_squares(self, grads: dict[str, np.ndarray], dense: bool) -> float:
+    def _sum_of_squares(self, dense: bool) -> float:
         sq = 0.0
-        for name, _ in self.blocks:
-            squares = np.square(grads[name], out=self._work[name][0])
+        for name, squares in self._squares.items():
             if dense and name in self.sparse:
                 rows, total = self.sparse[name]
                 full = np.zeros((total,) + squares.shape[1:])
@@ -162,35 +164,33 @@ class AdamW:
                 sq += float(squares.sum())
         return sq
 
-    def step(self, grads: dict[str, np.ndarray], lr: float, weight_decay: float) -> None:
-        sq = self._sum_of_squares(grads, dense=False)
+    def step(self, grad: np.ndarray, lr: float, weight_decay: float) -> None:
+        g, tmp, m, v = self._g, self._tmp, self._m, self._v
+        np.square(grad, out=g)  # viewed block by block as self._squares
+        sq = self._sum_of_squares(dense=False)
         if self.sparse and not sq < self._no_clip_below:
-            sq = self._sum_of_squares(grads, dense=True)
+            sq = self._sum_of_squares(dense=True)
         norm = math.sqrt(sq)
         scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, param in self.blocks:
-            g, tmp = self._work[name]
-            np.multiply(grads[name], scale, out=g)
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-            v *= ADAM_BETA2
-            np.square(g, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v += tmp
-            update = np.divide(m, bc1, out=g)  # g is not needed any more
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            update /= tmp
-            decayed = np.multiply(param, weight_decay, out=tmp)
-            decayed += update
-            decayed *= lr
-            param -= decayed
+        np.multiply(grad, scale, out=g)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        v *= ADAM_BETA2
+        np.square(g, out=tmp)
+        tmp *= 1.0 - ADAM_BETA2
+        v += tmp
+        update = np.divide(m, bc1, out=g)  # g is not needed any more
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update /= tmp
+        decayed = np.multiply(self.params, weight_decay, out=tmp)
+        decayed += update
+        decayed *= lr
+        self.params -= decayed
 
 
 @dataclass
@@ -299,19 +299,20 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
         np.searchsorted(rows, packed.ids), packed.lengths,
         np.searchsorted(rows, packed.rows), packed.counts, packed.widths,
     )
-    compact = EncoderParams(
-        params.table_for(rows)[rows],
-        params.projection,
-        params.projection_bias,
-        params.classifier,
-        params.classifier_bias,
-    )
-    blocks = compact.blocks()
+    initial = [params.table_for(rows)[rows], params.projection, params.projection_bias,
+               params.classifier, params.classifier_bias] + ([bank.matrix] if bank is not None else [])
+    shapes = [(name, b.shape) for name, b in zip(BLOCK_NAMES + ("proxies",), initial)]
+    flat = np.concatenate([b.ravel() for b in initial])
+    blocks = block_views(flat, shapes)
+    grad = np.zeros_like(flat)
+    grads = block_views(grad, shapes)
+    compact = EncoderParams(*list(blocks.values())[:5])
+    for name in BLOCK_NAMES[1:]:  # the returned model shares these with compact
+        setattr(params, name, blocks[name])
     if bank is not None:
-        blocks = blocks + [("proxies", bank.matrix)]
-    optimizer = AdamW(
-        blocks, config.clip_norm, sparse={"embedding_table": (rows, config.vocab_size)}
-    )
+        bank.matrix = blocks["proxies"]
+    sparse = {"embedding_table": (rows, config.vocab_size)}
+    optimizer = AdamW(flat, list(blocks.items()), config.clip_norm, sparse=sparse)
 
     lrs: list[float] = []
     log: list[tuple[int, float]] = []
@@ -339,15 +340,15 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 out = combined_loss(ce, metric, w)
             log.append((step, out.value))
 
-            grads = backward_batch(compact, cache, out.grad_embeddings)
+            backward_batch(compact, cache, out.grad_embeddings, grads)
             if w > 0.0:
-                grads["classifier"] = z.T @ grad_logits
-                grads["classifier_bias"] = grad_logits.sum(axis=0)
+                np.matmul(z.T, grad_logits, out=grads["classifier"])
+                np.add.reduce(grad_logits, axis=0, out=grads["classifier_bias"])
             if bank is not None:
-                grads["proxies"] = out.grad_proxies
+                grads["proxies"][...] = out.grad_proxies
 
             lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
-            optimizer.step(grads, lr, config.weight_decay)
+            optimizer.step(grad, lr, config.weight_decay)
             lrs.append(lr)
             if bank is not None:
                 # a row norm overflows before an entry does: report it as a
@@ -356,8 +357,7 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
                 bank.matrix[:] = l2_normalize_rows(bank.matrix)
             step += 1
 
-    # every other block is shared with compact; the unused rows owe their
-    # init draw and the decay
+    # the unused rows owe their init draw and the decay
     params.table_for(rows)[rows] = compact.embedding_table
     params.defer_decay(rows, lrs, config.weight_decay)
     return TrainedModel(params, bank, config, log)

@@ -68,6 +68,7 @@ def test_entry_totals_and_compares_each_side():
     assert ops["work_wins"] == 2
     assert got["metrics"]["setup_s"]["work_wins"] == 1
     assert got["same_hashes"] is True
+    assert got["failed_share"] == {"base": 8 / 300, "work": 6 / 300}
 
 
 @pytest.mark.parametrize(
@@ -99,3 +100,24 @@ def test_entry_lists_a_layer_only_one_side_traced():
         "ops_per_kref": {"base": None, "work": 20.0},
         "setup_s": {"base": None, "work": 1.0},
     }
+
+
+def test_more_failures_names_a_larger_failed_share_of_the_working_tree():
+    bench_pairs = load_bench_pairs()
+    fewer = bench_pairs.entry("gradcheck", 31, 20, "abc123", fake_runs(), METRICS, TRACED)
+    assert bench_pairs.more_failures(fewer) is None
+    runs = fake_runs()
+    runs["work"][0]["summary"]["failed"] = 5  # 9 of 300 against the base's 8
+    more = bench_pairs.entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
+    line = bench_pairs.more_failures(more)
+    assert line.startswith("MORE FAILURES gradcheck seed 31:")
+    assert "3.00%" in line and "2.67%" in line
+    runs["work"][0]["summary"]["failed"] = 4  # 8 of 300: equal shares
+    same = bench_pairs.entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
+    assert bench_pairs.more_failures(same) is None
+
+
+def test_failed_share_of_a_side_with_no_operations_is_zero():
+    runs = {side: [fake_run(20.0, 1.0, 0, attempted=0)] for side in ("base", "work")}
+    got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
+    assert got["failed_share"] == {"base": 0.0, "work": 0.0}

@@ -12,7 +12,10 @@ Each subprocess also checks the condition that table rows drawn on first
 read rely on: numpy's elementwise loops give an element the same bits
 whatever the array's length and the element's place in it, so a row drawn
 alone equals its entries of one contiguous `Rng.normal` draw, byte for
-byte, under either set of kernels.
+byte, under either set of kernels. And it runs the flat-step equivalence
+tests of `tests/test_hotpath_equivalence.py` (`FLAT_STEP_TESTS`): AdamW
+over one vector, backward into views of one gradient and pooling by text
+length against the code they replaced, under either set of kernels.
 """
 
 import json
@@ -22,13 +25,19 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+HOTPATH = Path(__file__).resolve().parent / "test_hotpath_equivalence.py"
+FLAT_STEP_TESTS = (
+    "test_flat_adamw_matches_block_adamw",
+    "test_backward_into_views_matches_allocating_backward",
+    "test_pooling_by_length_matches_per_position_pooling",
+)
 AVX2_ONLY = {
     "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
     "OPENBLAS_CORETYPE": "Haswell",
 }
 
 SCRIPT = r"""
-import contextlib, io, json, sys
+import contextlib, importlib.util, io, json, sys
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +50,7 @@ from dmlbench.cli import main
 from dmlbench.encoder import init_encoder
 from dmlbench.numeric import Rng
 
-tmp = Path(sys.argv[1])
+tmp, hotpath, tests = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
 data, report = tmp / "data.tsv", tmp / "report.json"
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["synth", "--classes", "3", "--size", "90", "--noise", "0.3",
@@ -61,9 +70,17 @@ for vocab, embed, seed in ((4096, 32, 1), (61, 7, 2), (5, 1, 3), (33, 9, 4)):
         lazy_equal &= params.table_for(ids)[ids].tobytes() == eager[ids].tobytes()
     lazy_equal &= params.embedding_table.tobytes() == eager.tobytes()
 
+# hypothesis runs each test's examples when it is called directly
+spec = importlib.util.spec_from_file_location("hotpath_equivalence", hotpath)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+for name in tests:
+    getattr(module, name)()
+
 print(json.dumps({
     "report": json.loads(out.getvalue()),
     "lazy_equal": bool(lazy_equal),
+    "flat_step_tests": tests,
     "x86_v4": bool(__cpu_features__.get("X86_V4", False)),
 }))
 """
@@ -76,7 +93,7 @@ def run(tmp_path, name, extra_env):
     env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(work)],
+        [sys.executable, "-c", SCRIPT, str(work), str(HOTPATH), *FLAT_STEP_TESTS],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -88,6 +105,8 @@ def test_avx2_kernels_give_the_same_f1_and_lazy_rows(tmp_path):
     avx2 = run(tmp_path, "avx2", AVX2_ONLY)
     assert not avx2["x86_v4"]  # numpy took the AVX2 loops
     assert default["lazy_equal"] and avx2["lazy_equal"]
+    # the subprocess exits non-zero if any of these fails
+    assert default["flat_step_tests"] == avx2["flat_step_tests"] == list(FLAT_STEP_TESTS)
     assert [row["name"] for row in default["report"]["rows"]] == [
         "cce", "proxyanchor", "proxyanchor+inf"
     ]

@@ -31,6 +31,14 @@ def flatten_params(params):
     return np.concatenate([arr.ravel() for _, arr in params.blocks()])
 
 
+def backward_grads(params, cache, upstream):
+    """backward_batch's gradients, written into zeroed blocks keyed like
+    params.blocks()."""
+    grads = {name: np.zeros(arr.shape) for name, arr in params.blocks()}
+    backward_batch(params, cache, upstream, grads)
+    return grads
+
+
 def unflatten_params(flat, template):
     arrays = []
     offset = 0
@@ -199,7 +207,7 @@ class TestBackward:
     def run_fd(self, loss_of_embeddings, upstream_of_embeddings, seed):
         params = tiny_params(seed)
         z, cache = forward_batch(params, pack_tokens(self.LISTS))
-        grads = backward_batch(params, cache, upstream_of_embeddings(z))
+        grads = backward_grads(params, cache, upstream_of_embeddings(z))
         analytic = np.concatenate([grads[name].ravel() for name, _ in params.blocks()])
 
         def f(flat):
@@ -231,7 +239,7 @@ class TestBackward:
     def test_no_logit_grad_leaves_classifier_untouched(self):
         params = tiny_params(9)
         z, cache = forward_batch(params, pack_tokens(self.LISTS))
-        grads = backward_batch(params, cache, np.ones_like(z))
+        grads = backward_grads(params, cache, np.ones_like(z))
         assert np.all(grads["classifier"] == 0.0)
         assert np.all(grads["classifier_bias"] == 0.0)
         assert np.any(grads["projection"] != 0.0)
@@ -239,14 +247,14 @@ class TestBackward:
     def test_untouched_vocab_rows_get_zero(self):
         params = tiny_params(10)
         z, cache = forward_batch(params, pack_tokens([[1], [3]]))
-        grads = backward_batch(params, cache, np.ones_like(z))
+        grads = backward_grads(params, cache, np.ones_like(z))
         touched = np.nonzero(np.any(grads["embedding_table"] != 0.0, axis=1))[0]
         assert touched.tolist() == [1, 3]
 
     def test_repeated_token_weighted_by_count(self):
         params = tiny_params(11)
         z, cache = forward_batch(params, pack_tokens([[2, 2, 5]]))
-        grads = backward_batch(params, cache, np.ones_like(z))
+        grads = backward_grads(params, cache, np.ones_like(z))
         row2 = grads["embedding_table"][2]
         row5 = grads["embedding_table"][5]
         assert np.allclose(row2, 2.0 * row5)

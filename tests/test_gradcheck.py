@@ -4,15 +4,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dmlbench.gradcheck import (
+    NEAR_ZERO,
     PROBE_SETTINGS,
     CheckResult,
+    _instance,
+    check_gradient,
     compare_gradients,
     draw_probe,
     probe,
     run_gradcheck,
 )
 from dmlbench.losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig
-from dmlbench.numeric import Rng, derive_seed, fd_gradient, l2_normalize_rows
+from dmlbench.numeric import Rng, derive_seed, fd_gradient, five_point, l2_normalize_rows
 from dmlbench.proxies import ProxyBank
 
 
@@ -73,35 +76,22 @@ class TestRunGradcheck:
         )
 
 
-def five_point(f, x, h):
-    """Fourth-order central difference: (-f(x+2h) + 8f(x+h) - 8f(x-h) + f(x-2h)) / 12h."""
-    x = x.copy()
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        orig = x[i]
-        vals = []
-        for step in (2 * h, h, -h, -2 * h):
-            x[i] = orig + step
-            vals.append(f(x))
-        x[i] = orig
-        grad[i] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
-    return grad
-
-
 @pytest.mark.parametrize("call", [11, 37])
 def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
-    # run_gradcheck(1, seed) fails supcon at these calls of the benchmark's
-    # gradcheck workload (worst_rel 1.56e-4 and 2.12e-4 against 1e-4). The
-    # loss is 28 and 74 there and the worst coordinates have |fd| near
+    # the central difference alone fails supcon at these calls of the
+    # benchmark's gradcheck workload (worst_rel 1.56e-4 and 2.12e-4 against
+    # 1e-4). The loss is 28 and 74 there and the worst coordinates have |fd| near
     # 1.5e-6, so the central difference's rounding error at h = 1e-5, about
     # eps * |f| / h, exceeds the tolerance (at h = 1e-4 both pass). A
-    # five-point stencil at h = 1e-3 agrees with the analytic gradient.
+    # five-point stencil at h = 1e-3 agrees with the analytic gradient, and
+    # the oracle, which takes the failing coordinates again with it, passes.
     seed = derive_seed(211, "gradcheck", call)
     config = LossConfig("supcon", **PROBE_SETTINGS["supcon"])
     f, x0, analytic = draw_probe(config, Rng(derive_seed(seed, "gradcheck", "supcon")))
     supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
-    assert supcon.worst_rel == compare_gradients(analytic, fd_gradient(f, x0))[2]
-    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    assert not compare_gradients(analytic, fd_gradient(f, x0))[0]
+    assert supcon.passed, supcon
+    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3, range(x0.size)))
     assert ok, (worst_abs, worst_rel)
 
 
@@ -112,7 +102,8 @@ def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
     # difference at h = 1e-5, worst_rel up to 1.8e-4. The loss is 22 to 48
     # there, so the stencil's rounding error, about eps * |f| / h, is what
     # fails: at h = 1e-6 it grows to 1e-3, while a five-point stencil at
-    # h = 1e-3 agrees with the analytic gradient to 4e-6.
+    # h = 1e-3 agrees with the analytic gradient to 4e-6, and the oracle,
+    # which takes the failing coordinates again with it, passes.
     g = np.random.default_rng(seed)
     rows, dim, classes = g.integers(2, 9), g.integers(2, 7), g.integers(2, 5)
     labels = g.integers(0, classes, size=rows)
@@ -121,8 +112,9 @@ def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
     config = LossConfig("proxyanchor", pa_alpha=32.0, pa_delta=0.1)
     f, x0, analytic = probe(config, EmbeddingBatch(z, labels, classes), ProxyBank(w, classes, 1), None)
     assert not compare_gradients(analytic, fd_gradient(f, x0))[0]
-    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3, range(x0.size)))
     assert ok, (worst_abs, worst_rel)
+    assert check_gradient(f, x0, analytic)[0]
 
 
 @st.composite
@@ -168,15 +160,33 @@ def probe_shapes(draw):
 def test_every_metric_row_over_random_shapes(variant, shape, st_k):
     # each row as training calls it, with the structure its own miner
     # picks, at the oracle's settings and tolerances; where the central
-    # difference misses, a five-point stencil at h = 1e-3 is the arbiter,
-    # as for the supcon and proxyanchor probes above
+    # difference misses, the oracle takes the failing coordinates again with
+    # a five-point stencil at h = 1e-3, as for the supcon and proxyanchor
+    # probes above
     labels, classes, dim, rng = shape
     fields = dict(PROBE_SETTINGS[variant], **({"st_k": st_k} if variant == "softtriple" else {}))
     drawn = draw_probe(LossConfig(variant, **fields), rng, labels, classes, dim)
     if drawn is None:  # no structure in these labels: training takes a zero step
         return
-    f, x0, analytic = drawn
-    ok, worst_abs, worst_rel = compare_gradients(analytic, fd_gradient(f, x0))
-    if not ok:
-        ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3))
+    ok, worst_abs, worst_rel = check_gradient(*drawn)
     assert ok, (worst_abs, worst_rel)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", [31, 211])
+def test_a_wrong_gradient_still_fails_after_the_recompute(variant, seed):
+    # the five-point recompute forgives rounding, not a wrong gradient: a
+    # relative error of 1e-3 on the largest coordinate, or an error of 1e-7
+    # on a near-zero one, fails every variant's instance. These probes have
+    # no coordinate with |fd| < NEAR_ZERO, so the near-zero one is appended:
+    # f does not read it, and its derivative is exactly 0.
+    f, x0, analytic = _instance(variant, Rng(derive_seed(seed, "gradcheck", variant)))
+    assert check_gradient(f, x0, analytic)[0]
+    wrong = analytic.copy()
+    wrong[np.argmax(np.abs(fd_gradient(f, x0)))] *= 1.0 + 1e-3
+    assert not check_gradient(f, x0, wrong)[0]
+    wider, with_zero = np.append(x0, 0.5), np.append(analytic, 0.0)
+    assert check_gradient(lambda x: f(x[:-1]), wider, with_zero)[0]
+    with_zero[-1] = 1e-7
+    assert abs(fd_gradient(lambda x: f(x[:-1]), wider)[-1]) < NEAR_ZERO
+    assert not check_gradient(lambda x: f(x[:-1]), wider, with_zero)[0]

@@ -5,9 +5,11 @@ The reference implementations below are the earlier loops, kept here and
 nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
 `mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
 n-pairs on a sub-batch of two members per class scattered back,
-per-text pooling and scatter in the encoder, the encoder on token lists
-counted at every step, the eager init of the whole table, AdamW with fresh
-temporaries and dense moments over every row, `normalize_backward` one row
+per-text pooling and scatter in the encoder, pooling one token position
+at a time, the encoder on token lists counted at every step, a backward
+pass that allocates its gradient blocks, the eager init of the whole
+table, AdamW with fresh temporaries and dense moments over every row,
+AdamW block by block, `normalize_backward` one row
 at a time, `synth_dataset` with two draws per token, and supcon and
 proxy-NCA one anchor at a time on the 1-D log-sum-exp. Hypothesis varies
 the sizes; every comparison is on the raw bytes of the results, so a
@@ -17,6 +19,7 @@ difference in the last bit or in the sign of a zero fails.
 import dataclasses
 import itertools
 import math
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -29,6 +32,7 @@ from hypothesis import strategies as st
 
 from dmlbench import losses, trainer
 from dmlbench.encoder import (
+    BLOCK_NAMES,
     EncoderParams,
     backward_batch,
     block_shapes,
@@ -67,6 +71,7 @@ from dmlbench.losses import (
 from dmlbench.numeric import (
     Rng,
     add_rows_at,
+    block_views,
     derive_seed,
     l2_normalize_rows,
     log_sum_exp,
@@ -230,6 +235,62 @@ def list_backward_batch(params, cache, grad_embeddings, z):
     return grads
 
 
+def position_forward_batch(params, batch):
+    """forward_batch as it was before pooling by length: one gather and add
+    per token position over every text still that long."""
+    ids, lengths = batch.ids, batch.lengths
+    order = np.argsort(-lengths, kind="stable")
+    starts = (np.cumsum(lengths) - lengths)[order]
+    longest_first = lengths[order]
+    table = params.table_for(ids)
+    sums = np.zeros((len(batch), params.embed_dim))
+    for j in range(int(longest_first[0])):
+        active = int(np.count_nonzero(longest_first > j))
+        sums[:active] += table[ids[starts[:active] + j]]
+    pooled = np.empty_like(sums)
+    pooled[order] = sums / longest_first[:, None]
+    z = np.tanh(pooled @ params.projection + params.projection_bias)
+    return z, pooled
+
+
+def allocating_backward_batch(params, cache, grad_embeddings):
+    """backward_batch as it was before the flat gradient: five zeroed
+    arrays allocated at every call and returned in a dict."""
+    z = cache.embeddings
+    batch = cache.batch
+    dims = (params.vocab_size, params.embed_dim, params.out_dim, params.num_classes)
+    grads = {name: np.zeros(shape) for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
+    grad_z = np.asarray(grad_embeddings, dtype=np.float64)
+    grad_u = grad_z * (1.0 - z * z)
+    grads["projection"] = cache.pooled.T @ grad_u
+    grads["projection_bias"] = grad_u.sum(axis=0)
+    grad_pooled = grad_u @ params.projection.T
+    texts = np.repeat(np.arange(len(batch)), batch.widths)
+    shares = batch.counts / batch.lengths[texts]
+    add_rows_at(grads["embedding_table"], batch.rows, shares[:, None] * grad_pooled[texts])
+    return grads
+
+
+def backward_into_zeros(params, cache, grad_embeddings):
+    """backward_batch's gradients, written into zeroed blocks keyed like
+    params.blocks()."""
+    grads = {name: np.zeros(arr.shape) for name, arr in params.blocks()}
+    backward_batch(params, cache, grad_embeddings, grads)
+    return grads
+
+
+def flat_copy(named):
+    """One vector holding the named arrays one after another, and its
+    named views, as `train` lays out its blocks."""
+    flat = np.concatenate([np.ravel(arr) for _, arr in named])
+    return flat, block_views(flat, [(name, np.shape(arr)) for name, arr in named])
+
+
+def flat_grad(grads, names):
+    """The named gradient blocks as one vector, in the order of names."""
+    return np.concatenate([np.ravel(grads[name]) for name in names])
+
+
 def eager_init_encoder(num_classes, vocab_size, embed_dim, out_dim, rng):
     """init_encoder as it was before the table rows were drawn on read:
     every block drawn in checkpoint order, the table first."""
@@ -267,6 +328,65 @@ class OldAdamW:
             v += (1.0 - ADAM_BETA2) * (g * g)
             update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
             param -= lr * (update + weight_decay * param)
+
+
+class BlockAdamW:
+    """AdamW as it was before the flat vector: per-block moments and work
+    arrays in dicts, the ufunc chain run once per block."""
+
+    def __init__(self, blocks, clip_norm, sparse=None):
+        self.blocks = blocks
+        self.clip_norm = clip_norm
+        self.sparse = {name: (np.asarray(rows, dtype=np.int64), total)
+                       for name, (rows, total) in (sparse or {}).items()}
+        self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
+        self.m = {name: np.zeros(arr.shape) for name, arr in blocks}
+        self.v = {name: np.zeros(arr.shape) for name, arr in blocks}
+        self._work = {name: (np.empty(arr.shape), np.empty(arr.shape)) for name, arr in blocks}
+        self.t = 0
+
+    def _sum_of_squares(self, grads, dense):
+        sq = 0.0
+        for name, _ in self.blocks:
+            squares = np.square(grads[name], out=self._work[name][0])
+            if dense and name in self.sparse:
+                rows, total = self.sparse[name]
+                full = np.zeros((total,) + squares.shape[1:])
+                full[rows] = squares
+                sq += float(full.sum())
+            else:
+                sq += float(squares.sum())
+        return sq
+
+    def step(self, grads, lr, weight_decay):
+        sq = self._sum_of_squares(grads, dense=False)
+        if self.sparse and not sq < self._no_clip_below:
+            sq = self._sum_of_squares(grads, dense=True)
+        norm = math.sqrt(sq)
+        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for name, param in self.blocks:
+            g, tmp = self._work[name]
+            np.multiply(grads[name], scale, out=g)
+            m = self.m[name]
+            v = self.v[name]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            np.square(g, out=tmp)
+            tmp *= 1.0 - ADAM_BETA2
+            v += tmp
+            update = np.divide(m, bc1, out=g)
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            update /= tmp
+            decayed = np.multiply(param, weight_decay, out=tmp)
+            decayed += update
+            decayed *= lr
+            param -= decayed
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +968,7 @@ def test_forward_and_backward_match_per_text_loops(case):
     assert same_bits(cache.pooled, pooled_old)
     rng = Rng(seed + 1)
     grad_z = rng.normal(z.size).reshape(z.shape)
-    new = backward_batch(params, cache, grad_z)
+    new = backward_into_zeros(params, cache, grad_z)
     old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     assert list(new) == list(old)
     for name in old:
@@ -870,7 +990,7 @@ def test_encoder_fixed_cases(texts):
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     grad_z = Rng(18).normal(z.size).reshape(z.shape)
-    new = backward_batch(params, cache, grad_z)
+    new = backward_into_zeros(params, cache, grad_z)
     old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     for name in old:
         assert same_bits(new[name], old[name]), name
@@ -887,7 +1007,7 @@ def test_encoder_fortran_ordered_params():
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     grad_z = Rng(18).normal(z.size).reshape(z.shape)
-    new = backward_batch(params, cache, grad_z)
+    new = backward_into_zeros(params, cache, grad_z)
     old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     assert np.any(new["embedding_table"] != 0.0)
     for name in old:
@@ -935,7 +1055,7 @@ def test_take_matches_the_list_based_encoder(vocab, texts, data):
     assert same_bits(z, z_list)
     assert same_bits(cache.pooled, cache_list[2])
     grad_z = Rng(len(chosen)).normal(z.size).reshape(z.shape)
-    new = backward_batch(params, cache, grad_z)
+    new = backward_into_zeros(params, cache, grad_z)
     old = list_backward_batch(params, cache_list, grad_z, z_list)
     assert list(new) == list(old)
     for name in old:
@@ -1019,14 +1139,14 @@ def test_adamw_matches_temporaries(seed, steps, clip, weight_decay):
     rng = Rng(seed)
     shapes = {"table": (7, 3), "bias": (3,), "head": (3, 2)}
     start = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
-    new_params = {name: arr.copy() for name, arr in start.items()}
+    flat, new_params = flat_copy(list(start.items()))
     old_params = {name: arr.copy() for name, arr in start.items()}
-    new = AdamW(list(new_params.items()), clip)
+    new = AdamW(flat, list(new_params.items()), clip)
     old = OldAdamW(list(old_params.items()), clip)
     for step in range(steps):
         grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
         lr = 0.0 if step == 0 else 1e-2 / step
-        new.step(grads, lr, weight_decay)
+        new.step(flat_grad(grads, shapes), lr, weight_decay)
         old.step(grads, lr, weight_decay)
         for name in shapes:
             assert same_bits(new_params[name], old_params[name])
@@ -1066,10 +1186,9 @@ def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, 
     zero_rows = dead[: dead.size // 2]
     negative = rng.random(zero_rows.size * dim).reshape(-1, dim) < 0.5
     start["table"][zero_rows] = np.where(negative, -0.0, 0.0)
-    new_params = {name: arr.copy() for name, arr in start.items()}
-    new_params["table"] = start["table"][live]
+    flat, new_params = flat_copy([("table", start["table"][live]), ("bias", start["bias"]), ("head", start["head"])])
     old_params = {name: arr.copy() for name, arr in start.items()}
-    new = AdamW(list(new_params.items()), clip, sparse={"table": (live, vocab)})
+    new = AdamW(flat, list(new_params.items()), clip, sparse={"table": (live, vocab)})
     old = OldAdamW(list(old_params.items()), clip)
     assert same_bits(new.sparse["table"][0], live)
     for step in range(steps):
@@ -1078,7 +1197,7 @@ def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, 
         dead_negative = rng.random(dead.size * dim).reshape(-1, dim) < 0.5
         grads["table"][dead] = np.where(dead_negative, -0.0, 0.0)
         grads["table"][live[rng.random(live.size) < 0.3]] = 0.0
-        new.step({**grads, "table": grads["table"][live]}, lr, weight_decay)
+        new.step(flat_grad({**grads, "table": grads["table"][live]}, shapes), lr, weight_decay)
         old.step(grads, lr, weight_decay)
         table = start["table"].copy()
         table[live] = new_params["table"]
@@ -1133,7 +1252,7 @@ def dense_train(texts, labels, num_classes, config):
                 ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
             out = metric if ce is None else ce if metric is None else combined_loss(ce, metric, w)
             log.append((step, out.value))
-            grads = backward_batch(params, cache, out.grad_embeddings)
+            grads = allocating_backward_batch(params, cache, out.grad_embeddings)
             if w > 0.0:
                 grads["classifier"] = z.T @ grad_logits
                 grads["classifier_bias"] = grad_logits.sum(axis=0)
@@ -1245,9 +1364,10 @@ def test_live_row_clip_at_the_dense_norm(seed):
                  dense * (1.0 - 1e-7), dense * (1.0 + 1e-7)):
         start = rng.normal(64 * 4).reshape(64, 4)
         new_table, old_table = start.copy(), start.copy()
-        compact = start[live]
-        AdamW([("table", compact)], clip, sparse={"table": (live, 64)}).step(
-            {"table": grad[live]}, 0.1, 0.01
+        flat, compact = flat_copy([("table", start[live])])
+        compact = compact["table"]
+        AdamW(flat, [("table", compact)], clip, sparse={"table": (live, 64)}).step(
+            grad[live].ravel(), 0.1, 0.01
         )
         new_table[live] = compact
         new_table = settled(new_table, live, [0.1], 0.01)
@@ -1264,15 +1384,177 @@ def test_live_row_nonfinite_norm(bad):
     grad[5, 2] = bad
     start = Rng(3).normal(36).reshape(12, 3)
     new_table, old_table = start.copy(), start.copy()
-    compact = start[live]
+    flat, compact = flat_copy([("table", start[live])])
+    compact = compact["table"]
     with np.errstate(all="ignore"):
-        AdamW([("table", compact)], 1.0, sparse={"table": (live, 12)}).step(
-            {"table": grad[live]}, 0.1, 0.01
+        AdamW(flat, [("table", compact)], 1.0, sparse={"table": (live, 12)}).step(
+            grad[live].ravel(), 0.1, 0.01
         )
         new_table[live] = compact
         new_table = settled(new_table, live, [0.1], 0.01)
         OldAdamW([("table", old_table)], 1.0).step({"table": grad}, 0.1, 0.01)
     assert same_bits(new_table, old_table)
+
+
+# ---------------------------------------------------------------------------
+# the flat step: AdamW over one vector, backward into views of one gradient,
+# pooling by text length
+
+
+@st.composite
+def flat_adamw_cases(draw):
+    """The blocks train steps: a compact table of live rows of a larger
+    vocabulary, projection, bias, head, and for a proxy loss a bank."""
+    vocab = draw(st.integers(1, 40))
+    live = np.array(sorted(draw(st.sets(st.integers(0, vocab - 1), min_size=1))), dtype=np.int64)
+    embed, out, classes = draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    shapes = [("embedding_table", (live.size, embed))] + list(
+        zip(BLOCK_NAMES[1:], block_shapes(vocab, embed, out, classes)[1:])
+    )
+    if draw(st.booleans()):
+        shapes.append(("proxies", (draw(st.integers(1, 6)), out)))
+    return vocab, live, shapes
+
+
+@SETTINGS
+@given(
+    case=flat_adamw_cases(),
+    seed=st.integers(0, 2**32),
+    steps=st.integers(1, 5),
+    clip=st.sampled_from([1e-3, 0.5, 5.0, 1e9]),
+    weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+    bad=st.sampled_from([None, np.inf, -np.inf, np.nan, 1e200]),
+)
+def test_flat_adamw_matches_block_adamw(case, seed, steps, clip, weight_decay, bad):
+    # clipped and unclipped steps, a sparse table, and now and then a
+    # gradient entry that makes the norm overflow or NaN
+    vocab, live, shapes = case
+    rng = Rng(seed)
+    start = [(name, rng.normal(math.prod(s)).reshape(s)) for name, s in shapes]
+    flat, new_params = flat_copy(start)
+    old_params = {name: arr.copy() for name, arr in start}
+    sparse = {"embedding_table": (live, vocab)}
+    new = AdamW(flat, list(new_params.items()), clip, sparse=sparse)
+    old = BlockAdamW(list(old_params.items()), clip, sparse=sparse)
+    for step in range(steps):
+        grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes}
+        if bad is not None and step == steps - 1:
+            name, _ = shapes[rng.randint(len(shapes))]
+            grads[name].reshape(-1)[rng.randint(grads[name].size)] = bad
+        grad = flat_grad(grads, [name for name, _ in shapes])
+        lr = 0.0 if step == 0 else 1e-2 / step
+        with np.errstate(all="ignore"):
+            new.step(grad, lr, weight_decay)
+            old.step(grads, lr, weight_decay)
+        for name, _ in shapes:
+            assert same_bits(new_params[name], old_params[name]), name
+            assert same_bits(new.m[name], old.m[name]), name
+            assert same_bits(new.v[name], old.v[name]), name
+
+
+def test_flat_adamw_rejects_blocks_that_do_not_fill_the_vector():
+    with pytest.raises(DimensionError):
+        AdamW(np.zeros(5), [("a", np.zeros((2, 2)))], 1.0)
+
+
+@SETTINGS
+@given(case=token_batches(), data=st.data())
+def test_backward_into_views_matches_allocating_backward(case, data):
+    # the gradient blocks are views of one vector that holds NaN from
+    # before: the encoder blocks are overwritten, the classifier's kept
+    params, texts, seed = case
+    z, cache = forward_batch(params, pack_tokens(texts))
+    grad_z = Rng(seed + 1).normal(z.size).reshape(z.shape)
+    extra = [("proxies", (2, params.out_dim))] if data.draw(st.booleans()) else []
+    grad = np.full(sum(arr.size for _, arr in params.blocks()) + 2 * params.out_dim * len(extra), np.nan)
+    grads = block_views(grad, [(name, arr.shape) for name, arr in params.blocks()] + extra)
+    backward_batch(params, cache, grad_z, grads)
+    old = allocating_backward_batch(params, cache, grad_z)
+    for name in BLOCK_NAMES[:3]:
+        assert same_bits(grads[name], old[name]), name
+    for name in BLOCK_NAMES[3:] + tuple(name for name, _ in extra):
+        assert np.isnan(grads[name]).all(), name
+
+
+@st.composite
+def pooling_batches(draw):
+    """A packed batch of 1 to 70 texts of mixed lengths, some long, over a
+    table with signed zeros and a wide range of magnitudes."""
+    vocab = draw(st.integers(1, 50))
+    embed = draw(st.integers(1, 32))
+    lengths = draw(st.lists(
+        st.one_of(st.integers(1, 12), st.integers(1, 300)), min_size=1, max_size=70
+    ))
+    if draw(st.booleans()):  # one length: up to 70 texts share a gather
+        lengths = [lengths[0]] * len(lengths)
+    rng = Rng(draw(st.integers(0, 2**32)))
+    texts = [(rng.random(n) * vocab).astype(np.int64).tolist() for n in lengths]
+    params = init_encoder(2, vocab, embed, 3, rng)
+    if draw(st.booleans()):
+        table = params.embedding_table
+        table[::3] *= 1e6
+        table[1::5] = -0.0
+        table[2::7] = -table[2::7] * 1e16  # cancellations next to small entries
+    return params, pack_tokens(texts)
+
+
+@SETTINGS
+@given(case=pooling_batches())
+def test_pooling_by_length_matches_per_position_pooling(case):
+    params, batch = case
+    z, cache = forward_batch(params, batch)
+    z_old, pooled_old = position_forward_batch(params, batch)
+    assert same_bits(cache.pooled, pooled_old)
+    assert same_bits(z, z_old)
+
+
+@pytest.mark.parametrize("texts", [64, 65, 70, 129])
+@pytest.mark.parametrize("embed", [1, 32])
+def test_pooling_splits_many_texts_of_one_length(texts, embed):
+    # more texts of one length than one gather takes: the last gather holds
+    # the rest, down to a single text
+    params = init_encoder(2, 50, embed, 3, Rng(texts))
+    rng = Rng(embed)
+    batch = pack_tokens([(rng.random(9) * 50).astype(np.int64).tolist() for _ in range(texts)])
+    z, cache = forward_batch(params, batch)
+    z_old, pooled_old = position_forward_batch(params, batch)
+    assert same_bits(cache.pooled, pooled_old)
+    assert same_bits(z, z_old)
+
+
+@pytest.mark.parametrize("lengths", [[8] * 2000, [8, 9] * 1000])
+def test_pooling_memory_stays_near_the_pooled_arrays(lengths):
+    # a whole test split goes through forward_batch at once: its gathers
+    # take at most _POOL_TEXTS texts, so the peak stays within four (L, E)
+    # arrays, 2 MB here (the per-position loop peaked near 1.6 MB; one
+    # gather per length, of every text of that length, at 5.3 and 3.2 MB)
+    params = init_encoder(2, 4096, 32, 16, Rng(2))
+    rng = Rng(3)
+    batch = pack_tokens([(rng.random(n) * 4096).astype(np.int64).tolist() for n in lengths])
+    forward_batch(params, batch)  # draws the rows, and numpy's first-call allocations
+    tracemalloc.start()
+    forward_batch(params, batch)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 4 * len(lengths) * params.embed_dim * 8, peak
+
+
+@pytest.mark.parametrize("length", [9, 17, 300])
+def test_pooling_one_long_text_at_embed_dim_one(length):
+    # E = 1 and one text: without the spare text the summed axis would be
+    # the contiguous one, and numpy would add more than 8 rows pairwise.
+    # Values chosen so the two orders round differently.
+    params = init_encoder(2, length, 1, 3, Rng(17))
+    params.embedding_table[:, 0] = [1e16] + [1.0] * (length - 1)
+    batch = pack_tokens([list(range(length))])
+    _, cache = forward_batch(params, batch)
+    assert same_bits(cache.pooled, position_forward_batch(params, batch)[1])
+    total = 0.0
+    for i in range(length):
+        total += params.embedding_table[i, 0]
+    assert same_bits(cache.pooled, np.array([[total / length]]))
+    pairwise = params.embedding_table[:, 0].sum() / length
+    assert total / length != pairwise  # the order the spare text avoids
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,8 @@ class TestSchedule:
 class TestAdamW:
     def test_single_step_by_hand(self):
         w = np.array([1.0])
-        opt = AdamW([("w", w)], clip_norm=5.0)
-        opt.step({"w": np.array([0.5])}, lr=0.1, weight_decay=0.0)
+        opt = AdamW(w, [("w", w)], clip_norm=5.0)
+        opt.step(np.array([0.5]), lr=0.1, weight_decay=0.0)
         # bias-corrected m=0.5, v=0.25 on step 1: update = 0.5/(0.5+eps)
         expected = 1.0 - 0.1 * (0.5 / (0.5 + 1e-8))
         assert w[0] == pytest.approx(expected, abs=1e-12)
@@ -79,34 +79,35 @@ class TestAdamW:
         # Adam's first unclipped step is lr regardless of gradient size
         for g in (1e-4, 1.0):
             w = np.array([0.0])
-            AdamW([("w", w)], clip_norm=100.0).step(
-                {"w": np.array([g])}, lr=0.05, weight_decay=0.0
+            AdamW(w, [("w", w)], clip_norm=100.0).step(
+                np.array([g]), lr=0.05, weight_decay=0.0
             )
             assert w[0] == pytest.approx(-0.05, rel=1e-3)
 
     def test_zero_lr_freezes_exactly(self):
         w = np.array([1.234, -0.5])
         before = w.copy()
-        opt = AdamW([("w", w)], clip_norm=5.0)
+        opt = AdamW(w, [("w", w)], clip_norm=5.0)
         for _ in range(3):
-            opt.step({"w": np.array([3.0, -2.0])}, lr=0.0, weight_decay=0.5)
+            opt.step(np.array([3.0, -2.0]), lr=0.0, weight_decay=0.5)
         assert np.array_equal(w, before)
 
     def test_weight_decay_shrinks_without_gradient(self):
         w = np.array([2.0, -4.0])
-        AdamW([("w", w)], clip_norm=5.0).step({"w": np.zeros(2)}, lr=0.1, weight_decay=0.5)
+        AdamW(w, [("w", w)], clip_norm=5.0).step(np.zeros(2), lr=0.1, weight_decay=0.5)
         assert np.allclose(w, np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5))
 
     def test_global_clip_across_blocks(self):
-        a1, b1 = np.zeros(2), np.zeros(2)
-        a2, b2 = np.zeros(2), np.zeros(2)
+        p1, p2 = np.zeros(4), np.zeros(4)
+        a1, b1 = p1[:2], p1[2:]
+        a2, b2 = p2[:2], p2[2:]
         ga = np.array([6.0, 0.0])
         gb = np.array([0.0, 8.0])  # joint norm 10, clip 5 halves both
-        AdamW([("a", a1), ("b", b1)], clip_norm=5.0).step(
-            {"a": ga, "b": gb}, lr=0.1, weight_decay=0.0
+        AdamW(p1, [("a", a1), ("b", b1)], clip_norm=5.0).step(
+            np.concatenate([ga, gb]), lr=0.1, weight_decay=0.0
         )
-        AdamW([("a", a2), ("b", b2)], clip_norm=100.0).step(
-            {"a": ga / 2, "b": gb / 2}, lr=0.1, weight_decay=0.0
+        AdamW(p2, [("a", a2), ("b", b2)], clip_norm=100.0).step(
+            np.concatenate([ga / 2, gb / 2]), lr=0.1, weight_decay=0.0
         )
         assert np.array_equal(a1, a2)
         assert np.array_equal(b1, b2)
@@ -115,20 +116,21 @@ class TestAdamW:
         a1 = np.zeros(2)
         a2 = np.zeros(2)
         g = np.array([0.3, 0.4])
-        AdamW([("a", a1)], clip_norm=5.0).step({"a": g}, 0.1, 0.0)
-        AdamW([("a", a2)], clip_norm=0.5001).step({"a": g}, 0.1, 0.0)
+        AdamW(a1, [("a", a1)], clip_norm=5.0).step(g, 0.1, 0.0)
+        AdamW(a2, [("a", a2)], clip_norm=0.5001).step(g, 0.1, 0.0)
         assert np.array_equal(a1, a2)
 
     def test_updates_in_place(self):
         w = np.ones(3)
-        opt = AdamW([("w", w)], clip_norm=5.0)
-        opt.step({"w": np.ones(3)}, 0.1, 0.0)
+        opt = AdamW(w, [("w", w)], clip_norm=5.0)
+        opt.step(np.ones(3), 0.1, 0.0)
         assert opt.blocks[0][1] is w
 
     def test_live_rows_keep_compact_moments(self):
-        table, head = np.ones((2, 2)), np.ones(3)
+        flat = np.ones(7)
+        table, head = flat[:4].reshape(2, 2), flat[4:]
         opt = AdamW(
-            [("table", table), ("head", head)], clip_norm=5.0, sparse={"table": ([1, 5], 8)}
+            flat, [("table", table), ("head", head)], clip_norm=5.0, sparse={"table": ([1, 5], 8)}
         )
         assert opt.sparse["table"][0].tolist() == [1, 5]
         assert opt.m["table"].shape == opt.v["table"].shape == (2, 2)
@@ -137,20 +139,21 @@ class TestAdamW:
     def test_live_rows_out_of_range_rejected(self):
         for rows in ([8], [-1]):
             with pytest.raises(ConfigError):
-                AdamW([("table", np.ones((1, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
+                AdamW(np.ones(2), [("table", np.ones((1, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
         # rows must be increasing and one per row of the block
         for rows in ([5, 1], [1, 1], [1]):
             with pytest.raises(ConfigError):
-                AdamW([("table", np.ones((2, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
+                AdamW(np.ones(4), [("table", np.ones((2, 2)))], clip_norm=5.0, sparse={"table": (rows, 8)})
 
     def test_rows_outside_live_only_decay(self):
         table = np.full((8, 2), 2.0)
         table[6] = -0.0
         grad = np.zeros((8, 2))
         grad[1] = 1.0
-        compact = table[[1]]
-        AdamW([("table", compact)], clip_norm=5.0, sparse={"table": ([1], 8)}).step(
-            {"table": grad[[1]]}, lr=0.1, weight_decay=0.5
+        flat = table[[1]].ravel()
+        compact = flat.reshape(1, 2)
+        AdamW(flat, [("table", compact)], clip_norm=5.0, sparse={"table": ([1], 8)}).step(
+            grad[[1]].ravel(), lr=0.1, weight_decay=0.5
         )
         table[[1]] = compact
         params = EncoderParams(table, np.zeros((2, 1)), np.zeros(1), np.zeros((1, 1)), np.zeros(1))

@@ -12,7 +12,11 @@ the base commit's sha, every run's last-line JSON, its ``result_sha`` and
 ``fingerprint_sha``, whether those two are the same in every run, each
 side's failed and attempted operations, the median and quartiles of each
 end-to-end metric on each side, how many pairs the working tree won on it,
-and the numpy version and CPU count of the machine. One more run per side
+each side's failed share of its operations, and the numpy version and CPU
+count of the machine. When the working tree fails a larger share of its
+operations than the base on a workload and seed, a line that begins
+``MORE FAILURES`` says so: the benchmark counts that as a regression
+whatever the metrics show. One more run per side
 and workload, with ``--trace 1``, follows the pairs; its per-layer metrics
 are stored in the entry side by side, and the untraced runs stay the only
 ones compared. Entries are keyed by workload and seed, and the file is
@@ -101,14 +105,19 @@ def entry(
     by side. The traced runs enter no comparison or total."""
     layers = {side: traced[side]["summary"]["metrics"] for side in SIDES}
     hashes = {(run.get("result_sha"), run.get("fingerprint_sha")) for side in SIDES for run in runs[side]}
+    totals = {
+        side: {key: sum(run["summary"][key] for run in runs[side]) for key in ("failed", "attempted")}
+        for side in SIDES
+    }
     return {
         "workload": workload,
         "seed": seed,
         "seconds": seconds,
         "base_sha": base_sha,
         "metrics": compare(runs, metrics),
-        "totals": {
-            side: {key: sum(run["summary"][key] for run in runs[side]) for key in ("failed", "attempted")}
+        "totals": totals,
+        "failed_share": {
+            side: totals[side]["failed"] / totals[side]["attempted"] if totals[side]["attempted"] else 0.0
             for side in SIDES
         },
         "same_hashes": len(hashes) == 1 and None not in next(iter(hashes)),
@@ -118,6 +127,16 @@ def entry(
         },
         **runs,
     }
+
+
+def more_failures(record: dict) -> str | None:
+    """The line to print when the working tree failed a larger share of its
+    operations than the base in this `entry`, else None."""
+    share = record["failed_share"]
+    if share["work"] <= share["base"]:
+        return None
+    return (f"MORE FAILURES {record['workload']} seed {record['seed']}: the working tree failed "
+            f"{share['work']:.2%} of its operations, the base {share['base']:.2%}")
 
 
 def main(argv=None) -> int:
@@ -149,9 +168,10 @@ def main(argv=None) -> int:
                           f"ops_per_kref {ops:.4g}", flush=True)
             traced = {side: run_bench(checkouts[side], workload, args.seed, seconds, trace=True) for side in SIDES}
             print(f"{workload} seed {args.seed}: one traced run per side", flush=True)
-            report["runs"][f"{workload} seed {args.seed}"] = entry(
-                workload, args.seed, seconds, base_sha, runs, declared["end_to_end"], traced
-            )
+            record = entry(workload, args.seed, seconds, base_sha, runs, declared["end_to_end"], traced)
+            report["runs"][f"{workload} seed {args.seed}"] = record
+            if more_failures(record):
+                print(more_failures(record), flush=True)
             report.update(label=args.label, numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
             out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
             print(f"wrote {out_path}", flush=True)

@@ -13,17 +13,22 @@ size. Texts with no surviving token map to the single token id 0 so every
 text has an embedding. Each distinct token is hashed once while it stays
 in a bounded memo (`_token_hash`).
 
-`pack_tokens` packs the token lists of a set of texts once; a training
-step takes its batch from the pack by index (`TokenBatch.take`), and
+`pack_tokens` packs the token lists of a set of texts once. A grid
+(`dmlbench.harness.run_grid`) tokenizes and packs its dataset once, and
+each cell takes its training and test texts from that pack by index
+(`TokenBatch.take`); `dmlbench.trainer.train` packs a list of texts
+itself. Each training epoch takes its shuffled order from the pack once,
+and each step's batch is a run of views of that epoch (`TokenBatch.view`).
 `forward_batch` embeds a packed batch.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import string
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,11 +256,12 @@ class TokenBatch:
     per-text lengths, and each text's (row, count) pairs, its distinct ids
     in increasing order with how often each occurs in it. The pairs are
     counted once per pack; `take` gathers a batch of texts, pairs
-    included, with index arrays. A plain class with slots: one is built
-    at every training step, and the class adds next to nothing to the
-    package's import time."""
+    included, with index arrays, and `view` slices a run of consecutive
+    texts without a copy. A plain class with slots: one is built at every
+    training step, and the class adds next to nothing to the package's
+    import time."""
 
-    __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_starts")
+    __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_offsets")
 
     def __init__(self, ids, lengths, rows, counts, widths):
         self.ids = ids  # (T,) every text's token ids, one text after another
@@ -263,36 +269,55 @@ class TokenBatch:
         self.rows = rows  # (P,) each text's distinct ids, increasing, one text after another
         self.counts = counts  # (P,) occurrences of each of those ids in its text
         self.widths = widths  # (L,) distinct ids per text
-        self._starts = None  # where each text's ids and pairs start, once take needs them
+        self._offsets = None  # where each text's ids and pairs start, and where the last ends
 
     def __len__(self) -> int:
         return self.lengths.size
 
+    def _text_offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L + 1,) offsets of each text's ids and of its pairs, counted once."""
+        if self._offsets is None:
+            self._offsets = tuple(
+                np.concatenate(([0], np.cumsum(n))) for n in (self.lengths, self.widths)
+            )
+        return self._offsets
+
     def take(self, chosen) -> TokenBatch:
         """The texts `chosen` (indices into this batch), in that order."""
         chosen = np.asarray(chosen, dtype=np.int64)
-        if self._starts is None:
-            self._starts = tuple(np.cumsum(n) - n for n in (self.lengths, self.widths))
-        id_starts, pair_starts = self._starts
-        pairs = _spans(pair_starts, self.widths, chosen)
+        id_offsets, pair_offsets = self._text_offsets()
+        pairs = _spans(pair_offsets[:-1], self.widths, chosen)
         return TokenBatch(
-            self.ids[_spans(id_starts, self.lengths, chosen)], self.lengths[chosen],
+            self.ids[_spans(id_offsets[:-1], self.lengths, chosen)], self.lengths[chosen],
             self.rows[pairs], self.counts[pairs], self.widths[chosen],
         )
 
+    def view(self, first: int, stop: int) -> TokenBatch:
+        """The texts first .. stop - 1 (0 <= first <= stop <= len), as views
+        of this batch's arrays, with no gather: the values that
+        `take(np.arange(first, stop))` holds."""
+        ids, pairs = (slice(at[first], at[stop]) for at in self._text_offsets())
+        return TokenBatch(
+            self.ids[ids], self.lengths[first:stop],
+            self.rows[pairs], self.counts[pairs], self.widths[first:stop],
+        )
 
-def pack_tokens(token_lists: list[list[int]]) -> TokenBatch:
+
+def pack_tokens(token_lists: Iterable[list[int]]) -> TokenBatch:
     """Pack token-id lists (as `tokenize` returns them) into a TokenBatch:
     one np.unique over the (text, id) pairs of every text counts the
-    pairs in (text, id) order."""
-    if not token_lists:
+    pairs in (text, id) order. The lists are read once, in order, so they
+    may come from a generator: a grid that packs its dataset this way
+    never holds every text's list at once."""
+    lengths, flat = array("q"), array("q")
+    for tokens in token_lists:
+        lengths.append(len(tokens))
+        flat.extend(tokens)
+    if not lengths:
         raise DimensionError("need at least one text")
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
+    lengths, ids = np.array(lengths, dtype=np.int64), np.array(flat, dtype=np.int64)
     if not lengths.all():
         raise DimensionError("every text needs at least one token (tokenize maps '' to [0])")
-    ids = np.fromiter(
-        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
-    )
     if ids.min() < 0:
         raise DimensionError("token ids must be non-negative")
     span = int(ids.max()) + 1

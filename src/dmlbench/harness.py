@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .encoder import forward_batch, pack_tokens, tokenize
+from .encoder import TokenBatch, forward_batch, pack_tokens, tokenize
 from .errors import (
     ConfigError,
     DatasetParseError,
@@ -305,7 +305,7 @@ class GridResult:
 
 
 def _train_eval_cell(
-    texts: list[str],
+    pack: TokenBatch,
     labels: np.ndarray,
     num_classes: int,
     plan: FoldPlan,
@@ -315,17 +315,18 @@ def _train_eval_cell(
     beta_inf: float,
 ) -> tuple[float, float]:
     """Train one (grid point, fold) cell and evaluate on the fold's test
-    split; the baseline's point is {"variant": "cce"}. Returns (dense F1,
+    split; the baseline's point is {"variant": "cce"}. The cell tokenizes
+    nothing: it takes its few-shot and test texts from `pack`, the grid's
+    dataset tokenized and packed once by `run_grid`. Returns (dense F1,
     blended F1); the latter is NaN for proxy-free models, both are NaN when
     training diverges. Any other error is raised again, of the same type,
     with the cell's point, fold and seed at the head of its message."""
     try:
         cfg = TrainConfig(loss=LossConfig(**point), seed=seed, **overrides)
         few = plan.fewshot_indices
-        model = train([texts[i] for i in few], labels[few], num_classes, cfg)
+        model = train(pack.take(few), labels[few], num_classes, cfg)
         test = plan.test_indices
-        packed = pack_tokens([tokenize(texts[i], cfg.vocab_size) for i in test])
-        z, _ = forward_batch(model.params, packed)
+        z, _ = forward_batch(model.params, pack.take(test))
         dense = predict(blended_scores(model.params, z, None, 1.0))
         dense_f1 = macro_f1(dense, labels[test], num_classes).macro_f1
         blended_f1 = float("nan")
@@ -358,6 +359,10 @@ def run_grid(
     over per-fold scores, so at least two folds are needed. Proxy-based
     variants also carry a proxy-blended score per cell (mixing weight
     beta_inf at inference only).
+
+    The dataset's texts are tokenized and packed once per call, at the
+    vocabulary the cells train with, before any cell runs; every cell,
+    serial or pooled, takes its texts from that one pack.
     """
     if not points:
         raise ConfigError("grid needs at least one point")
@@ -370,6 +375,8 @@ def run_grid(
         raise ConfigError("grid needs at least two folds to test against the baseline")
     overrides = {"epochs": DEFAULT_EPOCHS_BY_SHOT[shot], **(train_overrides or {})}
     n_points, n_folds = len(points), len(plans)
+    vocab_size = TrainConfig(**overrides).vocab_size
+    pack = pack_tokens(tokenize(text, vocab_size) for text in dataset.texts)
 
     # (plan, point, seed) per cell: every point on every fold, then the baseline
     cells = [
@@ -381,7 +388,7 @@ def run_grid(
         for plan in plans
     ]
     cell = functools.partial(
-        _train_eval_cell, dataset.texts, dataset.labels, dataset.num_classes,
+        _train_eval_cell, pack, dataset.labels, dataset.num_classes,
         overrides=overrides, beta_inf=beta_inf,
     )
     columns = tuple(zip(*cells))  # the plans, points and seeds, in cell order

@@ -99,7 +99,14 @@ class AdamW:
         param -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd param)
 
     entry by entry, so the result is that of a step block by block, to the
-    bit. The clip norm's sum of squares is taken block by block, in order.
+    bit. The clip norm's sum of squares is taken block by block, in order,
+    except when one dot product of the gradient with itself already shows
+    that clipping cannot fire: a dot product and the block sums add the
+    same n non-negative squares, each within about n·2⁻⁵³ relative of the
+    exact sum, so a dot below ``(1 - 4n·2⁻⁵³)`` times the no-clip bound
+    below puts the block sums below that bound too, and the scale is
+    exactly 1.0 either way. Any other dot, inf and NaN included, takes the
+    block sums.
 
     Sparse blocks. ``sparse`` maps a block name to ``(rows, total)``: the
     block holds the rows ``rows`` (increasing) of a table of ``total``
@@ -147,6 +154,7 @@ class AdamW:
         # below this compact sum of squares clipping cannot fire (see above);
         # capped so that the dense sum cannot overflow either
         self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
+        self._dot_below = self._no_clip_below * (1.0 - 4 * params.size * 2.0**-53)
         self._m, self._v, self._g, self._tmp = (np.zeros(params.shape) for _ in range(4))
         shapes = [(name, arr.shape) for name, arr in blocks]
         self.m, self.v, self._squares = (block_views(x, shapes) for x in (self._m, self._v, self._g))
@@ -166,12 +174,15 @@ class AdamW:
 
     def step(self, grad: np.ndarray, lr: float, weight_decay: float) -> None:
         g, tmp, m, v = self._g, self._tmp, self._m, self._v
-        np.square(grad, out=g)  # viewed block by block as self._squares
-        sq = self._sum_of_squares(dense=False)
-        if self.sparse and not sq < self._no_clip_below:
-            sq = self._sum_of_squares(dense=True)
-        norm = math.sqrt(sq)
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
+        if float(np.dot(grad, grad)) < self._dot_below:
+            scale = 1.0
+        else:
+            np.square(grad, out=g)  # viewed block by block as self._squares
+            sq = self._sum_of_squares(dense=False)
+            if self.sparse and not sq < self._no_clip_below:
+                sq = self._sum_of_squares(dense=True)
+            norm = math.sqrt(sq)
+            scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
@@ -247,11 +258,18 @@ def _check_finite(what: str, arr: np.ndarray, step: int) -> None:
         raise TrainingDivergedError(f"step {step}: {what} not finite")
 
 
-def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> TrainedModel:
+def train(
+    texts: list[str] | TokenBatch, labels, num_classes: int, config: TrainConfig
+) -> TrainedModel:
     """Train an encoder (and a proxy bank for proxy variants) on the texts.
 
-    The texts are tokenized and packed once (`pack_tokens`); each step
-    takes its batch from the pack by index.
+    Tokenization. `texts` is a list of texts, which are tokenized at
+    `config.vocab_size` and packed once here (`pack_tokens`), or a pack of
+    them made so (a grid packs its dataset once and passes each cell a
+    `TokenBatch.take` of it); a pack with an id outside the vocabulary is
+    refused with ConfigError. Both give the same bits. Each epoch takes
+    its shuffled order from the pack once, and each step's batch is a run
+    of views of that epoch pack (`TokenBatch.view`).
 
     Compact table. The encoder comes from `init_encoder`, so the init
     stream is that of every other run, but only the R table rows that the
@@ -289,7 +307,12 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
             num_classes, loss_cfg.proxies_per_class(), config.out_dim, proxy_rng
         )
 
-    packed = pack_tokens([tokenize(t, config.vocab_size) for t in texts])
+    if isinstance(texts, TokenBatch):
+        packed = texts
+        if int(packed.ids.max()) >= config.vocab_size:
+            raise ConfigError(f"token ids must lie below vocab_size {config.vocab_size}")
+    else:
+        packed = pack_tokens([tokenize(t, config.vocab_size) for t in texts])
     batches_per_epoch = math.ceil(n / config.batch_size)
     total_steps = config.epochs * batches_per_epoch
     # only the rows of tokens in the training texts ever get a gradient:
@@ -319,10 +342,11 @@ def train(texts: list[str], labels, num_classes: int, config: TrainConfig) -> Tr
     step = 0
     for _epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
+        epoch, epoch_labels = packed.take(order), labels[order]
         for start in range(0, n, config.batch_size):
-            chosen = order[start : start + config.batch_size]
-            yb = labels[chosen]
-            z, cache = forward_batch(compact, packed.take(chosen))
+            stop = min(start + config.batch_size, n)
+            yb = epoch_labels[start:stop]
+            z, cache = forward_batch(compact, epoch.view(start, stop))
             _check_finite("embeddings", z, step)
 
             metric = ce = None

@@ -182,9 +182,19 @@ class TestForward:
         assert logits.shape == (2, p.num_classes)
         assert np.allclose(logits, z @ p.classifier + p.classifier_bias)
 
+    def test_pack_from_a_generator(self):
+        # read once, in order: a generator packs as its list does
+        lists = [[0, 3], [2], [5, 5, 1], [0]]
+        packed, streamed = pack_tokens(lists), pack_tokens(iter(lists))
+        for name in ("ids", "lengths", "rows", "counts", "widths"):
+            a, b = getattr(packed, name), getattr(streamed, name)
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), name
+
     def test_empty_batch_rejected(self):
         with pytest.raises(DimensionError):
             forward_batch(tiny_params(), pack_tokens([]))
+        with pytest.raises(DimensionError):
+            pack_tokens(iter([]))
 
     def test_negative_token_id_rejected(self):
         # the packed (text, id) pairs would mix up texts

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmlbench import harness, trainer
+from dmlbench.encoder import pack_tokens, tokenize
 from dmlbench.errors import (
     ConfigError,
     DatasetParseError,
@@ -512,6 +513,29 @@ class TestRunGrid:
         assert str(info.value) == (
             f"cell {point} fold {plans[1].fold_id} seed {failing}: label 7 is unknown"
         )
+
+    def test_cells_take_their_texts_from_one_pack_at_the_runs_vocabulary(self, monkeypatch):
+        # each cell trains on a take of the dataset packed at the vocabulary
+        # its config names, the same arrays as packing its few-shot texts
+        ds, plans = self.make_inputs(31, n=40, folds=2)
+        real_train = harness.train
+        seen = []
+
+        def recording_train(pack, labels, num_classes, config):
+            seen.append((pack, config.vocab_size))
+            return real_train(pack, labels, num_classes, config)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        run_grid(
+            ds, plans, [{"variant": "supcon", "tau": 0.5, "beta": 0.5}], 31, 20,
+            train_overrides=small_overrides(vocab_size=97),
+        )
+        assert len(seen) == 2 * len(plans)
+        for (pack, vocab_size), plan in zip(seen, plans * 2):
+            assert vocab_size == 97
+            expected = pack_tokens([tokenize(ds.texts[i], 97) for i in plan.fewshot_indices])
+            for name in ("ids", "lengths", "rows", "counts", "widths"):
+                assert np.array_equal(getattr(pack, name), getattr(expected, name)), name
 
     def test_diverged_baseline_raises(self, monkeypatch):
         ds, plans = self.make_inputs(25)

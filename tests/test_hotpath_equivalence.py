@@ -1062,6 +1062,42 @@ def test_take_matches_the_list_based_encoder(vocab, texts, data):
         assert same_bits(new[name], old[name]), name
 
 
+@st.composite
+def ragged_token_lists(draw):
+    """Texts of 1 to 20 tokens from a small vocabulary, so tokens repeat,
+    with blank texts (tokenize maps them to [0]) among them."""
+    vocab = draw(st.integers(1, 30))
+    text = st.one_of(
+        st.lists(st.integers(0, vocab - 1), min_size=1, max_size=20),
+        st.sampled_from(["", "  ", "?!"]).map(lambda blank: tokenize(blank, vocab)),
+    )
+    return vocab, draw(st.lists(text, min_size=1, max_size=60))
+
+
+@SETTINGS
+@given(case=ragged_token_lists(), data=st.data())
+def test_view_matches_take_on_ragged_packs(case, data):
+    # a run of consecutive texts viewed in a pack of mixed lengths holds
+    # what take gathers for it, and the encoder gives the take's bits on it
+    vocab, texts = case
+    packed = pack_tokens(texts)
+    first = data.draw(st.integers(0, len(texts) - 1))
+    stop = data.draw(st.integers(first + 1, len(texts)))
+    view, taken = packed.view(first, stop), packed.take(np.arange(first, stop))
+    for name in ("ids", "lengths", "rows", "counts", "widths"):
+        assert same_bits(getattr(view, name), getattr(taken, name)), name
+        assert np.shares_memory(getattr(view, name), getattr(packed, name)), name
+    params = init_encoder(3, vocab, data.draw(st.integers(1, 9)), 4, Rng(vocab))
+    z, cache = forward_batch(params, view)
+    z_taken, cache_taken = forward_batch(params, taken)
+    assert same_bits(z, z_taken)
+    assert same_bits(cache.pooled, cache_taken.pooled)
+    grad_z = Rng(stop).normal(z.size).reshape(z.shape)
+    new, old = backward_into_zeros(params, cache, grad_z), backward_into_zeros(params, cache_taken, grad_z)
+    for name in old:
+        assert same_bits(new[name], old[name]), name
+
+
 def full_table(params, way):
     """The whole table, read through one of the paths that settle it all."""
     if way == "embedding_table":
@@ -1450,6 +1486,43 @@ def test_flat_adamw_matches_block_adamw(case, seed, steps, clip, weight_decay, b
             assert same_bits(new_params[name], old_params[name]), name
             assert same_bits(new.m[name], old.m[name]), name
             assert same_bits(new.v[name], old.v[name]), name
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_adamw_near_the_clip_and_the_no_clip_bound(seed, sparse):
+    # the no-clip shortcut (one dot product) against the block sums: norms
+    # within 1e-12 relative of clip_norm, and of the bound below which
+    # the block sums take scale 1, on both sides; a norm well below takes
+    # the shortcut and never sums blocks
+    vocab, live = 40, np.array([2, 3, 17, 30])
+    shapes = [("embedding_table", (live.size, 6))] + list(
+        zip(BLOCK_NAMES[1:], block_shapes(vocab, 6, 4, 3)[1:])
+    ) + [("proxies", (3, 4))]
+    rng = Rng(seed)
+    start = [(name, rng.normal(math.prod(s)).reshape(s)) for name, s in shapes]
+    grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes}
+    grad = flat_grad(grads, [name for name, _ in shapes])
+    norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
+    sparse_rows = {"embedding_table": (live, vocab)} if sparse else None
+    for ratio in (1.0, 1.0 - 1e-9, 0.25):  # clip at the norm, at the bound, twice the norm
+        for rel in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12):
+            clip = norm * (1.0 + rel) / math.sqrt(ratio)
+            flat, new_params = flat_copy(start)
+            old_params = {name: arr.copy() for name, arr in start}
+            new = AdamW(flat, list(new_params.items()), clip, sparse=sparse_rows)
+            old = BlockAdamW(list(old_params.items()), clip, sparse=sparse_rows)
+            with mock.patch.object(AdamW, "_sum_of_squares", autospec=True,
+                                   side_effect=AdamW._sum_of_squares) as summed:
+                for lr in (0.1, 0.05):
+                    new.step(grad, lr, 0.01)
+                    old.step(grads, lr, 0.01)
+            if ratio != 1.0 - 1e-9:  # next to the bound either path may run
+                assert (summed.call_count == 0) == (ratio == 0.25), (ratio, rel)
+            for name, _ in shapes:
+                assert same_bits(new_params[name], old_params[name]), (ratio, rel, name)
+                assert same_bits(new.m[name], old.m[name]), (ratio, rel, name)
+                assert same_bits(new.v[name], old.v[name]), (ratio, rel, name)
 
 
 def test_flat_adamw_rejects_blocks_that_do_not_fill_the_vector():

@@ -5,15 +5,17 @@ up (``trainer.dml_loss``, ``losses.proxynca_loss``, ...). Code that binds a
 function object once, at import, calls around such a patch, and that
 layer's metrics would read zero without any error. These tests install the
 tracer unchanged, then train every variant briefly or run the gradient
-oracle once, and check each layer's call count.
+oracle once, and check each layer's call count. A grid is traced too:
+it tokenizes its dataset once, and each cell hands `train` a pack.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from dmlbench import harness
 from dmlbench.gradcheck import run_gradcheck
-from dmlbench.harness import synth_dataset
+from dmlbench.harness import make_fold_plans, run_grid, synth_dataset
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.trainer import TrainConfig, train
 
@@ -85,3 +87,40 @@ def test_tracer_counts_every_layer_of_the_gradient_oracle():
     assert calls == EXPECTED_ORACLE_CALLS
     assert tracer.counts["losses.mine_triplets.built"] == 24
     assert tracer.counts["losses.mine_triplets.kept"] == 24
+
+
+def test_tracer_sees_a_grid_tokenize_its_dataset_once():
+    # the benchmark's patch points: harness.tokenize, reached from
+    # run_grid once per dataset text per call, and harness.train, called
+    # once per cell with four positional arguments, the first as long as
+    # the fold's few-shot subset
+    tracer = load_layers().Tracer()
+    data = synth_dataset(2, 40, seed=1)
+    plans = make_fold_plans(data.labels, 2, 20, 1)
+    grid = tracer.wrap("harness.run_grid", run_grid)
+    calls = []
+    tracer.install()
+    traced_train = harness.train
+
+    def recording_train(*args, **kwargs):
+        calls.append((args, kwargs))
+        return traced_train(*args, **kwargs)
+
+    harness.train = recording_train
+    try:
+        for _ in range(2):
+            grid(data, plans, [{"variant": "triplet", "beta": 0.5}], 1, 20,
+                 train_overrides={"epochs": 1, "batch_size": 12})
+    finally:
+        tracer.restore()
+    agg = tracer.aggregate()
+    names = [span[0] for span in tracer.spans]
+    tokenize_parents = {names[span[3]] for span in tracer.spans if span[0] == "encoder.tokenize"}
+    assert agg["encoder.tokenize"]["calls"] == 2 * data.size
+    assert tokenize_parents == {"harness.run_grid"}
+    cells = 2 * 2 * len(plans)  # two grid calls of one point and the baseline, on each fold
+    assert agg["trainer.train"]["calls"] == len(calls) == cells
+    assert [len(args) for args, _ in calls] == [4] * cells
+    assert [kwargs for _, kwargs in calls] == [{}] * cells
+    assert [len(args[0]) for args, _ in calls] == [len(p.fewshot_indices) for p in plans] * 4
+    assert tracer.counts["harness.baseline_cells"] == 2 * len(plans)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dmlbench.encoder import EncoderParams
+from dmlbench import trainer
+from dmlbench.encoder import EncoderParams, pack_tokens, tokenize
 from dmlbench.errors import ConfigError, ScheduleError, TrainingDivergedError
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.numeric import Rng
@@ -274,3 +275,40 @@ class TestTrain:
         )
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(texts, labels, 2, config)
+
+
+def ragged_data():
+    """toy_data with texts of 1 to 4 tokens, a blank one among them."""
+    texts, labels = toy_data(n=30, seed=4)
+    texts = [" ".join(t.split()[: 1 + i % 4]) for i, t in enumerate(texts)]
+    texts[7] = "  ?! "
+    return texts, labels
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pack_trains_as_the_texts_do(variant):
+    # a take of a pack made at the run's vocabulary trains to the bits of
+    # the list of those texts: parameters, bank and step log
+    texts, labels = ragged_data()
+    config = small_config(LossConfig(variant, beta=0.5), vocab_size=97, batch_size=7)
+    pack = pack_tokens([tokenize(t, 97) for t in texts])
+    idx = Rng(2).permutation(len(texts))[:23]
+    from_pack = train(pack.take(idx), labels[idx], 2, config)
+    from_texts = train([texts[i] for i in idx], labels[idx], 2, config)
+    assert from_pack.steps == from_texts.steps
+    for (name, a), (_, b) in zip(from_pack.params.blocks(), from_texts.params.blocks()):
+        assert a.tobytes() == b.tobytes(), name
+    assert (from_pack.bank is None) == (from_texts.bank is None)
+    if from_pack.bank is not None:
+        assert from_pack.bank.matrix.tobytes() == from_texts.bank.matrix.tobytes()
+
+
+def test_pack_beyond_the_vocabulary_is_refused_before_any_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(trainer, "forward_batch", no_step)
+    with pytest.raises(ConfigError, match="vocab_size 97"):
+        train(pack_tokens([[5], [97, 3]]), np.array([0, 1]), 2, small_config(vocab_size=97))
+    with pytest.raises(AssertionError, match="a step ran"):
+        train(pack_tokens([[5], [96, 3]]), np.array([0, 1]), 2, small_config(vocab_size=97))

@@ -331,11 +331,6 @@ class Rng:
         self.seed = int(seed) & _MASK64
         self.counter = 0
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
-        self.counter += n
-        return _mix64(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
-
     def _uniforms_at(self, positions: np.ndarray) -> np.ndarray:
         """The uniforms of the draws at `positions` (uint64 counter values):
         the top 53 bits of each raw draw / 2**53."""
@@ -344,9 +339,10 @@ class Rng:
         return u / 9007199254740992.0
 
     def random(self, n: int | None = None):
-        """Uniform float64 in [0, 1): top 53 bits of the raw stream / 2**53."""
+        """The next n uniforms in [0, 1) (`_uniforms_at`), as an array; with
+        no n, the one uniform of ``random(1)`` as a float."""
         if n is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) / 9007199254740992.0
+            return float(self.random(1)[0])
         positions = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
         return self._uniforms_at(positions)
@@ -403,8 +399,6 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
         i with randint(i + 1). Draws n - 1 uniforms (none for n < 2)."""
-        if n < 2:
-            return np.arange(n)
         perm = list(range(n))
         for i, j in zip(range(n - 1, 0, -1), self._offsets(np.arange(n, 1, -1))):
             perm[i], perm[j] = perm[j], perm[i]

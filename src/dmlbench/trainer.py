@@ -100,13 +100,7 @@ class AdamW:
 
     entry by entry, so the result is that of a step block by block, to the
     bit. The clip norm's sum of squares is taken block by block, in order,
-    except when one dot product of the gradient with itself already shows
-    that clipping cannot fire: a dot product and the block sums add the
-    same n non-negative squares, each within about n·2⁻⁵³ relative of the
-    exact sum, so a dot below ``(1 - 4n·2⁻⁵³)`` times the no-clip bound
-    below puts the block sums below that bound too, and the scale is
-    exactly 1.0 either way. Any other dot, inf and NaN included, takes the
-    block sums.
+    unless one dot product of the gradient with itself rules clipping out.
 
     Sparse blocks. ``sparse`` maps a block name to ``(rows, total)``: the
     block holds the rows ``rows`` (increasing) of a table of ``total``
@@ -114,22 +108,23 @@ class AdamW:
     trainer passes its compact embedding table this way). Those rows never
     reach the optimizer; the only thing that depends on them is the clip
     norm, whose reference is numpy's pairwise sum of squares over the dense
-    (total, ...) gradient. That sum and the compact block's sum add the
-    same non-negative terms (the dense one adds exact zeros besides) in
-    other groupings. A pairwise sum of n non-negative terms lies within a
-    relative (log2(n) + 20)·2⁻⁵³ of the exact sum (at most sixteen
-    additions in a row within a block of 128, then halvings), under 1e-14
-    for any n that fits in memory, and the sum over the blocks adds a few
-    roundings more. Hence when the compact sum of squares is below
-    ``clip_norm² (1 - 1e-9)``, the dense norm is below clip_norm too,
-    clipping cannot fire under either, and the scale is exactly 1.0.
-    Otherwise (and when the sum is not finite) the step writes the
-    block's squares at ``rows`` of a zeroed dense array and sums that as
-    the reference does, so a step that clips, or that overflows, uses the
-    reference's own bits. The array lives for that sum only: held for the
-    whole run, it would add its size to the peak memory of every training
-    run. The decay the other rows owe is the caller's to apply
-    (`EncoderParams.defer_decay`).
+    (total, ...) gradient. So the block's squares are written at ``rows``
+    of a zeroed dense array and summed as the reference does, and a step
+    that clips, or that overflows, uses the reference's own bits. The
+    array lives for that sum only: held for the whole run, it would add
+    its size to the peak memory of every training run. The decay the
+    other rows owe is the caller's to apply (`EncoderParams.defer_decay`).
+
+    The no-clip dot product. It and the dense block sums add the same n
+    non-negative squares (the dense one adds exact zeros besides) in other
+    groupings. The dot lies within about n·2⁻⁵³ relative of the exact sum;
+    a pairwise sum within (log2(n) + 20)·2⁻⁵³ (at most sixteen additions
+    in a row within a block of 128, then halvings), under 1e-14 for any n
+    that fits in memory, and the sum over the blocks adds a few roundings
+    more. Hence a dot below ``(1 - 4n·2⁻⁵³) clip_norm² (1 - 1e-9)``
+    (capped so that no sum can overflow) puts the dense sum below
+    ``clip_norm²``: clipping cannot fire, and the scale is exactly 1.0
+    either way. Any other dot, inf and NaN included, takes the dense sum.
     """
 
     def __init__(
@@ -151,19 +146,18 @@ class AdamW:
             ):
                 raise ConfigError(f"rows of {name} must be {shape[0]} increasing ids in [0, {total})")
             self.sparse[name] = (rows, total)
-        # below this compact sum of squares clipping cannot fire (see above);
-        # capped so that the dense sum cannot overflow either
-        self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
-        self._dot_below = self._no_clip_below * (1.0 - 4 * params.size * 2.0**-53)
+        # below this dot product clipping cannot fire (see above)
+        no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
+        self._dot_below = no_clip_below * (1.0 - 4 * params.size * 2.0**-53)
         self._m, self._v, self._g, self._tmp = (np.zeros(params.shape) for _ in range(4))
         shapes = [(name, arr.shape) for name, arr in blocks]
         self.m, self.v, self._squares = (block_views(x, shapes) for x in (self._m, self._v, self._g))
         self.t = 0
 
-    def _sum_of_squares(self, dense: bool) -> float:
+    def _sum_of_squares(self) -> float:
         sq = 0.0
         for name, squares in self._squares.items():
-            if dense and name in self.sparse:
+            if name in self.sparse:
                 rows, total = self.sparse[name]
                 full = np.zeros((total,) + squares.shape[1:])
                 full[rows] = squares
@@ -178,10 +172,7 @@ class AdamW:
             scale = 1.0
         else:
             np.square(grad, out=g)  # viewed block by block as self._squares
-            sq = self._sum_of_squares(dense=False)
-            if self.sparse and not sq < self._no_clip_below:
-                sq = self._sum_of_squares(dense=True)
-            norm = math.sqrt(sq)
+            norm = math.sqrt(self._sum_of_squares())
             scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t

@@ -1,11 +1,17 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dmlbench import gradcheck
 from dmlbench.gradcheck import (
+    ABS_TOL,
     NEAR_ZERO,
     PROBE_SETTINGS,
+    REL_TOL,
     CheckResult,
     _instance,
     check_gradient,
@@ -95,6 +101,17 @@ def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     assert ok, (worst_abs, worst_rel)
 
 
+def proxyanchor_at_alpha_32(seed):
+    """(f, x0, analytic) of proxyanchor at alpha 32 on a random shape."""
+    g = np.random.default_rng(seed)
+    rows, dim, classes = g.integers(2, 9), g.integers(2, 7), g.integers(2, 5)
+    labels = g.integers(0, classes, size=rows)
+    z = g.normal(size=(rows, dim))
+    w = l2_normalize_rows(g.normal(size=(classes, dim)))
+    config = LossConfig("proxyanchor", pa_alpha=32.0, pa_delta=0.1)
+    return probe(config, EmbeddingBatch(z, labels, classes), ProxyBank(w, classes, 1), None)
+
+
 @pytest.mark.parametrize("seed", [8, 45, 146])
 def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
     # proxyanchor at the training default alpha 32 on random shapes (L 2-8,
@@ -104,17 +121,56 @@ def test_proxyanchor_at_alpha_32_fails_only_the_central_stencil(seed):
     # fails: at h = 1e-6 it grows to 1e-3, while a five-point stencil at
     # h = 1e-3 agrees with the analytic gradient to 4e-6, and the oracle,
     # which takes the failing coordinates again with it, passes.
-    g = np.random.default_rng(seed)
-    rows, dim, classes = g.integers(2, 9), g.integers(2, 7), g.integers(2, 5)
-    labels = g.integers(0, classes, size=rows)
-    z = g.normal(size=(rows, dim))
-    w = l2_normalize_rows(g.normal(size=(classes, dim)))
-    config = LossConfig("proxyanchor", pa_alpha=32.0, pa_delta=0.1)
-    f, x0, analytic = probe(config, EmbeddingBatch(z, labels, classes), ProxyBank(w, classes, 1), None)
+    f, x0, analytic = proxyanchor_at_alpha_32(seed)
     assert not compare_gradients(analytic, fd_gradient(f, x0))[0]
     ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3, range(x0.size)))
     assert ok, (worst_abs, worst_rel)
     assert check_gradient(f, x0, analytic)[0]
+
+
+@contextlib.contextmanager
+def oracle_calls():
+    """`five_point` and `compare_gradients` as `check_gradient` calls them,
+    wrapped to count their calls."""
+    with mock.patch.object(gradcheck, "five_point", wraps=five_point) as recomputed, \
+            mock.patch.object(gradcheck, "compare_gradients", wraps=compare_gradients) as judged:
+        yield recomputed, judged
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_passing_instance_takes_no_five_point_estimate(variant):
+    f, x0, analytic = _instance(variant, Rng(derive_seed(31, "gradcheck", variant)))
+    assert compare_gradients(analytic, fd_gradient(f, x0))[0]
+    with oracle_calls() as (recomputed, judged):
+        assert check_gradient(f, x0, analytic)[0]
+    assert (recomputed.call_count, judged.call_count) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [8, 45, 146])
+def test_the_oracle_takes_exactly_the_failing_coordinates_again_once(seed):
+    # the coordinates that break the rule at the central difference, found
+    # here from the rule's own words: |error| < 1e-8 where |fd| < 1e-6, and
+    # |error| < 1e-4 |fd| elsewhere
+    f, x0, analytic = proxyanchor_at_alpha_32(seed)
+    fd = fd_gradient(f, x0)
+    error = np.abs(analytic - fd)
+    near = np.abs(fd) < NEAR_ZERO
+    breaks = np.flatnonzero(np.where(near, error >= ABS_TOL, error >= REL_TOL * np.abs(fd)))
+    assert breaks.size
+    with oracle_calls() as (recomputed, judged):
+        assert check_gradient(f, x0, analytic)[0]
+    assert (recomputed.call_count, judged.call_count) == (1, 1)
+    assert np.asarray(recomputed.call_args.args[3]).tolist() == breaks.tolist()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_wrong_gradient_takes_one_five_point_estimate_and_fails(variant):
+    f, x0, analytic = _instance(variant, Rng(derive_seed(31, "gradcheck", variant)))
+    wrong = analytic.copy()
+    wrong[np.argmax(np.abs(analytic))] *= 1.0 + 1e-3
+    with oracle_calls() as (recomputed, judged):
+        assert not check_gradient(f, x0, wrong)[0]
+    assert (recomputed.call_count, judged.call_count) == (1, 1)
 
 
 @st.composite

@@ -71,7 +71,6 @@ from .numeric import (
     fd_gradient,
     fnv1a_64,
     l2_normalize_rows,
-    log_sum_exp,
     sigmoid,
     softmax_rows,
     softplus,

@@ -30,6 +30,28 @@ Conventions:
   value can go negative;
 * mixing happens through `combined_loss`, an affine blend with weight
   `beta` on the cross-entropy side.
+
+Supcon, proxy-NCA, n-pairs and proxy-anchor take stacked passes where they
+once looped in Python over anchors, rows, pairs or classes, and each keeps
+the bits of its loop, which stays in `tests/test_hotpath_equivalence.py`
+as the reference. How the bits are kept, in all four:
+
+* a log-sum-exp row is read C-ordered through `log_sum_exp_rows`, which
+  gives it the bits it has alone as a 1-D array; rows of different lengths
+  go in separate calls, never padded to one width;
+* a product the loop took per anchor or pair is a stacked matmul whose
+  slices are the gemv the loop ran;
+* where the loop scattered terms onto a zeroed gradient in order, the
+  terms sit in one (1+B, rows, d) array after the running sum, and
+  `np.add.reduce(axis=0)` adds them in that order;
+* the value adds its terms one by one in a Python loop, in the loop's
+  order.
+
+Each function's docstring says what else it relies on. The equality was
+seen with numpy 2.4.6 on OpenBLAS 0.3.31, with its SkylakeX kernels and
+with numpy held to AVX2 and OpenBLAS to Haswell
+(`tests/test_cpu_dispatch.py` runs the n-pairs and proxy-anchor
+comparisons under both).
 """
 
 from __future__ import annotations
@@ -53,7 +75,6 @@ from .numeric import (
     add_rows_at,
     as_matrix,
     l2_normalize_rows,
-    log_sum_exp,
     log_sum_exp_rows,
     normalize_backward,
     sigmoid,
@@ -82,7 +103,7 @@ class EmbeddingBatch:
             raise DimensionError("batch needs at least one row and one dimension")
         if self.num_classes < 1:
             raise LabelError("num_classes must be >= 1")
-        if np.any(self.labels < 0) or np.any(self.labels >= self.num_classes):
+        if (self.labels < 0).any() or (self.labels >= self.num_classes).any():
             raise LabelError(f"labels must lie in [0, {self.num_classes})")
 
     @property
@@ -101,9 +122,9 @@ class LossOutput:
         self.value = float(self.value)
         if not np.isfinite(self.value):
             raise TrainingDivergedError("loss value is not finite")
-        if not np.all(np.isfinite(self.grad_embeddings)):
+        if not np.isfinite(self.grad_embeddings).all():
             raise TrainingDivergedError("embedding gradient contains NaN or Inf")
-        if self.grad_proxies is not None and not np.all(np.isfinite(self.grad_proxies)):
+        if self.grad_proxies is not None and not np.isfinite(self.grad_proxies).all():
             raise TrainingDivergedError("proxy gradient contains NaN or Inf")
 
 
@@ -179,10 +200,10 @@ def cce_loss(probs, labels) -> LossOutput:
     n, c = probs.shape
     if labels.shape != (n,):
         raise DimensionError("labels must align with probability rows")
-    if np.any(labels < 0) or np.any(labels >= c):
+    if (labels < 0).any() or (labels >= c).any():
         raise LabelError(f"labels must lie in [0, {c})")
     row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > 1e-9):
+    if (np.abs(row_sums - 1.0) > 1e-9).any():
         raise ConfigError("probability rows must sum to 1")
     picked = np.clip(probs[np.arange(n), labels], PROB_FLOOR, 1.0)
     value = -float(np.log(picked).sum()) / n
@@ -286,6 +307,14 @@ def mine_triplets(batch: EmbeddingBatch, *, rng: Rng | None = None, cap: int = 5
     return np.stack((anchor, positive, negative), axis=1)
 
 
+# Batch rows (n-pairs' pairs, supcon's anchors, proxynca's rows) per stacked
+# pass. Each pass holds a few (STACK_ROWS, L, d) or (STACK_ROWS, C, d)
+# float64 arrays, so their size grows with the batch only linearly; a pass
+# adds the running gradient sum in as its first slice, so blocks change no
+# bit.
+STACK_ROWS = 64
+
+
 # ---------------------------------------------------------------------------
 # n-pairs
 
@@ -298,6 +327,32 @@ def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
     rows of other classes that appear in `pairs`, ascending (Sohn, NeurIPS
     2016: the other pairs' members). The value and the gradient are
     averaged over the pairs, taken in their given order.
+
+    The pairs are taken STACK_ROWS at a time in stacked passes, to the bit
+    of one pair at a time:
+
+    * a pair's rows are its positive, then the other classes' members;
+      the pairs of a block are grouped by that row count K (training's
+      miner and the oracle give every pair the same K, so one group);
+    * a group's scores are `(zr @ zi[:, :, None])[:, :, 0]` with `zr` of
+      shape (G, K, d), the same gemv per pair as `z[rows] @ z[i]`, and
+      `log_sum_exp_rows` keeps the 1-D call's bits, its exact singleton
+      case included, and raises exactly when that call did on some pair;
+    * the anchor's own gradient row is one stacked (G, 1, K) @ (G, K, d)
+      matmul, the same gemv per pair as a 1-D @ 2-D product, and the
+      other rows' terms are `coeff[:, :, None] * zi[:, None, :]`, the
+      products of `np.outer`;
+    * an anchor is never among its own rows, so a pair adds at most one
+      term to any gradient row; the terms sit in one (1+B, L, d) array
+      after the running sum, which starts at zeros, and
+      `np.add.reduce(axis=0)` adds them in pair order, as the scatter
+      onto a zeroed gradient did;
+    * the value adds each pair's `lse - scores[0]` in a Python loop, in
+      order.
+
+    The equality with the per-pair loop was seen with numpy 2.4.6 on
+    OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
+    OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
     idx = np.asarray(pairs)
     if idx.size == 0:
@@ -306,28 +361,45 @@ def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
         raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
     idx = idx.astype(np.int64, copy=False)
     labels = batch.labels
-    if np.any((idx < 0) | (idx >= batch.size)):
+    if ((idx < 0) | (idx >= batch.size)).any():
         raise PairingError(f"pair indices must lie in [0, {batch.size})")
     anchors, positives = idx.T
-    if np.any(anchors == positives):
+    if (anchors == positives).any():
         raise PairingError("an anchor cannot be its own positive")
-    if np.any(labels[anchors] != labels[positives]):
+    if (labels[anchors] != labels[positives]).any():
         raise PairingError("an anchor and its positive differ in class")
     if np.unique(anchors).size != anchors.size:
         raise PairingError("an anchor appears in more than one pair")
     z = batch.embeddings
     members = np.unique(idx)
+    member_labels = labels[members]
+    # rows per pair: the positive, then the members outside the anchor's class
+    widths = 1 + members.size - np.bincount(member_labels, minlength=batch.num_classes)[labels[anchors]]
     grad = np.zeros_like(z)
+    gaps = np.empty(len(idx))  # each pair's lse - scores[0]
+    for start in range(0, len(idx), STACK_ROWS):
+        block = slice(start, start + STACK_ROWS)
+        block_widths = widths[block]
+        terms = np.zeros((block_widths.size + 1,) + z.shape)
+        terms[0] = grad
+        for width in set(block_widths.tolist()):
+            sel = np.flatnonzero(block_widths == width)  # in the block, in pair order
+            i = anchors[block][sel]
+            outside = member_labels != labels[i][:, None]  # (G, members)
+            others = members[np.nonzero(outside)[1]].reshape(sel.size, width - 1)
+            rows = np.concatenate((positives[block][sel][:, None], others), axis=1)  # (G, K)
+            zr, zi = z[rows], z[i]
+            scores = (zr @ zi[:, :, None])[:, :, 0]
+            lse = log_sum_exp_rows(scores)
+            gaps[start + sel] = lse - scores[:, 0]
+            coeff = np.exp(scores - lse[:, None])
+            coeff[:, 0] -= 1.0
+            terms[1 + sel[:, None], rows] = coeff[:, :, None] * zi[:, None, :]  # outer products
+            terms[1 + sel, i] = (coeff[:, None, :] @ zr)[:, 0, :]
+        np.add.reduce(terms, axis=0, out=grad)
     value = 0.0
-    for i, pos in idx.tolist():
-        rows = np.concatenate(([pos], members[labels[members] != labels[i]]))
-        scores = z[rows] @ z[i]
-        lse = log_sum_exp(scores)
-        value += lse - float(scores[0])
-        coeff = np.exp(scores - lse)
-        coeff[0] -= 1.0
-        grad[i] += coeff @ z[rows]
-        grad[rows] += np.outer(coeff, z[i])
+    for gap in gaps.tolist():
+        value += gap
     return LossOutput(value / len(idx), grad / len(idx))
 
 
@@ -354,13 +426,6 @@ def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # supervised contrastive
-
-
-# Batch rows (supcon's anchors, proxynca's rows) per stacked pass. Each pass
-# holds a few (STACK_ROWS, L, d) or (STACK_ROWS, C, d) float64 arrays, so
-# their size grows with the batch only linearly; a pass adds the running
-# gradient sum in as its first slice, so blocks change no bit.
-STACK_ROWS = 64
 
 
 def rows_with_a_positive(labels) -> np.ndarray:
@@ -611,6 +676,32 @@ def proxyanchor_loss(
     Cosine similarities throughout; the pull term averages over the proxies
     whose class appears in the batch, the push term over all proxies. Inner
     sums go through log-sum-exp + log1p so large `alpha` cannot overflow.
+
+    Each side's log-sum-exp rows (a present class's members for the pull,
+    a class's outsiders for the push) are taken in stacked passes, to the
+    bit of one class at a time:
+
+    * every entry of the (L, C) similarities is in exactly one row: its
+      class's pull row where the batch row's class is the column, that
+      column's push row elsewhere; so its exponent is the pull's or the
+      push's, computed entry by entry, and its gradient is exactly one
+      term, still added to zero (which turns -0.0 into +0.0);
+    * the rows are grouped by length, both sides together (at 2 classes
+      a pull row and the other class's push row have the same length);
+      a row's entries are in ascending batch order and
+      `log_sum_exp_rows` keeps the 1-D call's bits, its exact singleton
+      case included, and raises exactly when that call did on some class;
+    * `softplus` and `sigmoid` stay scalar calls per row, and the value
+      adds its terms in the loop's order: the pull side over present
+      classes ascending, then the push side over the classes that have
+      outsiders, ascending;
+    * the gradient of the similarities stays C-ordered (L, C): at 2
+      classes both products after it have 2 output columns, and such a
+      GEMM rounds by the layout of its operands.
+
+    The equality with the per-class loop was seen with numpy 2.4.6 on
+    OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
+    OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
     if alpha <= 0.0:
         raise ConfigError("alpha must be positive")
@@ -625,28 +716,29 @@ def proxyanchor_loss(
     z = l2_normalize_rows(z_raw)
     p = l2_normalize_rows(p_raw)
     sims = z @ p.T  # (L, C) cosine similarities
-    labels = batch.labels
     classes = bank.classes
-    present = sorted(set(int(c) for c in labels))
-
-    grad_sims = np.zeros_like(sims)
+    own = batch.labels[:, None] == np.arange(classes)  # (L, C): the pull side's entries
+    x = np.where(own, -alpha * (sims - delta), alpha * (sims + delta))
+    # log-sum-exp row k < C is class k's pull (over its members), row C + k
+    # its push (over its outsiders); entry (l, c) of x is in row[l, c]
+    row = np.arange(classes) + classes * ~own
+    sides = np.concatenate((own.T, ~own.T))  # (2C, L): the batch rows each row takes
+    lengths = sides.sum(axis=1)
+    lse = np.zeros(2 * classes)
+    for length in set(lengths.tolist()) - {0}:
+        which = np.flatnonzero(lengths == length)
+        entries = np.nonzero(sides[which])[1].reshape(which.size, length)
+        lse[which] = log_sum_exp_rows(x[entries, which[:, None] % classes])
+    present = int(np.count_nonzero(lengths[:classes]))
     value = 0.0
-    for c in present:
-        members = np.nonzero(labels == c)[0]
-        x = -alpha * (sims[members, c] - delta)
-        lse = log_sum_exp(x)
-        value += softplus(lse) / len(present)
-        coeff = sigmoid(lse) * np.exp(x - lse)
-        grad_sims[members, c] += (-alpha / len(present)) * coeff
-    for c in range(classes):
-        outsiders = np.nonzero(labels != c)[0]
-        if outsiders.size == 0:
-            continue
-        x = alpha * (sims[outsiders, c] + delta)
-        lse = log_sum_exp(x)
-        value += softplus(lse) / classes
-        coeff = sigmoid(lse) * np.exp(x - lse)
-        grad_sims[outsiders, c] += (alpha / classes) * coeff
+    sig = np.zeros(2 * classes)
+    for k, (t, length) in enumerate(zip(lse.tolist(), lengths.tolist())):
+        if length:
+            value += softplus(t) / (present if k < classes else classes)
+            sig[k] = sigmoid(t)
+    weight = np.where(own, -alpha / present, alpha / classes)
+    grad_sims = weight * (sig[row] * np.exp(x - lse[row]))
+    grad_sims += 0.0  # as the loop's scatter onto zeros, -0.0 becomes +0.0
 
     grad_z = normalize_backward(z_raw, grad_sims @ p)
     grad_p = normalize_backward(p_raw, grad_sims.T @ z)

@@ -54,7 +54,7 @@ def as_vector(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if v.ndim != 1:
         raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise DimensionError("vector contains NaN or Inf")
     return v
 
@@ -64,7 +64,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=np.float64)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise DimensionError("matrix contains NaN or Inf")
     return m
 
@@ -78,14 +78,11 @@ def softmax_rows(logits) -> np.ndarray:
     return shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def log_sum_exp(xs) -> float:
-    """max(x) + log(sum(exp(x - max(x)))). Exact for singletons."""
-    return float(log_sum_exp_rows(as_vector(xs)[None, :])[0])
-
-
 def log_sum_exp_rows(m) -> np.ndarray:
-    """`log_sum_exp` of each row of a 2-D array. `log_sum_exp` is this on
-    one row, and a row comes out to the same bits alone or stacked.
+    """max(x) + log(sum(exp(x - max(x)))) of each row x of a 2-D array. A
+    row comes out to the same bits alone or stacked, and to the bits of
+    the same expression on the row as a 1-D array, so a loss that stacks
+    its rows keeps the bits of one row at a time.
 
     A row of one entry returns that entry itself, not x + log(1) (which
     turns -0.0 into +0.0). The rows are taken C-ordered, so each row's sum
@@ -94,16 +91,16 @@ def log_sum_exp_rows(m) -> np.ndarray:
     The row max is exact in any order, and exp and log act entry by entry.
     Pad no row to a common width: from 8 entries on, the pairwise sum
     groups by position, so trailing zeros change which terms meet. A NaN or
-    Inf anywhere raises DimensionError, as `as_vector` does for one row.
-    The equality with the earlier 1-D code was seen with numpy 2.4.6 and
-    its X86_V4 loops.
+    Inf anywhere raises DimensionError, as `as_vector` does. The equality
+    with the expression on a 1-D array was seen with numpy 2.4.6 and its
+    X86_V4 loops (`tests/test_hotpath_equivalence.py`).
     """
     x = np.ascontiguousarray(m, dtype=np.float64)
     if x.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got shape {x.shape}")
     if x.shape[1] == 0:
         raise DimensionError("log_sum_exp of empty vector")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DimensionError("vector contains NaN or Inf")
     top = x.max(axis=1)
     if x.shape[1] == 1:
@@ -135,7 +132,7 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     gives the bits of its C-ordered copy; the result is C-ordered."""
     m = np.ascontiguousarray(m)
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
+    if (norms == 0.0).any():
         raise DegenerateVectorError("cannot normalize zero-norm row")
     if not np.isfinite(norms).all():
         raise DegenerateVectorError("row norm is not finite")

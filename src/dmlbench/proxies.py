@@ -32,7 +32,7 @@ class ProxyBank:
             raise ConfigError(
                 f"bank must have {expected} rows, got shape {self.matrix.shape}"
             )
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.isfinite(self.matrix).all():
             raise ConfigError("proxy bank contains NaN or Inf")
 
     @property

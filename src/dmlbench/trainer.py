@@ -309,9 +309,10 @@ def train(
     # only the rows of tokens in the training texts ever get a gradient:
     # train those rows of the table, renumbered in order, and no others
     rows = np.unique(packed.rows)
+    rank = np.zeros(rows[-1] + 1, dtype=np.int64)  # every id a text uses is in rows
+    rank[rows] = np.arange(rows.size)
     packed = TokenBatch(
-        np.searchsorted(rows, packed.ids), packed.lengths,
-        np.searchsorted(rows, packed.rows), packed.counts, packed.widths,
+        rank[packed.ids], packed.lengths, rank[packed.rows], packed.counts, packed.widths,
     )
     initial = [params.table_for(rows)[rows], params.projection, params.projection_bias,
                params.classifier, params.classifier_bias] + ([bank.matrix] if bank is not None else [])

@@ -12,10 +12,11 @@ Each subprocess also checks the condition that table rows drawn on first
 read rely on: numpy's elementwise loops give an element the same bits
 whatever the array's length and the element's place in it, so a row drawn
 alone equals its entries of one contiguous `Rng.normal` draw, byte for
-byte, under either set of kernels. And it runs the flat-step equivalence
-tests of `tests/test_hotpath_equivalence.py` (`FLAT_STEP_TESTS`): AdamW
-over one vector, backward into views of one gradient and pooling by text
-length against the code they replaced, under either set of kernels.
+byte, under either set of kernels. And it runs the equivalence tests of
+`tests/test_hotpath_equivalence.py` named in `EQUIVALENCE_TESTS`: AdamW
+over one vector, backward into views of one gradient, pooling by text
+length, and the stacked n-pairs and proxy-anchor passes against the code
+they replaced, under either set of kernels.
 """
 
 import json
@@ -26,10 +27,16 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HOTPATH = Path(__file__).resolve().parent / "test_hotpath_equivalence.py"
-FLAT_STEP_TESTS = (
+EQUIVALENCE_TESTS = (
     "test_flat_adamw_matches_block_adamw",
     "test_backward_into_views_matches_allocating_backward",
     "test_pooling_by_length_matches_per_position_pooling",
+    "test_npairs_loss_matches_per_pair_loop",
+    "test_npairs_loss_with_pairs_of_different_row_counts",
+    "test_npairs_loss_over_more_pairs_than_one_block",
+    "test_proxyanchor_loss_matches_per_class_loop",
+    "test_proxyanchor_loss_at_training_shapes",
+    "test_npairs_and_proxyanchor_raise_what_the_loops_raised",
 )
 AVX2_ONLY = {
     "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
@@ -80,7 +87,7 @@ for name in tests:
 print(json.dumps({
     "report": json.loads(out.getvalue()),
     "lazy_equal": bool(lazy_equal),
-    "flat_step_tests": tests,
+    "equivalence_tests": tests,
     "x86_v4": bool(__cpu_features__.get("X86_V4", False)),
 }))
 """
@@ -93,7 +100,7 @@ def run(tmp_path, name, extra_env):
     env.update(extra_env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(work), str(HOTPATH), *FLAT_STEP_TESTS],
+        [sys.executable, "-c", SCRIPT, str(work), str(HOTPATH), *EQUIVALENCE_TESTS],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -106,7 +113,7 @@ def test_avx2_kernels_give_the_same_f1_and_lazy_rows(tmp_path):
     assert not avx2["x86_v4"]  # numpy took the AVX2 loops
     assert default["lazy_equal"] and avx2["lazy_equal"]
     # the subprocess exits non-zero if any of these fails
-    assert default["flat_step_tests"] == avx2["flat_step_tests"] == list(FLAT_STEP_TESTS)
+    assert default["equivalence_tests"] == avx2["equivalence_tests"] == list(EQUIVALENCE_TESTS)
     assert [row["name"] for row in default["report"]["rows"]] == [
         "cce", "proxyanchor", "proxyanchor+inf"
     ]

@@ -11,9 +11,10 @@ pass that allocates its gradient blocks, the eager init of the whole
 table, AdamW with fresh temporaries and dense moments over every row,
 AdamW block by block, `normalize_backward` one row
 at a time, `synth_dataset` with two draws per token, and supcon and
-proxy-NCA one anchor at a time on the 1-D log-sum-exp. Hypothesis varies
-the sizes; every comparison is on the raw bytes of the results, so a
-difference in the last bit or in the sign of a zero fails.
+proxy-NCA one anchor at a time, n-pairs one pair at a time and
+proxy-anchor one class at a time, all four on the 1-D log-sum-exp.
+Hypothesis varies the sizes; every comparison is on the raw bytes of the
+results, so a difference in the last bit or in the sign of a zero fails.
 """
 
 import dataclasses
@@ -61,8 +62,10 @@ from dmlbench.losses import (
     combined_loss,
     dml_loss,
     mine_triplets,
+    npairs_loss,
     proxyanchor_loss,
     proxynca_loss,
+    select_npairs_pairs,
     softtriple_loss,
     supcon_loss,
     triplet_loss,
@@ -74,10 +77,11 @@ from dmlbench.numeric import (
     block_views,
     derive_seed,
     l2_normalize_rows,
-    log_sum_exp,
     log_sum_exp_rows,
     normalize_backward,
+    sigmoid,
     softmax_rows,
+    softplus,
 )
 from dmlbench.proxies import ProxyBank, init_proxies
 from dmlbench.trainer import (
@@ -607,7 +611,7 @@ def old_npairs_loss(batch):
         negatives = np.nonzero(labels != labels[i])[0]
         idx = np.concatenate(([pos], negatives))
         scores = z[idx] @ z[i]
-        lse = log_sum_exp(scores)
+        lse = old_log_sum_exp(scores)
         value += lse - float(scores[0])
         coeff = np.exp(scores - lse)
         coeff[0] -= 1.0
@@ -774,9 +778,9 @@ def wide_batches(draw):
 @given(xs=st.lists(st.floats(-700, 700) | st.sampled_from([0.0, -0.0]), min_size=1, max_size=80))
 @SETTINGS
 def test_log_sum_exp_keeps_the_bits_of_the_1d_code(xs):
-    expected = old_log_sum_exp(xs)
-    assert same_bits(log_sum_exp(xs), expected)
-    assert same_bits(log_sum_exp_rows([xs, xs])[1], np.float64(expected))
+    expected = np.float64(old_log_sum_exp(xs))
+    assert same_bits(log_sum_exp_rows([xs])[0], expected)
+    assert same_bits(log_sum_exp_rows([xs, xs])[1], expected)
 
 
 @SETTINGS
@@ -954,6 +958,246 @@ def test_proxynca_loss_raises_on_an_overflowing_distance():
             lambda: old_proxynca_loss(batch, bank, 1.0, normalize=False),
         )
     assert got is DimensionError
+
+
+# ---------------------------------------------------------------------------
+# n-pairs and proxy-anchor: the stacked passes against the per-pair and
+# per-class loops, on the 1-D log-sum-exp they called
+
+
+def old_npairs_pairs_loss(batch, pairs):
+    idx = np.asarray(pairs)
+    if idx.size == 0:
+        raise PairingError("need at least one (anchor, positive) pair")
+    if idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
+        raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
+    labels = batch.labels
+    if np.any((idx < 0) | (idx >= batch.size)):
+        raise PairingError(f"pair indices must lie in [0, {batch.size})")
+    anchors, positives = idx.T
+    if np.any(anchors == positives):
+        raise PairingError("an anchor cannot be its own positive")
+    if np.any(labels[anchors] != labels[positives]):
+        raise PairingError("an anchor and its positive differ in class")
+    if np.unique(anchors).size != anchors.size:
+        raise PairingError("an anchor appears in more than one pair")
+    z = batch.embeddings
+    members = np.unique(idx)
+    grad = np.zeros_like(z)
+    value = 0.0
+    for i, pos in idx.tolist():
+        rows = np.concatenate(([pos], members[labels[members] != labels[i]]))
+        scores = z[rows] @ z[i]
+        lse = old_log_sum_exp(scores)
+        value += lse - float(scores[0])
+        coeff = np.exp(scores - lse)
+        coeff[0] -= 1.0
+        grad[i] += coeff @ z[rows]
+        grad[rows] += np.outer(coeff, z[i])
+    return LossOutput(value / len(idx), grad / len(idx))
+
+
+def old_proxyanchor_loss(batch, bank, alpha, delta):
+    if alpha <= 0.0:
+        raise ConfigError("alpha must be positive")
+    if delta < 0.0:
+        raise ConfigError("delta must be >= 0")
+    if bank.proxies_per_class != 1:
+        raise ConfigError("proxy-anchor needs exactly one proxy per class")
+    if batch.num_classes > bank.classes:
+        raise LabelError("batch classes exceed the proxy bank")
+    z_raw = batch.embeddings
+    p_raw = bank.matrix
+    z = l2_normalize_rows(z_raw)
+    p = l2_normalize_rows(p_raw)
+    sims = z @ p.T  # (L, C) cosine similarities
+    labels = batch.labels
+    classes = bank.classes
+    present = sorted(set(int(c) for c in labels))
+
+    grad_sims = np.zeros_like(sims)
+    value = 0.0
+    for c in present:
+        members = np.nonzero(labels == c)[0]
+        x = -alpha * (sims[members, c] - delta)
+        lse = old_log_sum_exp(x)
+        value += softplus(lse) / len(present)
+        coeff = sigmoid(lse) * np.exp(x - lse)
+        grad_sims[members, c] += (-alpha / len(present)) * coeff
+    for c in range(classes):
+        outsiders = np.nonzero(labels != c)[0]
+        if outsiders.size == 0:
+            continue
+        x = alpha * (sims[outsiders, c] + delta)
+        lse = old_log_sum_exp(x)
+        value += softplus(lse) / classes
+        coeff = sigmoid(lse) * np.exp(x - lse)
+        grad_sims[outsiders, c] += (alpha / classes) * coeff
+
+    grad_z = normalize_backward(z_raw, grad_sims @ p)
+    grad_p = normalize_backward(p_raw, grad_sims.T @ z)
+    return LossOutput(value, grad_z, grad_p)
+
+
+@st.composite
+def uneven_batches(draw, max_rows=40):
+    """Batches of 1-40 rows whose classes differ in size: a class may have
+    one member or none, and a batch may hold one class only. d 1-40, at
+    scales where the exponentials saturate, in C or Fortran order."""
+    classes = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(0, 4), min_size=classes, max_size=classes))
+    if not any(weights):
+        weights[draw(st.integers(0, classes - 1))] = 1
+    pool = [c for c, w in enumerate(weights) for _ in range(w)]
+    rows = draw(st.integers(1, max_rows))
+    labels = draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))
+    dim = draw(st.integers(1, 40))
+    scale = draw(st.sampled_from([0.01, 1.0, 10.0]))
+    z = Rng(draw(st.integers(0, 2**32))).normal(rows * dim).reshape(rows, dim) * scale
+    batch = EmbeddingBatch(z, np.array(labels), classes)
+    if draw(st.booleans()):
+        batch.embeddings = np.asfortranarray(batch.embeddings)
+    return batch
+
+
+@st.composite
+def hand_built_pairs(draw, batch):
+    """Any valid (P, 2) pair array for the batch, in any order: each row of
+    a class with two or more members may be an anchor, once, with any
+    other member as its positive. Classes with different numbers of
+    members among the pairs give the pairs different row counts, which the
+    miner never does."""
+    labels = batch.labels
+    pairs = []
+    for i, label in enumerate(labels.tolist()):
+        mates = np.flatnonzero(labels == label)
+        mates = mates[mates != i]
+        if mates.size and draw(st.booleans()):
+            pairs.append((i, int(mates[draw(st.integers(0, mates.size - 1))])))
+    return np.array(draw(st.permutations(pairs)), dtype=np.int64).reshape(-1, 2)
+
+
+@SETTINGS
+@given(
+    data=st.data(),
+    batch=uneven_batches(),
+    mined=st.booleans(),
+    stack_rows=st.sampled_from([1, 2, 3, 64]),
+)
+def test_npairs_loss_matches_per_pair_loop(data, batch, mined, stack_rows):
+    pairs = select_npairs_pairs(batch.labels) if mined else data.draw(hand_built_pairs(batch))
+    if len(pairs) == 0:
+        return
+    with mock.patch.object(losses, "STACK_ROWS", stack_rows):
+        assert_same_outcome(lambda: npairs_loss(batch, pairs), lambda: old_npairs_pairs_loss(batch, pairs))
+
+
+def test_npairs_loss_with_pairs_of_different_row_counts():
+    # (0, 1), (1, 2), (2, 0) in a class of three next to a two-member class
+    # and a singleton: the cycle's pairs have 1 + 2 rows, the pair class's
+    # 1 + 3; pairs taken out of order, across blocks of 2
+    labels = np.array([0, 0, 0, 1, 1, 2])
+    batch = EmbeddingBatch(Rng(11).normal(6 * 5).reshape(6, 5), labels, 3)
+    pairs = np.array([[3, 4], [0, 1], [1, 2], [4, 3], [2, 0]])
+    for stack_rows in (1, 2, 64):
+        with mock.patch.object(losses, "STACK_ROWS", stack_rows):
+            assert_same_outcome(lambda: npairs_loss(batch, pairs), lambda: old_npairs_pairs_loss(batch, pairs))
+
+
+def test_npairs_loss_over_more_pairs_than_one_block():
+    # 150 anchors of 7 classes of different sizes, each paired with the
+    # next member of its class: three blocks, several row counts in each
+    labels = np.array([(i * i) % 7 for i in range(150)])
+    pairs = []
+    for cls in range(7):
+        members = np.flatnonzero(labels == cls)
+        if members.size > 1:
+            pairs += zip(members.tolist(), np.roll(members, -1).tolist())
+    pairs = np.array(sorted(pairs))
+    assert len(pairs) > 2 * losses.STACK_ROWS
+    assert np.unique(np.bincount(labels[pairs[:, 0]])).size > 1
+    z = Rng(12).normal(150 * 24).reshape(150, 24)
+    for embeddings in (z, np.asfortranarray(z)):
+        batch = EmbeddingBatch(embeddings, labels, 7)
+        assert_same_outcome(lambda: npairs_loss(batch, pairs), lambda: old_npairs_pairs_loss(batch, pairs))
+
+
+@SETTINGS
+@given(
+    batch=uneven_batches(),
+    extra_classes=st.integers(0, 3),
+    seed=st.integers(0, 2**32),
+    alpha=st.sampled_from([0.5, 1.0, 8.0, 16.0, 32.0, 64.0, 128.0]),
+    delta=st.sampled_from([0.0, 0.1, 0.5, 0.9]),
+)
+def test_proxyanchor_loss_matches_per_class_loop(batch, extra_classes, seed, alpha, delta):
+    classes = batch.num_classes + extra_classes  # proxies of classes absent from the batch
+    proxies = Rng(seed).normal(classes * batch.embeddings.shape[1]).reshape(classes, -1)
+    bank = ProxyBank(proxies, classes, 1)
+    assert_same_outcome(
+        lambda: proxyanchor_loss(batch, bank, alpha, delta),
+        lambda: old_proxyanchor_loss(batch, bank, alpha, delta),
+    )
+
+
+def test_proxyanchor_loss_at_training_shapes():
+    label_sets = [
+        np.arange(64) % 2,  # the training shape: two classes of equal size
+        (np.arange(64) % 5 == 0).astype(np.int64),  # two classes of unequal size
+        np.zeros(64, dtype=np.int64),  # one class: the push side skips it
+        np.array([0, 1, 1, 2, 2, 2]),  # a singleton: rows of one entry
+    ]
+    for labels in label_sets:
+        for classes in (int(labels.max()) + 1, int(labels.max()) + 2):  # and a class absent
+            batch = EmbeddingBatch(Rng(13).normal(labels.size * 16).reshape(-1, 16), labels, classes)
+            bank = ProxyBank(Rng(14).normal(classes * 16).reshape(classes, 16), classes, 1)
+            for alpha, delta in ((32.0, 0.1), (128.0, 0.0), (1e4, 0.9)):
+                assert_same_outcome(
+                    lambda: proxyanchor_loss(batch, bank, alpha, delta),
+                    lambda: old_proxyanchor_loss(batch, bank, alpha, delta),
+                )
+
+
+@SETTINGS
+@given(
+    batch=overflowing_batches(),
+    alpha=st.sampled_from([8.0, 1e306, 1.7e308]),
+    delta=st.sampled_from([0.1, 0.9]),
+)
+def test_npairs_and_proxyanchor_raise_what_the_loops_raised(batch, alpha, delta):
+    # n-pairs' scores overflow on the huge rows; proxy-anchor normalizes, so
+    # only an alpha near the float64 maximum overflows its exponents
+    pairs = select_npairs_pairs(batch.labels)
+    bank = ProxyBank(Rng(15).normal(batch.num_classes * batch.embeddings.shape[1]).reshape(
+        batch.num_classes, -1), batch.num_classes, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if len(pairs):
+            assert_same_outcome(lambda: npairs_loss(batch, pairs), lambda: old_npairs_pairs_loss(batch, pairs))
+        assert_same_outcome(
+            lambda: proxyanchor_loss(batch, bank, alpha, delta),
+            lambda: old_proxyanchor_loss(batch, bank, alpha, delta),
+        )
+
+
+def test_npairs_and_proxyanchor_raise_on_an_overflowing_exponent():
+    # n-pairs: rows 0 and 1 score inf against each other; proxy-anchor:
+    # row 2's push exponent against proxy 0 is 1.7e308 * (0.707 + 0.9)
+    labels = [0, 0, 1, 1]
+    huge = EmbeddingBatch(np.array([[1e200, 0.0], [1e200, 0.0], [1.0, 1.0], [0.0, 1.0]]), labels, 2)
+    pairs = select_npairs_pairs(labels)
+    batch = EmbeddingBatch(np.array([[1.0, 0.0], [1.0, 0.1], [1.0, 1.0], [0.0, 1.0]]), labels, 2)
+    bank = ProxyBank(np.eye(2), 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = assert_same_outcome(
+            lambda: npairs_loss(huge, pairs), lambda: old_npairs_pairs_loss(huge, pairs)
+        )
+        assert got is DimensionError
+        got = assert_same_outcome(
+            lambda: proxyanchor_loss(batch, bank, 1.7e308, 0.9),
+            lambda: old_proxyanchor_loss(batch, bank, 1.7e308, 0.9),
+        )
+        assert got is DimensionError
 
 
 # ---------------------------------------------------------------------------

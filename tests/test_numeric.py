@@ -11,7 +11,7 @@ from dmlbench.numeric import (
     fd_gradient,
     fnv1a_64,
     l2_normalize_rows,
-    log_sum_exp,
+    log_sum_exp_rows,
     normalize_backward,
     sigmoid,
     softmax_rows,
@@ -147,13 +147,13 @@ class TestScalarHelpers:
         rng = np.random.default_rng(2)
         for _ in range(20):
             x = rng.normal(size=6) * 100
-            assert math.isclose(log_sum_exp(x), float(scipy_lse(x)), rel_tol=1e-12)
+            assert math.isclose(log_sum_exp_rows(x[None, :])[0], float(scipy_lse(x)), rel_tol=1e-12)
 
     def test_log_sum_exp_singleton_exact(self):
-        assert log_sum_exp(np.array([3.7])) == 3.7
+        assert log_sum_exp_rows(np.array([[3.7]]))[0] == 3.7
 
     def test_log_sum_exp_extreme(self):
-        assert math.isclose(log_sum_exp(np.array([1000.0, 1000.0])), 1000.0 + math.log(2))
+        assert math.isclose(log_sum_exp_rows(np.array([[1000.0, 1000.0]]))[0], 1000.0 + math.log(2))
 
     def test_softplus_sigmoid(self):
         for t in (-700.0, -5.0, 0.0, 5.0, 700.0):
@@ -165,7 +165,9 @@ class TestScalarHelpers:
 
     def test_shape_validation(self):
         with pytest.raises(DimensionError):
-            log_sum_exp(np.ones((2, 2)))
+            log_sum_exp_rows(np.ones(2))
+        with pytest.raises(DimensionError):
+            log_sum_exp_rows(np.ones((2, 2, 2)))
         with pytest.raises(DimensionError):
             softmax_rows(np.array([1.0, 2.0]))
 

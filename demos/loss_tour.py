@@ -80,8 +80,9 @@ for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
     mix = combined_loss(cce_on_z, dml, beta)
     print(f"  beta={beta:4.2f}  loss={mix.value:8.4f}")
 
-# At the endpoints the mix copies one side bit for bit, so a beta=1.0 run
-# is indistinguishable from never having computed the metric loss at all.
+# At the endpoints the formula gives one side's values: the other side's
+# finite values add as zeros, so only a zero's sign may differ, and a
+# beta=1.0 training run keeps the bits of a plain cross-entropy run.
 lo = combined_loss(cce_on_z, dml, 0.0)
 hi = combined_loss(cce_on_z, dml, 1.0)
 print()

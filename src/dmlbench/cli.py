@@ -165,8 +165,7 @@ def _cmd_train(args) -> int:
     if args.out_log:
         with open(args.out_log, "w", encoding="utf-8") as fh:
             fh.write(canonical_json(model.log_dict()))
-    final = model.steps[-1][1] if model.steps else float("nan")
-    print(f"trained {variant} for {len(model.steps)} steps, final loss {final:.6f}")
+    print(f"trained {variant} for {len(model.steps)} steps, final loss {model.steps[-1][1]:.6f}")
     return 0
 
 

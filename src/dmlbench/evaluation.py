@@ -35,7 +35,8 @@ def blended_scores(
     At beta_inf 1.0 the probabilities are returned as-is (no proxy bank
     needed); at 0.0 only the cosines are. A bank with K proxies per class
     scores each class by its best proxy (max cosine); for K = 1 that is
-    the proxy's cosine itself.
+    the proxy's cosine itself. The bank must have the head's classes and
+    the encoder's output dimension, or DimensionError is raised.
     """
     if not 0.0 <= beta_inf <= 1.0:
         raise ConfigError("beta_inf must lie in [0, 1]")
@@ -44,13 +45,16 @@ def blended_scores(
         return softmax_rows(classify_logits(params, z))
     if bank is None:
         raise ConfigError("beta_inf < 1 requires a proxy bank")
+    if (bank.classes, bank.dim) != (params.num_classes, params.out_dim):
+        raise DimensionError(
+            f"a proxy bank of {bank.classes} classes in dimension {bank.dim} does not fit "
+            f"an encoder of {params.num_classes} classes in dimension {params.out_dim}"
+        )
     cos = l2_normalize_rows(z) @ l2_normalize_rows(bank.matrix).T  # (L, C*K)
     cos = cos.reshape(z.shape[0], bank.classes, bank.proxies_per_class).max(axis=2)
     if beta_inf == 0.0:
         return cos
     probs = softmax_rows(classify_logits(params, z))
-    if probs.shape[1] != cos.shape[1]:
-        raise DimensionError("classifier head and proxy bank disagree on classes")
     return beta_inf * probs + (1.0 - beta_inf) * cos
 
 

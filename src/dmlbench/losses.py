@@ -23,13 +23,14 @@ Conventions:
   (T, 3) array of (anchor, positive, negative) row indices in [0, L);
 * n-pairs takes an int64 (P, 2) array of (anchor, positive) rows and
   contrasts each anchor with the other classes' rows among the pairs;
-* proxy-NCA and soft-triple L2-normalize embeddings and proxies internally
-  (gradients are still w.r.t. the raw inputs, chained through the
-  normalization); proxy-anchor normalizes implicitly via cosine similarity;
+* proxy-NCA and soft-triple always L2-normalize embeddings and proxies
+  internally (gradients are still w.r.t. the raw inputs, chained through
+  the normalization); proxy-anchor normalizes implicitly via cosine
+  similarity;
 * proxy-NCA's denominator ranges over the non-target proxies only, so its
   value can go negative;
-* mixing happens through `combined_loss`, an affine blend with weight
-  `beta` on the cross-entropy side.
+* mixing happens through `combined_loss`, one affine formula with weight
+  `beta` on the cross-entropy side, at the endpoints too.
 
 Supcon, proxy-NCA, n-pairs and proxy-anchor take stacked passes where they
 once looped in Python over anchors, rows, pairs or classes, and each keeps
@@ -513,27 +514,21 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
 # proxy-NCA
 
 
-def proxynca_loss(
-    batch: EmbeddingBatch,
-    bank: ProxyBank,
-    scale: float,
-    normalize: bool = True,
-) -> LossOutput:
+def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossOutput:
     """Negative log-ratio of the target-proxy term over the non-target proxies.
 
-    Distances are plain Euclidean, scaled by `scale` inside both exponents.
-    The denominator excludes the target proxy, so the value can be negative.
-    With `normalize` (the training default) embeddings and proxies are
-    L2-normalized first and the returned gradients chain back to the raw
-    inputs; the raw geometry is available with normalize=False.
+    Embeddings and proxies are L2-normalized first, and the returned
+    gradients chain back to the raw inputs. Distances between the unit
+    rows are Euclidean, scaled by `scale` inside both exponents. The
+    denominator excludes the target proxy, so the value can be negative.
 
     The rows are taken STACK_ROWS at a time in stacked passes, to the bit
     of one row at a time:
 
     * the (B, C, d) differences are C-ordered, so each distance is numpy's
       pairwise sum over one contiguous run of d entries, as it was for one
-      row's (C, d) block; embeddings are read C-ordered whatever their
-      layout, and a `ProxyBank` holds its matrix C-ordered;
+      row's (C, d) block; `l2_normalize_rows` returns C-ordered rows
+      whatever the layout of its input;
     * the non-target scores are the scaled distances without the target
       column, C-ordered (B, C-1); `log_sum_exp_rows` keeps the 1-D call's
       bits, its exact singleton case included (2 classes), and raises
@@ -561,10 +556,9 @@ def proxynca_loss(
         raise LabelError("batch classes exceed the proxy bank")
     z_raw = batch.embeddings
     p_raw = bank.matrix
-    z = l2_normalize_rows(z_raw) if normalize else z_raw
-    p = l2_normalize_rows(p_raw) if normalize else p_raw
+    z = l2_normalize_rows(z_raw)
+    p = l2_normalize_rows(p_raw)
     n, classes, dim = batch.size, bank.classes, z.shape[1]
-    z_rows = np.ascontiguousarray(z)
     value = 0.0
     grad_z = np.zeros_like(z)
     grad_p = np.zeros_like(p)
@@ -573,7 +567,7 @@ def proxynca_loss(
         y = batch.labels[block]
         count = y.size
         rows = np.arange(count)
-        diffs = z_rows[block, None, :] - p  # (B, C, d)
+        diffs = z[block, None, :] - p  # (B, C, d)
         dists = np.linalg.norm(diffs, axis=2)
         # unit direction of d(z, p_c) w.r.t. z; subgradient 0 at d == 0
         safe = np.where(dists > 0.0, dists, 1.0)
@@ -595,10 +589,7 @@ def proxynca_loss(
         terms[1 + rows, y] = -target
         np.add.reduce(terms, axis=0, out=grad_p)
     value /= n
-    if normalize:
-        grad_z = normalize_backward(z_raw, grad_z)
-        grad_p = normalize_backward(p_raw, grad_p)
-    return LossOutput(value, grad_z, grad_p)
+    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(p_raw, grad_p))
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +744,10 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
     """Affine blend: beta * cce + (1 - beta) * dml, for value and every gradient.
 
     Only the metric side carries proxy gradients; its share is
-    (1 - beta) * grad_proxies. At the endpoints the dominant side is
-    returned exactly (copies, with zero proxy gradients at beta=1), which
-    keeps beta=1 runs bit-identical to pure cross-entropy runs.
+    (1 - beta) * grad_proxies. At the endpoints the formula gives one
+    side's values: the other side's finite values add as zeros, so only a
+    zero's sign may differ, and beta=1 gives zero proxy gradients. A
+    beta=1 training run stays bit-identical to a pure cross-entropy run.
     """
     if not 0.0 <= beta <= 1.0:
         raise ConfigError("beta must lie in [0, 1]")
@@ -766,15 +758,10 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
         )
     if cce.grad_proxies is not None:
         raise DimensionError("the cross-entropy side has no proxy gradient")
-    if beta == 0.0:
-        grad_p = dml.grad_proxies.copy() if dml.grad_proxies is not None else None
-        return LossOutput(dml.value, dml.grad_embeddings.copy(), grad_p)
-    grad_p = np.zeros(dml.grad_proxies.shape) if dml.grad_proxies is not None else None
-    if beta == 1.0:
-        return LossOutput(cce.value, cce.grad_embeddings.copy(), grad_p)
-    if grad_p is not None:
-        # adding to zeros turns a -0.0 share into +0.0
-        grad_p += (1.0 - beta) * dml.grad_proxies
+    grad_p = None
+    if dml.grad_proxies is not None:
+        # adding to 0.0 turns a -0.0 share into +0.0
+        grad_p = 0.0 + (1.0 - beta) * dml.grad_proxies
     value = beta * cce.value + (1.0 - beta) * dml.value
     grad_e = beta * cce.grad_embeddings + (1.0 - beta) * dml.grad_embeddings
     return LossOutput(value, grad_e, grad_p)

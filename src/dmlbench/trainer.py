@@ -3,14 +3,14 @@ the classifier head, and (for proxy losses) the proxy bank, whose rows go
 back to unit length after every step.
 
 Every variant takes the same step. With the cross-entropy weight w
-(`TrainConfig.ce_weight`: 1 for cce, 0 with dml_only, beta otherwise) the
-step runs the variant's metric loss (none for cce), runs the classifier
-loss when w > 0, and blends the two with `combined_loss` at weight w when
-both ran; when only one ran, its output is the step's. The classifier
-loss's gradient g w.r.t. the logits is chained by hand: the embeddings
-get w * (g @ W.T), through the blend, and the head gets z.T @ (w * g) and
-the column sums of w * g. The blocks stepped (the compact encoder's, then
-the bank's) and the gradient each step writes are one vector each.
+(`TrainConfig.ce_weight`: 1 for cce, beta otherwise) the step runs the
+variant's metric loss (none for cce), runs the classifier loss when w > 0,
+and blends the two with `combined_loss` at weight w when both ran; when
+only one ran, its output is the step's. The classifier loss's gradient g
+w.r.t. the logits is chained by hand: the embeddings get w * (g @ W.T),
+through the blend, and the head gets z.T @ (w * g) and the column sums of
+w * g. The blocks stepped (the compact encoder's, then the bank's) and
+the gradient each step writes are one vector each.
 
 Determinism contract: every random decision draws from its own stream
 derived from the run seed ("init", "proxies", "shuffle", "mining"), so
@@ -18,10 +18,11 @@ e.g. adding proxies or mining does not shift the shuffle order. Training
 twice with the same data, seed, and config reproduces every parameter
 bit for bit. Two consequences the tests lean on:
 
-* with blend weight 1.0 the blend returns the cross-entropy side exactly,
-  so the encoder trajectory is bit-identical to a plain cross-entropy run;
+* with blend weight 1.0 the blend gives the cross-entropy side's values,
+  a zero's sign aside, and the encoder trajectory is bit-identical to a
+  plain cross-entropy run (the tests compare the bytes);
 * with blend weight 0.0 the classifier loss does not run and the head gets
-  zero gradients, so the run is bit-identical to a dml_only run.
+  zero gradients: the step is the metric loss's alone.
 """
 
 from __future__ import annotations
@@ -210,22 +211,19 @@ class TrainConfig:
     # mean sums 8 or more rows pairwise: the last bit can differ from mean()
     embed_dim: int = DEFAULT_EMBED_DIM
     out_dim: int = DEFAULT_OUT_DIM
-    dml_only: bool = False  # skip the classifier loss entirely
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.lr < 0.0 or self.weight_decay < 0.0 or self.clip_norm <= 0.0:
             raise ConfigError("lr/weight_decay must be >= 0 and clip_norm > 0")
-        if self.dml_only and not self.loss.is_metric:
-            raise ConfigError("dml_only needs a metric-learning variant")
 
     @property
     def ce_weight(self) -> float:
-        """The weight w of the cross-entropy side of the training step."""
-        if not self.loss.is_metric:
-            return 1.0
-        return 0.0 if self.dml_only else self.loss.beta
+        """The weight w of the cross-entropy side of the training step: the
+        loss's beta for a metric variant (0 trains the metric loss alone),
+        1 for cce."""
+        return self.loss.beta if self.loss.is_metric else 1.0
 
 
 @dataclass

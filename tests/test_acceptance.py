@@ -96,35 +96,36 @@ def test_gradient_oracle_suite(capsys):
     )
 
 
-def test_blend_weight_endpoints():
+def _same_bits(a, b) -> bool:
+    blocks = zip(a.params.blocks(), b.params.blocks())
+    return a.steps == b.steps and all(x.tobytes() == y.tobytes() for (_, x), (_, y) in blocks)
+
+
+def test_blend_weight_endpoints(monkeypatch):
     texts, labels = fewshot_texts()
     cce_run = train(texts, labels, 2, small_train_config(LossConfig("cce")))
     beta1 = train(
         texts, labels, 2, small_train_config(LossConfig("proxyanchor", beta=1.0))
     )
-    identical = all(
-        np.array_equal(a, b)
-        for (_, a), (_, b) in zip(cce_run.params.blocks(), beta1.params.blocks())
-    )
+    identical = _same_bits(cce_run, beta1)
 
-    beta0 = train(
-        texts, labels, 2, small_train_config(LossConfig("proxyanchor", beta=0.0))
-    )
-    pure = train(
-        texts,
-        labels,
-        2,
-        small_train_config(LossConfig("proxyanchor", beta=0.0), dml_only=True),
-    )
-    trace_gap = max(
-        abs(a - b)
-        for (_, a), (_, b) in zip(beta0.steps, pure.steps)
+    beta0_config = small_train_config(LossConfig("proxyanchor", beta=0.0))
+    beta0 = train(texts, labels, 2, beta0_config)
+
+    def refuse(*args):
+        raise AssertionError("cce_loss ran at beta=0")
+
+    # at beta=0 the classifier loss must not run at all
+    monkeypatch.setattr("dmlbench.trainer.cce_loss", refuse)
+    metric_only = train(texts, labels, 2, beta0_config)
+    unchanged = _same_bits(beta0, metric_only) and (
+        beta0.bank.matrix.tobytes() == metric_only.bank.matrix.tobytes()
     )
     _report(
         "blend endpoints",
-        identical and trace_gap <= 1e-12,
+        identical and unchanged,
         f"beta=1 bit-identical to plain cce: {identical}; "
-        f"beta=0 trace gap {trace_gap:.1e} (<=1e-12/step)",
+        f"beta=0 runs without cce_loss, bit-identical: {unchanged}",
     )
 
 
@@ -172,10 +173,13 @@ def test_hand_computed_loss_values():
     inactive = triplet_loss(batch3, [(0, 1, 2)], 2.0).value
     checks.append(("triplet", active == 1.0 and inactive == 0.0, f"{active}/{inactive}"))
 
-    bank = ProxyBank(np.array([[0.0, 0.0], [3.0, 4.0]]), 2, 1)
-    one = EmbeddingBatch(np.array([[0.0, 0.0]]), [0], 2)
-    nca = proxynca_loss(one, bank, 1.0, normalize=False).value
-    checks.append(("proxynca", abs(nca - (-5.0)) <= 1e-9, f"{nca:.12f} vs -5"))
+    # normalized: z = (1, 0) sits on its own proxy, sqrt(2) from the other
+    bank = ProxyBank(np.array([[2.0, 0.0], [0.0, 5.0]]), 2, 1)
+    one = EmbeddingBatch(np.array([[3.0, 0.0]]), [0], 2)
+    nca = proxynca_loss(one, bank, 1.0).value
+    checks.append(
+        ("proxynca", abs(nca - (-math.sqrt(2.0))) <= 1e-9, f"{nca:.12f} vs -sqrt(2)")
+    )
 
     pair = EmbeddingBatch(np.array([[1.0, 2.0], [3.0, -1.0]]), [0, 0], 1)
     sc = supcon_loss(pair, 0.5).value

@@ -97,10 +97,13 @@ def malformed(magic: bytes, valid: bytes, ndims: int, shapes) -> dict[str, bytes
     return {
         "wrong magic": b"NOPE" + valid[4:],
         "short header": valid[: header - 1],
+        "magic and a partial dim": magic + b"\x00" * (ndims - 1),
         "zero dim": magic + struct.pack(f"<{ndims}I", *zero_dims) + b"\x00" * payload,
         "2^31 x 2^20 rows in 20 bytes": (magic + huge + b"\x00" * 20)[:20],
         "int64 overflow": magic + struct.pack(f"<{ndims}I", 2**32 - 1, 2**32 - 1, *(1,) * (ndims - 2)),
         "one byte short": valid[:-1],
+        "five bytes short": valid[:-5],
+        "one value short": valid[:-8],
         "one byte extra": valid + b"\x00",
     }
 

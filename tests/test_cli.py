@@ -254,11 +254,11 @@ class TestOutputPins:
         "train_proxyanchor.stdout": "6e3ecda2c02dbe6e1da27aa41212ef04b2638e7bba76adebacc1e24973291ba6",
         "train_proxyanchor.enc": "a75e346dd283c5580ea0229206da544ebac25e88137ab3421fb9df4b13a1d1f2",
         "train_proxyanchor.pxb": "1d74115d185da350df604a6f6d00c51c22d7772ec9359b78e51dad0d9fa25130",
-        "train_proxyanchor.log": "9d24b84c2d55c862cf64266a0cd5c7ce7b28dd65ae3b564961d5ca13e69782bf",
+        "train_proxyanchor.log": "ed5f0e3d3a59af94b19bf5aac1fecd53674112e572570d595235e3e18c74f176",
         "train_softtriple.stdout": "aa4d4cbcb83733a8ccdbd95e2a5ffbd0fd10cf2799a2181f4f04f3bbfc04f241",
-        "train_softtriple.log": "bcc22a373755d151878bf65a375872b89664dd5f832cb167403ec968bb353413",
+        "train_softtriple.log": "103d5dcc60e28e757a798c05acc163cd999e2a34c730243fbce364e648abf981",
         "train_cce.stdout": "236a27ba1c0eb28a877a02b5f1da419fa87e59ca3aa886427c3fc2b9bf38e9e8",
-        "train_cce.log": "d056860bb81bfc26a88ae2ddcfd08acddc2b560e740c3abd125dc196f8dc3b3c",
+        "train_cce.log": "e1d95237e22aee540320bb234361341b82c3501495770641ee64bd34bed4ec22",
         "eval_dense.stdout": "cf927a1f72a6ba803db3b7b277501c7267ecbfec0ec7bb13e7214b18efcd9938",
         "eval_blended.stdout": "b5640b25315e2e6557cedf027ed31c3f82899d1427ad68a92b21f94fc2f8eff1",
         "eval_file.stdout": "b5640b25315e2e6557cedf027ed31c3f82899d1427ad68a92b21f94fc2f8eff1",
@@ -336,9 +336,9 @@ class TestOutputPins:
     @staticmethod
     def log_sha(path) -> str:
         """The pins were taken from logs that also held the options
-        mining_cap and proxy_renorm, with those two keys removed."""
+        mining_cap, proxy_renorm and dml_only, with those keys removed."""
         config = json.loads(path.read_text(encoding="utf-8"))["config"]
-        assert not {"mining_cap", "proxy_renorm"} & config.keys()
+        assert not {"mining_cap", "proxy_renorm", "dml_only"} & config.keys()
         return _sha(path.read_bytes())
 
     def test_outputs_pinned(self, tmp_path, capsys):

@@ -81,11 +81,14 @@ class TestBlendedScores:
             with pytest.raises(ConfigError):
                 blended_scores(params, z, bank, bad)
 
-    def test_class_count_mismatch(self):
+    # the encoder has 3 classes and out_dim 4
+    @pytest.mark.parametrize("classes, dim", [(4, 4), (3, 5)], ids=["classes", "dim"])
+    @pytest.mark.parametrize("beta_inf", [0.0, 0.5])
+    def test_class_count_mismatch(self, classes, dim, beta_inf):
         params, _, z = tiny_model(6, classes=3)
-        other = init_proxies(4, 1, 4, Rng(7))
-        with pytest.raises(DimensionError):
-            blended_scores(params, z, other, 0.5)
+        other = init_proxies(classes, 1, dim, Rng(7))
+        with pytest.raises(DimensionError, match=f"{classes} classes in dimension {dim}"):
+            blended_scores(params, z, other, beta_inf)
 
     def test_predict_breaks_ties_low(self):
         scores = np.array([[0.5, 0.5, 0.1], [0.1, 0.2, 0.2]])

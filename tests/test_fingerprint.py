@@ -42,7 +42,7 @@ ALL_LIVE_VOCAB = 16
 ALL_LIVE_PINNED = "71bcd5b3958d476bd4bad38f4109df1d793ba57dcb0e5636a7bcff25b150c9fb"
 # the same recipe at other blend weights: 0.5 is a power of two, so only a
 # weight like 0.3 shows a change in how the classifier gradient is scaled;
-# 0.0 is the metric-only endpoint, which dml_only must reproduce
+# 0.0 is the metric-only endpoint, where the classifier loss does not run
 BLEND_PINNED = {
     (0.3, "triplet"): "de973e8f33778e013ad5cc875c5297e5bc03663113bf9739f2402251f6c618a1",
     (0.3, "npairs"): "2eced130d2ec927ace7b2ed70d9275e1eb94cde14c48b4b89bcbea0ad43690fe",
@@ -69,7 +69,6 @@ def fingerprint(
     seed: int = SEED,
     vocab_size: int = DEFAULT_VOCAB,
     beta: float = 0.5,
-    dml_only: bool = False,
     **loss_fields,
 ) -> str:
     data = fingerprint_data(seed)
@@ -79,7 +78,6 @@ def fingerprint(
         batch_size=16,
         seed=derive_seed(seed, "fingerprint", variant),
         vocab_size=vocab_size,
-        dml_only=dml_only,
     )
     model = train(data.texts, data.labels, data.num_classes, config)
     h = hashlib.sha256()
@@ -111,11 +109,6 @@ def test_all_live_fingerprint_is_pinned():
 @pytest.mark.parametrize("beta, variant", list(BLEND_PINNED))
 def test_blend_weight_fingerprint_is_pinned(beta, variant):
     assert fingerprint(variant, beta=beta) == BLEND_PINNED[beta, variant], kernels()
-
-
-def test_dml_only_fingerprint_is_blend_weight_zero():
-    got = fingerprint("proxyanchor", beta=0.0, dml_only=True)
-    assert got == BLEND_PINNED[0.0, "proxyanchor"], kernels()
 
 
 def test_large_k_softtriple_fingerprint_is_pinned():

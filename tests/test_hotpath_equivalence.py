@@ -698,7 +698,7 @@ def old_supcon_loss(batch, tau):
     return LossOutput(value, grad)
 
 
-def old_proxynca_loss(batch, bank, scale, normalize=True):
+def old_proxynca_loss(batch, bank, scale):
     if scale <= 0.0:
         raise ConfigError("scale must be positive")
     if bank.proxies_per_class != 1:
@@ -709,8 +709,8 @@ def old_proxynca_loss(batch, bank, scale, normalize=True):
         raise LabelError("batch classes exceed the proxy bank")
     z_raw = batch.embeddings
     p_raw = bank.matrix
-    z = l2_normalize_rows(z_raw) if normalize else z_raw
-    p = l2_normalize_rows(p_raw) if normalize else p_raw
+    z = l2_normalize_rows(z_raw)
+    p = l2_normalize_rows(p_raw)
     n = batch.size
     grad_z = np.zeros_like(z)
     grad_p = np.zeros_like(p)
@@ -733,10 +733,7 @@ def old_proxynca_loss(batch, bank, scale, normalize=True):
         grad_z[i] -= pull.sum(axis=0)
         grad_p[others] += pull
     value /= n
-    if normalize:
-        grad_z = normalize_backward(z_raw, grad_z)
-        grad_p = normalize_backward(p_raw, grad_p)
-    return LossOutput(value, grad_z, grad_p)
+    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(p_raw, grad_p))
 
 
 def assert_same_outcome(new, old):
@@ -796,9 +793,8 @@ def test_supcon_loss_matches_per_anchor_loop(batch, tau):
     seed=st.integers(0, 2**32),
     touching=st.lists(st.integers(0, 69), max_size=4),
     scale=st.sampled_from([0.4, 1.0, 2.0, 5.0, 30.0]),
-    normalize=st.booleans(),
 )
-def test_proxynca_loss_matches_per_row_loop(batch, extra_classes, seed, touching, scale, normalize):
+def test_proxynca_loss_matches_per_row_loop(batch, extra_classes, seed, touching, scale):
     classes = min(batch.num_classes + extra_classes, 11)
     dim = batch.embeddings.shape[1]
     proxies = Rng(seed).normal(classes * dim).reshape(classes, dim)
@@ -807,23 +803,21 @@ def test_proxynca_loss_matches_per_row_loop(batch, extra_classes, seed, touching
         proxies[(batch.labels[row] + row % 2) % classes] = batch.embeddings[row]
     bank = ProxyBank(proxies, classes, 1)
     assert_same_outcome(
-        lambda: proxynca_loss(batch, bank, scale, normalize),
-        lambda: old_proxynca_loss(batch, bank, scale, normalize),
+        lambda: proxynca_loss(batch, bank, scale),
+        lambda: old_proxynca_loss(batch, bank, scale),
     )
 
 
 def test_proxy_bank_holds_its_matrix_c_ordered():
-    # the loop's distances summed a Fortran-ordered matrix's rows in another
-    # order; a bank reads any layout in C order, so both give the same bits
-    # (normalize=False, so only the bank's own layout is under test)
+    # a bank reads any layout in C order, so a Fortran-ordered matrix gives
+    # the bits of its C-ordered copy
     batch = EmbeddingBatch(Rng(6).normal(40 * 24).reshape(40, 24), np.arange(40) % 5, 5)
     proxies = Rng(7).normal(5 * 24).reshape(5, 24)
-    expected = old_proxynca_loss(batch, ProxyBank(proxies, 5, 1), 1.7, normalize=False)
+    expected = old_proxynca_loss(batch, ProxyBank(proxies, 5, 1), 1.7)
     for matrix in (proxies, np.asfortranarray(proxies)):
         bank = ProxyBank(matrix, 5, 1)
         assert bank.matrix.flags.c_contiguous
-        for out in (proxynca_loss(batch, bank, 1.7, normalize=False),
-                    old_proxynca_loss(batch, bank, 1.7, normalize=False)):
+        for out in (proxynca_loss(batch, bank, 1.7), old_proxynca_loss(batch, bank, 1.7)):
             assert same_bits(out.value, expected.value)
             assert same_bits(out.grad_embeddings, expected.grad_embeddings)
             assert same_bits(out.grad_proxies, expected.grad_proxies)
@@ -836,7 +830,7 @@ def normalized_loss(loss, z, seed):
     bank = ProxyBank(proxies, 3, per_class)
     batch = EmbeddingBatch(z, labels, 3)
     if loss == "proxynca":
-        return proxynca_loss(batch, bank, 3.0, normalize=True)
+        return proxynca_loss(batch, bank, 3.0)
     if loss == "softtriple":
         return softtriple_loss(batch, bank, 10.0, 0.1, 0.2)
     return proxyanchor_loss(batch, bank, 32.0, 0.1)
@@ -863,9 +857,8 @@ def test_normalized_losses_keep_the_bits_for_any_memory_layout(loss, layout, see
     stack_rows=st.sampled_from([1, 2, 3, 7, 16]),
     tau=st.sampled_from([0.1, 0.5]),
     scale=st.sampled_from([1.0, 5.0]),
-    normalize=st.booleans(),
 )
-def test_stacked_losses_keep_the_bits_across_blocks(batch, stack_rows, tau, scale, normalize):
+def test_stacked_losses_keep_the_bits_across_blocks(batch, stack_rows, tau, scale):
     # the running gradient sum enters each block first, so no block size
     # moves a bit
     bank = ProxyBank(Rng(8).normal(batch.num_classes * batch.embeddings.shape[1]).reshape(
@@ -873,8 +866,8 @@ def test_stacked_losses_keep_the_bits_across_blocks(batch, stack_rows, tau, scal
     with mock.patch.object(losses, "STACK_ROWS", stack_rows):
         assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
         assert_same_outcome(
-            lambda: proxynca_loss(batch, bank, scale, normalize),
-            lambda: old_proxynca_loss(batch, bank, scale, normalize),
+            lambda: proxynca_loss(batch, bank, scale),
+            lambda: old_proxynca_loss(batch, bank, scale),
         )
 
 
@@ -917,18 +910,18 @@ def test_supcon_loss_raises_what_the_loop_raised(batch, tau):
 @given(
     batch=overflowing_batches(),
     big_proxy=st.sampled_from([1.0, 1e200]),
-    scale=st.sampled_from([1.0, 5.0]),
-    normalize=st.booleans(),
+    # a scaled distance between unit rows overflows only at a huge scale
+    scale=st.sampled_from([1.0, 5.0, 1e308]),
 )
-def test_proxynca_loss_raises_what_the_loop_raised(batch, big_proxy, scale, normalize):
+def test_proxynca_loss_raises_what_the_loop_raised(batch, big_proxy, scale):
     proxies = Rng(3).normal(batch.num_classes * batch.embeddings.shape[1])
     proxies = proxies.reshape(batch.num_classes, -1)
     proxies[0] *= big_proxy
     bank = ProxyBank(proxies, batch.num_classes, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         assert_same_outcome(
-            lambda: proxynca_loss(batch, bank, scale, normalize),
-            lambda: old_proxynca_loss(batch, bank, scale, normalize),
+            lambda: proxynca_loss(batch, bank, scale),
+            lambda: old_proxynca_loss(batch, bank, scale),
         )
 
 
@@ -950,12 +943,14 @@ def test_supcon_loss_reads_only_anchor_rows_for_overflow(rows, labels, raised):
 
 
 def test_proxynca_loss_raises_on_an_overflowing_distance():
-    batch = EmbeddingBatch(np.array([[1e200, 0.0], [1.0, 0.0]]), [0, 1], 2)
-    bank = ProxyBank(np.array([[-1e200, 0.0], [0.0, 1.0]]), 2, 1)
+    # row 1 lies 2 from its non-target proxy: scaled by 1e308, that
+    # distance overflows
+    batch = EmbeddingBatch(np.array([[0.0, 1.0], [1.0, 0.0]]), [0, 1], 2)
+    bank = ProxyBank(np.array([[-1.0, 0.0], [0.0, 1.0]]), 2, 1)
     with np.errstate(over="ignore", invalid="ignore"):
         got = assert_same_outcome(
-            lambda: proxynca_loss(batch, bank, 1.0, normalize=False),
-            lambda: old_proxynca_loss(batch, bank, 1.0, normalize=False),
+            lambda: proxynca_loss(batch, bank, 1e308),
+            lambda: old_proxynca_loss(batch, bank, 1e308),
         )
     assert got is DimensionError
 

@@ -295,29 +295,33 @@ class TestSupCon:
 
 
 class TestProxyNca:
-    def test_hand_value_raw_geometry(self):
-        bank = ProxyBank(np.array([[0.0, 0.0], [3.0, 4.0]]), 2, 1)
-        batch = EmbeddingBatch(np.array([[0.0, 0.0]]), [0], 2)
-        out = proxynca_loss(batch, bank, 1.0, normalize=False)
-        assert math.isclose(out.value, -5.0, abs_tol=1e-9)
+    # z = (3, 0) normalizes onto its own proxy (2, 0) and lies sqrt(2) from
+    # the other, (0, 5)
+    HAND_BANK = ProxyBank(np.array([[2.0, 0.0], [0.0, 5.0]]), 2, 1)
+    HAND_BATCH = EmbeddingBatch(np.array([[3.0, 0.0]]), [0], 2)
+
+    def test_hand_value(self):
+        out = proxynca_loss(self.HAND_BATCH, self.HAND_BANK, 1.0)
+        assert math.isclose(out.value, -math.sqrt(2.0), abs_tol=1e-9)
         # scale multiplies both distances
-        out2 = proxynca_loss(batch, bank, 2.0, normalize=False)
-        assert math.isclose(out2.value, -10.0, abs_tol=1e-9)
+        out2 = proxynca_loss(self.HAND_BATCH, self.HAND_BANK, 2.0)
+        assert math.isclose(out2.value, -2.0 * math.sqrt(2.0), abs_tol=1e-9)
 
     def test_value_can_be_negative(self):
         # documented: the denominator has no positive-proxy term
-        bank = ProxyBank(np.array([[0.0, 0.0], [3.0, 4.0]]), 2, 1)
-        batch = EmbeddingBatch(np.array([[0.0, 0.0]]), [0], 2)
-        assert proxynca_loss(batch, bank, 1.0, normalize=False).value < 0.0
+        assert proxynca_loss(self.HAND_BATCH, self.HAND_BANK, 1.0).value < 0.0
 
     def test_normalize_matches_manual(self):
         rng = Rng(17)
         batch = random_batch(rng)
         bank = init_proxies(3, 1, 5, rng)
-        a = proxynca_loss(batch, bank, 1.5, normalize=True)
+        a = proxynca_loss(batch, bank, 1.5)
         manual = EmbeddingBatch(l2_normalize_rows(batch.embeddings), LABELS6, 3)
-        b = proxynca_loss(manual, bank, 1.5, normalize=False)  # bank rows already unit
+        b = proxynca_loss(manual, bank, 1.5)
         assert math.isclose(a.value, b.value, rel_tol=1e-12)
+        # the rows' lengths do not enter: the gradient has no radial part
+        radial = np.einsum("ij,ij->i", a.grad_embeddings, batch.embeddings)
+        assert np.allclose(radial, 0.0, atol=1e-12)
 
     def test_requires_single_proxy_per_class(self):
         rng = Rng(18)
@@ -333,16 +337,16 @@ class TestProxyNca:
 
     def test_gradient_matches_fd(self):
         rng = Rng(20)
-        for normalize in (False, True):
+        for _ in range(2):
             batch = random_batch(rng)
             bank = init_proxies(3, 1, 5, rng)
-            out = proxynca_loss(batch, bank, 1.3, normalize=normalize)
+            out = proxynca_loss(batch, bank, 1.3)
             n_emb = batch.embeddings.size
 
-            def f(flat, normalize=normalize, shape=bank.matrix.shape):
+            def f(flat, shape=bank.matrix.shape):
                 b = EmbeddingBatch(flat[:n_emb].reshape(6, 5), LABELS6, 3)
                 pk = ProxyBank(flat[n_emb:].reshape(shape), 3, 1)
-                return proxynca_loss(b, pk, 1.3, normalize=normalize).value
+                return proxynca_loss(b, pk, 1.3).value
 
             x0 = np.concatenate([batch.embeddings.ravel(), bank.matrix.ravel()])
             analytic = np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])

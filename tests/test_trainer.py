@@ -181,22 +181,24 @@ class TestTrain:
             texts, labels, 2, small_config(LossConfig("proxyanchor", beta=1.0))
         )
         for (name, xa), (_, xb) in zip(cce.params.blocks(), pa.params.blocks()):
-            assert np.array_equal(xa, xb), name
+            assert xa.tobytes() == xb.tobytes(), name
         assert [v for _, v in cce.steps] == [v for _, v in pa.steps]
 
-    def test_blend_zero_matches_dml_only(self):
+    def test_blend_zero_never_runs_the_classifier(self, monkeypatch):
         texts, labels = toy_data()
-        blended = train(
-            texts, labels, 2, small_config(LossConfig("proxyanchor", beta=0.0))
-        )
-        pure = train(
-            texts, labels, 2,
-            small_config(LossConfig("proxyanchor", beta=0.0), dml_only=True),
-        )
-        assert [v for _, v in blended.steps] == [v for _, v in pure.steps]
-        for (name, xa), (_, xb) in zip(blended.params.blocks(), pure.params.blocks()):
-            assert np.array_equal(xa, xb), name
-        assert np.array_equal(blended.bank.matrix, pure.bank.matrix)
+        config = small_config(LossConfig("proxyanchor", beta=0.0))
+        plain = train(texts, labels, 2, config)
+
+        def refuse(*args):
+            raise AssertionError("the classifier ran at blend weight 0")
+
+        monkeypatch.setattr(trainer, "cce_loss", refuse)
+        monkeypatch.setattr(trainer, "classify_logits", refuse)
+        patched = train(texts, labels, 2, config)
+        assert patched.steps == plain.steps
+        for (name, xa), (_, xb) in zip(patched.params.blocks(), plain.params.blocks()):
+            assert xa.tobytes() == xb.tobytes(), name
+        assert patched.bank.matrix.tobytes() == plain.bank.matrix.tobytes()
 
     def test_seed_changes_model(self):
         texts, labels = toy_data()
@@ -258,21 +260,19 @@ class TestTrain:
             small_config(epochs=0)
         with pytest.raises(ConfigError):
             small_config(lr=-1.0)
-        with pytest.raises(ConfigError):
-            small_config(LossConfig("cce"), dml_only=True)
 
     @pytest.mark.parametrize(
-        "variant, dml_only",
+        "variant, metric_only",
         [(v, False) for v in VARIANTS] + [(v, True) for v in VARIANTS if v != "cce"],
     )
-    def test_overflow_raises_diverged(self, variant, dml_only):
+    def test_overflow_raises_diverged(self, variant, metric_only):
         # parameters overflow: the embeddings turn NaN or the proxy norms
         # overflow, and the cell must fail as diverged, not raise the
-        # DimensionError or DegenerateVectorError that would abort a grid
+        # DimensionError or DegenerateVectorError that would abort a grid;
+        # metric_only trains at blend weight 0, without the classifier loss
         texts, labels = toy_data()
-        config = small_config(
-            LossConfig(variant, beta=0.5), lr=1e300, clip_norm=1e300, dml_only=dml_only
-        )
+        beta = 0.0 if metric_only else 0.5
+        config = small_config(LossConfig(variant, beta=beta), lr=1e300, clip_norm=1e300)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(texts, labels, 2, config)
 

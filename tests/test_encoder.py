@@ -291,3 +291,19 @@ class TestCheckpoint:
         first = struct.unpack("<d", blob[20:28])[0]
         assert first == p.embedding_table[0, 0]
         assert len(blob) == 20 + 8 * 6
+
+    def test_bad_magic(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(tiny_params(14), path)
+        blob = bytearray(path.read_bytes())
+        blob[:4] = b"NOPE"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigError):
+            load_encoder(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "enc.bin"
+        save_encoder(tiny_params(16), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ConfigError):
+            load_encoder(path)

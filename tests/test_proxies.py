@@ -45,6 +45,12 @@ class TestCheckpoint:
         save_proxies(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_bad_magic(self, tmp_path):
+        p = tmp_path / "bad.pxb"
+        p.write_bytes(b"NOPE" + b"\x00" * 32)
+        with pytest.raises(ConfigError):
+            load_proxies(p)
+
     def test_layout_is_little_endian(self, tmp_path):
         bank = ProxyBank(np.array([[1.0, 2.0], [3.0, 4.0]]), 2, 1)
         p = tmp_path / "l.pxb"

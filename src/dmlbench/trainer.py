@@ -4,13 +4,13 @@ back to unit length after every step.
 
 Every variant takes the same step. With the cross-entropy weight w
 (`TrainConfig.ce_weight`: 1 for cce, beta otherwise) the step runs the
-variant's metric loss (none for cce), runs the classifier loss when w > 0,
-and blends the two with `combined_loss` at weight w when both ran; when
-only one ran, its output is the step's. The classifier loss's gradient g
-w.r.t. the logits is chained by hand: the embeddings get w * (g @ W.T),
-through the blend, and the head gets z.T @ (w * g) and the column sums of
-w * g. The blocks stepped (the compact encoder's, then the bank's) and
-the gradient each step writes are one vector each.
+variant's metric loss when w < 1 (never for cce), runs the classifier
+loss when w > 0, and blends the two with `combined_loss` at weight w when
+both ran; when only one ran, its output is the step's. The classifier
+loss's gradient g w.r.t. the logits is chained by hand: the embeddings
+get w * (g @ W.T), through the blend, and the head gets z.T @ (w * g)
+and the column sums of w * g. The blocks stepped (the compact encoder's,
+then the bank's) and the gradient each step writes are one vector each.
 
 Determinism contract: every random decision draws from its own stream
 derived from the run seed ("init", "proxies", "shuffle", "mining"), so
@@ -18,9 +18,9 @@ e.g. adding proxies or mining does not shift the shuffle order. Training
 twice with the same data, seed, and config reproduces every parameter
 bit for bit. Two consequences the tests lean on:
 
-* with blend weight 1.0 the blend gives the cross-entropy side's values,
-  a zero's sign aside, and the encoder trajectory is bit-identical to a
-  plain cross-entropy run (the tests compare the bytes);
+* with blend weight 1.0 the metric loss does not run and the bank gets
+  zero gradients, so the encoder trajectory is bit-identical to a plain
+  cross-entropy run (the tests compare the bytes);
 * with blend weight 0.0 the classifier loss does not run and the head gets
   zero gradients: the step is the metric loss's alone.
 """
@@ -340,7 +340,7 @@ def train(
             _check_finite("embeddings", z, step)
 
             metric = ce = None
-            if loss_cfg.is_metric:
+            if w < 1.0:
                 metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
             if w > 0.0:
                 c_out = cce_loss(softmax_rows(classify_logits(compact, z)), yb)
@@ -359,7 +359,7 @@ def train(
                 np.matmul(z.T, grad_logits, out=grads["classifier"])
                 np.add.reduce(grad_logits, axis=0, out=grads["classifier_bias"])
             if bank is not None:
-                grads["proxies"][...] = out.grad_proxies
+                grads["proxies"][...] = 0.0 if metric is None else out.grad_proxies
 
             lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
             optimizer.step(grad, lr, config.weight_decay)

@@ -10,11 +10,9 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from dmlbench.cli import main as cli_main
 from dmlbench.encoder import forward_batch, pack_tokens, tokenize
-from dmlbench.errors import ConfigError
 from dmlbench.evaluation import blended_scores, macro_f1, paired_significance, predict
 from dmlbench.gradcheck import run_gradcheck
 from dmlbench.harness import (

@@ -13,10 +13,13 @@ read rely on: numpy's elementwise loops give an element the same bits
 whatever the array's length and the element's place in it, so a row drawn
 alone equals its entries of one contiguous `Rng.normal` draw, byte for
 byte, under either set of kernels. And it runs the equivalence tests of
-`tests/test_hotpath_equivalence.py` named in `EQUIVALENCE_TESTS`: AdamW
-over one vector, backward into views of one gradient, pooling by text
-length, and the stacked n-pairs and proxy-anchor passes against the code
-they replaced, under either set of kernels.
+`tests/test_hotpath_equivalence.py` named in `EQUIVALENCE_TESTS`, with
+`tests/` on its path for their references in `tests/reference.py`: AdamW
+over one vector against `OldAdamW` over the dense table, backward into
+views of one gradient against `old_backward_batch`, pooling by text
+length against `old_forward_batch`, and the stacked n-pairs and
+proxy-anchor passes against `old_npairs_pairs_loss` and
+`old_proxyanchor_loss`, under either set of kernels.
 """
 
 import json
@@ -25,12 +28,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
-HOTPATH = Path(__file__).resolve().parent / "test_hotpath_equivalence.py"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+HOTPATH = TESTS / "test_hotpath_equivalence.py"
 EQUIVALENCE_TESTS = (
-    "test_flat_adamw_matches_block_adamw",
+    "test_flat_adamw_matches_dense_adamw",
     "test_backward_into_views_matches_allocating_backward",
-    "test_pooling_by_length_matches_per_position_pooling",
+    "test_pooling_by_length_matches_per_text_pooling",
     "test_npairs_loss_matches_per_pair_loop",
     "test_npairs_loss_with_pairs_of_different_row_counts",
     "test_npairs_loss_over_more_pairs_than_one_block",
@@ -98,7 +102,7 @@ def run(tmp_path, name, extra_env):
     work.mkdir()
     env = {k: v for k, v in os.environ.items() if k not in AVX2_ONLY}
     env.update(extra_env)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(work), str(HOTPATH), *EQUIVALENCE_TESTS],
         env=env, capture_output=True, text=True, timeout=300,

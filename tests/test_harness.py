@@ -6,6 +6,7 @@ import pytest
 from conftest import kernels
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import old_largest_remainder_quotas
 
 from dmlbench import harness, trainer
 from dmlbench.encoder import pack_tokens, tokenize
@@ -170,38 +171,6 @@ class TestSynth:
             synth_dataset(2, 10, noise=1.5)
         with pytest.raises(ConfigError):
             synth_dataset(2, 10, signal_tokens=0)
-
-
-def old_largest_remainder_quotas(counts: np.ndarray, shot: int) -> np.ndarray:
-    """The quotas as they were computed with a cap at the class sizes and
-    an overflow loop, both of which cannot fire for shot < total."""
-    total = int(counts.sum())
-    if shot >= total:
-        return counts.copy()
-    raw = shot * counts / total
-    quota = np.floor(raw).astype(np.int64)
-    remainder = raw - quota
-    order = np.lexsort((np.arange(len(counts)), -remainder))
-    for idx in order[: shot - int(quota.sum())]:
-        quota[idx] += 1
-    overflow = int(np.maximum(quota - counts, 0).sum())
-    quota = np.minimum(quota, counts)
-    while overflow > 0:
-        spare = counts - quota
-        if spare.max() <= 0:
-            break
-        quota[int(np.argmax(spare))] += 1
-        overflow -= 1
-    nonempty = int(np.count_nonzero(counts))
-    if shot >= nonempty:
-        for c in range(len(counts)):
-            if counts[c] > 0 and quota[c] == 0:
-                donor = int(np.argmax(quota))
-                if quota[donor] <= 1:
-                    break
-                quota[donor] -= 1
-                quota[c] = 1
-    return quota
 
 
 class TestQuotas:

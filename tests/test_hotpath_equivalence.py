@@ -1,26 +1,30 @@
-"""The vectorised training-step kernels against the per-element code they
-replaced, bit for bit.
+"""The package's hot-path functions against their references in
+`tests/reference.py`, bit for bit.
 
-The reference implementations below are the earlier loops, kept here and
-nowhere else: `Rng.permutation` / `Rng.choice` with one draw per call,
-`mine_triplets` as a triple loop, `triplet_loss` one triplet at a time,
-n-pairs on a sub-batch of two members per class scattered back,
-per-text pooling and scatter in the encoder, pooling one token position
-at a time, the encoder on token lists counted at every step, a backward
-pass that allocates its gradient blocks, the eager init of the whole
-table, AdamW with fresh temporaries and dense moments over every row,
-AdamW block by block, `normalize_backward` one row
-at a time, `synth_dataset` with two draws per token, and supcon and
-proxy-NCA one anchor at a time, n-pairs one pair at a time and
-proxy-anchor one class at a time, all four on the 1-D log-sum-exp.
+Each function has one reference, the plainest loop that gives its bits:
+
+- `Rng.permutation` and `Rng.choice`: `old_permutation`, `old_choice`;
+- `mine_triplets` and `triplet_loss`: `old_mine_triplets`,
+  `old_triplet_loss`;
+- `npairs_loss`: `old_npairs_pairs_loss`, and the trainer's n-pairs step
+  (`dml_loss`, which mines with `select_npairs_pairs`): `old_npairs_step`;
+- `supcon_loss`, `proxynca_loss` and `proxyanchor_loss`:
+  `old_supcon_loss`, `old_proxynca_loss`, `old_proxyanchor_loss`;
+- `log_sum_exp_rows`: `old_log_sum_exp`; `normalize_backward`:
+  `old_normalize_backward`;
+- `init_encoder`: `eager_init_encoder`; `forward_batch`:
+  `old_forward_batch`; `backward_batch`: `old_backward_batch`;
+  `EncoderParams.defer_decay`: `decayed_eagerly`;
+- `AdamW`: `OldAdamW`, over the dense table where `AdamW` holds live rows;
+  `train`: `dense_train`;
+- `synth_dataset`: `old_synth`.
+
 Hypothesis varies the sizes; every comparison is on the raw bytes of the
 results, so a difference in the last bit or in the sign of a zero fails.
 """
 
 import dataclasses
-import itertools
 import math
-import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -30,6 +34,26 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from reference import (
+    OldAdamW,
+    dense_train,
+    eager_init_encoder,
+    decayed_eagerly,
+    old_backward_batch,
+    old_choice,
+    old_forward_batch,
+    old_log_sum_exp,
+    old_mine_triplets,
+    old_normalize_backward,
+    old_npairs_pairs_loss,
+    old_npairs_step,
+    old_permutation,
+    old_proxyanchor_loss,
+    old_proxynca_loss,
+    old_supcon_loss,
+    old_synth,
+    old_triplet_loss,
+)
 
 from dmlbench import losses, trainer
 from dmlbench.encoder import (
@@ -37,29 +61,18 @@ from dmlbench.encoder import (
     EncoderParams,
     backward_batch,
     block_shapes,
-    classify_logits,
     forward_batch,
     init_encoder,
     pack_tokens,
     save_encoder,
     tokenize,
 )
-from dmlbench.errors import (
-    ConfigError,
-    DegenerateBatchError,
-    DimensionError,
-    InvalidTripletError,
-    LabelError,
-    PairingError,
-)
-from dmlbench.harness import NOISE_POOL, synth_dataset
+from dmlbench.errors import DimensionError, InvalidTripletError
+from dmlbench.harness import synth_dataset
 from dmlbench.losses import (
     VARIANTS,
     EmbeddingBatch,
     LossConfig,
-    LossOutput,
-    cce_loss,
-    combined_loss,
     dml_loss,
     mine_triplets,
     npairs_loss,
@@ -69,7 +82,6 @@ from dmlbench.losses import (
     softtriple_loss,
     supcon_loss,
     triplet_loss,
-    zero_output,
 )
 from dmlbench.numeric import (
     Rng,
@@ -79,20 +91,9 @@ from dmlbench.numeric import (
     l2_normalize_rows,
     log_sum_exp_rows,
     normalize_backward,
-    sigmoid,
-    softmax_rows,
-    softplus,
 )
-from dmlbench.proxies import ProxyBank, init_proxies
-from dmlbench.trainer import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPS,
-    AdamW,
-    TrainConfig,
-    lr_schedule,
-    train,
-)
+from dmlbench.proxies import ProxyBank
+from dmlbench.trainer import AdamW, TrainConfig, train
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -105,174 +106,7 @@ def same_bits(x, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# reference implementations
-
-
-def old_permutation(rng: Rng, n: int) -> np.ndarray:
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = rng.randint(i + 1)
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-def old_choice(rng: Rng, n: int, k: int) -> np.ndarray:
-    if k > n:
-        raise ValueError(f"cannot draw {k} distinct values from {n}")
-    pool = np.arange(n)
-    for i in range(k):
-        j = i + rng.randint(n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k].copy()
-
-
-def old_mine_triplets(batch, rng=None, cap=512):
-    labels = batch.labels
-    triples = []
-    for a in range(batch.size):
-        positives = np.nonzero(labels == labels[a])[0]
-        negatives = np.nonzero(labels != labels[a])[0]
-        for p in positives:
-            if p == a:
-                continue
-            for n in negatives:
-                triples.append((a, int(p), int(n)))
-    if len(triples) > cap:
-        if rng is None:
-            raise ConfigError(f"{len(triples)} triplets exceed cap {cap}; rng required")
-        keep = old_choice(rng, len(triples), cap)
-        triples = [triples[i] for i in sorted(keep)]
-    return triples
-
-
-def old_check_triplet(triplet, margin, labels):
-    a, p, n = triplet
-    if not all(0 <= i < labels.size for i in (a, p, n)):
-        raise InvalidTripletError(f"indices must lie in [0, {labels.size}), got ({a}, {p}, {n})")
-    if len({a, p, n}) != 3:
-        raise InvalidTripletError(f"indices must be distinct, got ({a}, {p}, {n})")
-    if labels[a] != labels[p]:
-        raise InvalidTripletError(f"anchor {a} and positive {p} differ in class")
-    if labels[a] == labels[n]:
-        raise InvalidTripletError(f"anchor {a} and negative {n} share a class")
-    if margin < 0.0:
-        raise InvalidTripletError("margin must be >= 0")
-
-
-def old_triplet_loss(batch, triplets, margin):
-    triplets = list(triplets)
-    if not triplets:
-        raise InvalidTripletError("need at least one triplet")
-    z = batch.embeddings
-    grad = np.zeros_like(z)
-    value = 0.0
-    for a, p, n in triplets:
-        old_check_triplet((a, p, n), margin, batch.labels)
-        ap = z[a] - z[p]
-        an = z[a] - z[n]
-        slack = float(ap @ ap - an @ an) + margin
-        if slack > 0.0:
-            value += slack
-            grad[a] += 2.0 * (ap - an)
-            grad[p] -= 2.0 * ap
-            grad[n] += 2.0 * an
-    return value, grad
-
-
-def old_forward_batch(params, token_lists):
-    pooled = np.empty((len(token_lists), params.embed_dim))
-    for i, ids in enumerate(token_lists):
-        pooled[i] = params.embedding_table[np.asarray(ids, dtype=np.int64)].mean(axis=0)
-    z = np.tanh(pooled @ params.projection + params.projection_bias)
-    return z, pooled
-
-
-def old_backward_batch(params, token_lists, pooled, z, grad_embeddings):
-    grads = {name: np.zeros_like(arr) for name, arr in params.blocks()}
-    grad_z = np.array(grad_embeddings, dtype=np.float64, copy=True)
-    grad_u = grad_z * (1.0 - z * z)
-    grads["projection"] = pooled.T @ grad_u
-    grads["projection_bias"] = grad_u.sum(axis=0)
-    grad_pooled = grad_u @ params.projection.T
-    table = grads["embedding_table"]
-    for i, ids in enumerate(token_lists):
-        uniq, counts = np.unique(np.asarray(ids, dtype=np.int64), return_counts=True)
-        table[uniq] += (counts[:, None] / len(ids)) * grad_pooled[i]
-    return grads
-
-
-def list_forward_batch(params, token_lists):
-    """forward_batch on a list of token-id lists, as it was before packing."""
-    lengths = np.fromiter(map(len, token_lists), dtype=np.int64, count=len(token_lists))
-    ids = np.fromiter(
-        itertools.chain.from_iterable(token_lists), dtype=np.int64, count=int(lengths.sum())
-    )
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longest_first = lengths[order]
-    table = params.table_for(ids)
-    sums = np.zeros((len(token_lists), params.embed_dim))
-    for j in range(int(longest_first[0])):
-        active = int(np.count_nonzero(longest_first > j))
-        sums[:active] += table[ids[starts[:active] + j]]
-    pooled = np.empty_like(sums)
-    pooled[order] = sums / longest_first[:, None]
-    z = np.tanh(pooled @ params.projection + params.projection_bias)
-    return z, (ids, lengths, pooled)
-
-
-def list_backward_batch(params, cache, grad_embeddings, z):
-    """backward_batch with its np.unique over the (text, token) pairs at
-    every call, as it was before packing."""
-    ids, lengths, pooled = cache
-    grads = {name: np.zeros(arr.shape, dtype=arr.dtype) for name, arr in params.blocks()}
-    grad_u = np.asarray(grad_embeddings, dtype=np.float64) * (1.0 - z * z)
-    grads["projection"] = pooled.T @ grad_u
-    grads["projection_bias"] = grad_u.sum(axis=0)
-    grad_pooled = grad_u @ params.projection.T
-    vocab = params.vocab_size
-    text_of = np.repeat(np.arange(lengths.size), lengths)
-    pairs, counts = np.unique(text_of * vocab + ids, return_counts=True)
-    texts, rows = np.divmod(pairs, vocab)
-    shares = counts / lengths[texts]
-    add_rows_at(grads["embedding_table"], rows, shares[:, None] * grad_pooled[texts])
-    return grads
-
-
-def position_forward_batch(params, batch):
-    """forward_batch as it was before pooling by length: one gather and add
-    per token position over every text still that long."""
-    ids, lengths = batch.ids, batch.lengths
-    order = np.argsort(-lengths, kind="stable")
-    starts = (np.cumsum(lengths) - lengths)[order]
-    longest_first = lengths[order]
-    table = params.table_for(ids)
-    sums = np.zeros((len(batch), params.embed_dim))
-    for j in range(int(longest_first[0])):
-        active = int(np.count_nonzero(longest_first > j))
-        sums[:active] += table[ids[starts[:active] + j]]
-    pooled = np.empty_like(sums)
-    pooled[order] = sums / longest_first[:, None]
-    z = np.tanh(pooled @ params.projection + params.projection_bias)
-    return z, pooled
-
-
-def allocating_backward_batch(params, cache, grad_embeddings):
-    """backward_batch as it was before the flat gradient: five zeroed
-    arrays allocated at every call and returned in a dict."""
-    z = cache.embeddings
-    batch = cache.batch
-    dims = (params.vocab_size, params.embed_dim, params.out_dim, params.num_classes)
-    grads = {name: np.zeros(shape) for name, shape in zip(BLOCK_NAMES, block_shapes(*dims))}
-    grad_z = np.asarray(grad_embeddings, dtype=np.float64)
-    grad_u = grad_z * (1.0 - z * z)
-    grads["projection"] = cache.pooled.T @ grad_u
-    grads["projection_bias"] = grad_u.sum(axis=0)
-    grad_pooled = grad_u @ params.projection.T
-    texts = np.repeat(np.arange(len(batch)), batch.widths)
-    shares = batch.counts / batch.lengths[texts]
-    add_rows_at(grads["embedding_table"], batch.rows, shares[:, None] * grad_pooled[texts])
-    return grads
+# helpers
 
 
 def backward_into_zeros(params, cache, grad_embeddings):
@@ -293,107 +127,6 @@ def flat_copy(named):
 def flat_grad(grads, names):
     """The named gradient blocks as one vector, in the order of names."""
     return np.concatenate([np.ravel(grads[name]) for name in names])
-
-
-def eager_init_encoder(num_classes, vocab_size, embed_dim, out_dim, rng):
-    """init_encoder as it was before the table rows were drawn on read:
-    every block drawn in checkpoint order, the table first."""
-    shapes = block_shapes(vocab_size, embed_dim, out_dim, num_classes)
-    return EncoderParams(*(rng.normal(int(np.prod(s)), scale=0.1).reshape(s) for s in shapes))
-
-
-class OldAdamW:
-    def __init__(self, blocks, clip_norm=5.0):
-        self.blocks = blocks
-        self.clip_norm = clip_norm
-        self.m = {name: np.zeros_like(arr) for name, arr in blocks}
-        self.v = {name: np.zeros_like(arr) for name, arr in blocks}
-        self.t = 0
-        self.norms = []
-
-    def step(self, grads, lr, weight_decay):
-        sq = 0.0
-        for name, _ in self.blocks:
-            g = grads[name]
-            sq += float((g * g).sum())
-        norm = math.sqrt(sq)
-        self.norms.append(norm)
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
-        self.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.t
-        bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, param in self.blocks:
-            g = grads[name] * scale
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-            param -= lr * (update + weight_decay * param)
-
-
-class BlockAdamW:
-    """AdamW as it was before the flat vector: per-block moments and work
-    arrays in dicts, the ufunc chain run once per block. Its clip norm
-    takes the compact sum of squares first and the dense one only when
-    the compact one does not rule clipping out; `AdamW` no longer has that
-    path, so this is its only copy, kept as the reference."""
-
-    def __init__(self, blocks, clip_norm, sparse=None):
-        self.blocks = blocks
-        self.clip_norm = clip_norm
-        self.sparse = {name: (np.asarray(rows, dtype=np.int64), total)
-                       for name, (rows, total) in (sparse or {}).items()}
-        self._no_clip_below = min(clip_norm * clip_norm, sys.float_info.max) * (1.0 - 1e-9)
-        self.m = {name: np.zeros(arr.shape) for name, arr in blocks}
-        self.v = {name: np.zeros(arr.shape) for name, arr in blocks}
-        self._work = {name: (np.empty(arr.shape), np.empty(arr.shape)) for name, arr in blocks}
-        self.t = 0
-
-    def _sum_of_squares(self, grads, dense):
-        sq = 0.0
-        for name, _ in self.blocks:
-            squares = np.square(grads[name], out=self._work[name][0])
-            if dense and name in self.sparse:
-                rows, total = self.sparse[name]
-                full = np.zeros((total,) + squares.shape[1:])
-                full[rows] = squares
-                sq += float(full.sum())
-            else:
-                sq += float(squares.sum())
-        return sq
-
-    def step(self, grads, lr, weight_decay):
-        sq = self._sum_of_squares(grads, dense=False)
-        if self.sparse and not sq < self._no_clip_below:
-            sq = self._sum_of_squares(grads, dense=True)
-        norm = math.sqrt(sq)
-        scale = self.clip_norm / norm if norm > self.clip_norm else 1.0
-        self.t += 1
-        bc1 = 1.0 - ADAM_BETA1 ** self.t
-        bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for name, param in self.blocks:
-            g, tmp = self._work[name]
-            np.multiply(grads[name], scale, out=g)
-            m = self.m[name]
-            v = self.v[name]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
-            v *= ADAM_BETA2
-            np.square(g, out=tmp)
-            tmp *= 1.0 - ADAM_BETA2
-            v += tmp
-            update = np.divide(m, bc1, out=g)
-            np.divide(v, bc2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            update /= tmp
-            decayed = np.multiply(param, weight_decay, out=tmp)
-            decayed += update
-            decayed *= lr
-            param -= decayed
 
 
 # ---------------------------------------------------------------------------
@@ -574,64 +307,8 @@ def test_triplet_loss_rejects_empty_list():
 
 
 # ---------------------------------------------------------------------------
-# n-pairs: the (P, 2) pair array against the sub-batch it replaced
-
-
-def old_select_npairs_members(labels, rng=None):
-    labels = np.asarray(labels)
-    chosen = []
-    for cls in np.unique(labels):
-        members = np.nonzero(labels == cls)[0]
-        if members.size < 2:
-            continue
-        if rng is None or members.size == 2:
-            pick = members[:2]
-        else:
-            pick = members[rng.choice(members.size, 2)]
-        chosen.extend(int(i) for i in pick)
-    return np.array(sorted(chosen), dtype=np.int64)
-
-
-def old_npairs_loss(batch):
-    z = batch.embeddings
-    labels = batch.labels
-    anchors = []
-    for i in range(batch.size):
-        partners = np.nonzero(labels == labels[i])[0]
-        partners = partners[partners != i]
-        if partners.size > 1:
-            raise PairingError(f"anchor {i} has {partners.size} positives, needs 1")
-        if partners.size == 1:
-            anchors.append((i, int(partners[0])))
-    if not anchors:
-        raise PairingError("no anchor has a positive partner")
-    grad = np.zeros_like(z)
-    value = 0.0
-    for i, pos in anchors:
-        negatives = np.nonzero(labels != labels[i])[0]
-        idx = np.concatenate(([pos], negatives))
-        scores = z[idx] @ z[i]
-        lse = old_log_sum_exp(scores)
-        value += lse - float(scores[0])
-        coeff = np.exp(scores - lse)
-        coeff[0] -= 1.0
-        grad[i] += coeff @ z[idx]
-        grad[idx] += np.outer(coeff, z[i])
-    n_anchors = len(anchors)
-    return LossOutput(value / n_anchors, grad / n_anchors)
-
-
-def old_npairs_step(batch, rng):
-    """The trainer's n-pairs call before pairs: a sub-batch of two members
-    per class, its gradient scattered back into the full batch."""
-    members = old_select_npairs_members(batch.labels, rng)
-    if members.size < 2:
-        return zero_output(batch)
-    sub = EmbeddingBatch(batch.embeddings[members], batch.labels[members], batch.num_classes)
-    out = old_npairs_loss(sub)
-    grad = np.zeros_like(batch.embeddings)
-    grad[members] = out.grad_embeddings
-    return LossOutput(out.value, grad)
+# n-pairs: the trainer's step, which mines two rows per class, against
+# the same pairs taken by hand
 
 
 @SETTINGS
@@ -654,86 +331,6 @@ def test_npairs_step_matches_the_sub_batch(batch, seed, layout):
 # ---------------------------------------------------------------------------
 # supervised contrastive and proxy-NCA: the stacked passes against the
 # per-anchor loops, on the 1-D log-sum-exp they called
-
-
-def old_log_sum_exp(xs):
-    x = np.asarray(xs, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise DimensionError("vector contains NaN or Inf")
-    if x.size == 0:
-        raise DimensionError("log_sum_exp of empty vector")
-    m = float(np.max(x))
-    if x.size == 1:
-        return m
-    return m + float(np.log(np.sum(np.exp(x - m))))
-
-
-def old_supcon_loss(batch, tau):
-    if tau <= 0.0:
-        raise ConfigError("tau must be positive")
-    z = batch.embeddings
-    labels = batch.labels
-    length = batch.size
-    sims = (z @ z.T) / tau
-    grad = np.zeros_like(z)
-    value = 0.0
-    any_anchor = False
-    for i in range(length):
-        positives = np.nonzero(labels == labels[i])[0]
-        positives = positives[positives != i]
-        if positives.size == 0:
-            continue
-        any_anchor = True
-        others = np.concatenate((np.arange(i), np.arange(i + 1, length)))
-        row = sims[i, others]
-        lse = old_log_sum_exp(row)
-        value += lse - float(sims[i, positives].mean())
-        coeff = np.exp(row - lse)
-        pos_mask = labels[others] == labels[i]
-        coeff[pos_mask] -= 1.0 / positives.size
-        grad[i] += (coeff @ z[others]) / tau
-        grad[others] += np.outer(coeff, z[i]) / tau
-    if not any_anchor:
-        raise DegenerateBatchError("no anchor in the batch has a positive")
-    return LossOutput(value, grad)
-
-
-def old_proxynca_loss(batch, bank, scale):
-    if scale <= 0.0:
-        raise ConfigError("scale must be positive")
-    if bank.proxies_per_class != 1:
-        raise ConfigError("proxy-NCA needs exactly one proxy per class")
-    if bank.classes < 2:
-        raise DegenerateBatchError("proxy-NCA needs >= 2 classes for its denominator")
-    if batch.num_classes > bank.classes:
-        raise LabelError("batch classes exceed the proxy bank")
-    z_raw = batch.embeddings
-    p_raw = bank.matrix
-    z = l2_normalize_rows(z_raw)
-    p = l2_normalize_rows(p_raw)
-    n = batch.size
-    grad_z = np.zeros_like(z)
-    grad_p = np.zeros_like(p)
-    value = 0.0
-    for i in range(n):
-        y = int(batch.labels[i])
-        diffs = z[i] - p
-        dists = np.linalg.norm(diffs, axis=1)
-        safe = np.where(dists > 0.0, dists, 1.0)
-        dirs = diffs / safe[:, None]
-        dirs[dists == 0.0] = 0.0
-        others = np.concatenate((np.arange(y), np.arange(y + 1, bank.classes)))
-        neg_scores = -scale * dists[others]
-        lse = old_log_sum_exp(neg_scores)
-        value += scale * float(dists[y]) + lse
-        grad_z[i] += (scale / n) * dirs[y]
-        grad_p[y] -= (scale / n) * dirs[y]
-        weights = np.exp(neg_scores - lse)
-        pull = (scale / n) * weights[:, None] * dirs[others]
-        grad_z[i] -= pull.sum(axis=0)
-        grad_p[others] += pull
-    value /= n
-    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(p_raw, grad_p))
 
 
 def assert_same_outcome(new, old):
@@ -960,81 +557,6 @@ def test_proxynca_loss_raises_on_an_overflowing_distance():
 # per-class loops, on the 1-D log-sum-exp they called
 
 
-def old_npairs_pairs_loss(batch, pairs):
-    idx = np.asarray(pairs)
-    if idx.size == 0:
-        raise PairingError("need at least one (anchor, positive) pair")
-    if idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
-        raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
-    idx = idx.astype(np.int64, copy=False)
-    labels = batch.labels
-    if np.any((idx < 0) | (idx >= batch.size)):
-        raise PairingError(f"pair indices must lie in [0, {batch.size})")
-    anchors, positives = idx.T
-    if np.any(anchors == positives):
-        raise PairingError("an anchor cannot be its own positive")
-    if np.any(labels[anchors] != labels[positives]):
-        raise PairingError("an anchor and its positive differ in class")
-    if np.unique(anchors).size != anchors.size:
-        raise PairingError("an anchor appears in more than one pair")
-    z = batch.embeddings
-    members = np.unique(idx)
-    grad = np.zeros_like(z)
-    value = 0.0
-    for i, pos in idx.tolist():
-        rows = np.concatenate(([pos], members[labels[members] != labels[i]]))
-        scores = z[rows] @ z[i]
-        lse = old_log_sum_exp(scores)
-        value += lse - float(scores[0])
-        coeff = np.exp(scores - lse)
-        coeff[0] -= 1.0
-        grad[i] += coeff @ z[rows]
-        grad[rows] += np.outer(coeff, z[i])
-    return LossOutput(value / len(idx), grad / len(idx))
-
-
-def old_proxyanchor_loss(batch, bank, alpha, delta):
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be positive")
-    if delta < 0.0:
-        raise ConfigError("delta must be >= 0")
-    if bank.proxies_per_class != 1:
-        raise ConfigError("proxy-anchor needs exactly one proxy per class")
-    if batch.num_classes > bank.classes:
-        raise LabelError("batch classes exceed the proxy bank")
-    z_raw = batch.embeddings
-    p_raw = bank.matrix
-    z = l2_normalize_rows(z_raw)
-    p = l2_normalize_rows(p_raw)
-    sims = z @ p.T  # (L, C) cosine similarities
-    labels = batch.labels
-    classes = bank.classes
-    present = sorted(set(int(c) for c in labels))
-
-    grad_sims = np.zeros_like(sims)
-    value = 0.0
-    for c in present:
-        members = np.nonzero(labels == c)[0]
-        x = -alpha * (sims[members, c] - delta)
-        lse = old_log_sum_exp(x)
-        value += softplus(lse) / len(present)
-        coeff = sigmoid(lse) * np.exp(x - lse)
-        grad_sims[members, c] += (-alpha / len(present)) * coeff
-    for c in range(classes):
-        outsiders = np.nonzero(labels != c)[0]
-        if outsiders.size == 0:
-            continue
-        x = alpha * (sims[outsiders, c] + delta)
-        lse = old_log_sum_exp(x)
-        value += softplus(lse) / classes
-        coeff = sigmoid(lse) * np.exp(x - lse)
-        grad_sims[outsiders, c] += (alpha / classes) * coeff
-
-    grad_z = normalize_backward(z_raw, grad_sims @ p)
-    grad_p = normalize_backward(p_raw, grad_sims.T @ z)
-    return LossOutput(value, grad_z, grad_p)
-
-
 @st.composite
 def uneven_batches(draw, max_rows=40):
     """Batches of 1-40 rows whose classes differ in size: a class may have
@@ -1221,21 +743,29 @@ def token_batches(draw):
     return params, texts, seed
 
 
-@SETTINGS
-@given(case=token_batches())
-def test_forward_and_backward_match_per_text_loops(case):
-    params, texts, seed = case
-    z, cache = forward_batch(params, pack_tokens(texts))
+def assert_same_encoder(params, batch, texts, grad_seed):
+    """forward_batch and backward_batch on `batch`, a pack of the token
+    lists `texts`, give the bits of old_forward_batch and old_backward_batch
+    on the lists, for an upstream gradient drawn from Rng(grad_seed).
+    Returns backward_batch's gradients."""
+    z, cache = forward_batch(params, batch)
     z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(z, z_old)
     assert same_bits(cache.pooled, pooled_old)
-    rng = Rng(seed + 1)
-    grad_z = rng.normal(z.size).reshape(z.shape)
+    grad_z = Rng(grad_seed).normal(z.size).reshape(z.shape)
     new = backward_into_zeros(params, cache, grad_z)
     old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
     assert list(new) == list(old)
     for name in old:
         assert same_bits(new[name], old[name]), name
+    return new
+
+
+@SETTINGS
+@given(case=token_batches())
+def test_forward_and_backward_match_per_text_loops(case):
+    params, texts, seed = case
+    assert_same_encoder(params, pack_tokens(texts), texts, seed + 1)
 
 
 @pytest.mark.parametrize(
@@ -1249,14 +779,7 @@ def test_forward_and_backward_match_per_text_loops(case):
 )
 def test_encoder_fixed_cases(texts):
     params = init_encoder(2, 8, 4, 3, Rng(17))
-    z, cache = forward_batch(params, pack_tokens(texts))
-    z_old, pooled_old = old_forward_batch(params, texts)
-    assert same_bits(z, z_old)
-    grad_z = Rng(18).normal(z.size).reshape(z.shape)
-    new = backward_into_zeros(params, cache, grad_z)
-    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
-    for name in old:
-        assert same_bits(new[name], old[name]), name
+    assert_same_encoder(params, pack_tokens(texts), texts, 18)
 
 
 def test_encoder_fortran_ordered_params():
@@ -1266,15 +789,8 @@ def test_encoder_fortran_ordered_params():
             setattr(params, name, np.asfortranarray(arr))
     assert not params.embedding_table.flags.c_contiguous
     texts = [[2, 2, 2, 5], [5, 2], [7], [1] * 12]
-    z, cache = forward_batch(params, pack_tokens(texts))
-    z_old, pooled_old = old_forward_batch(params, texts)
-    assert same_bits(z, z_old)
-    grad_z = Rng(18).normal(z.size).reshape(z.shape)
-    new = backward_into_zeros(params, cache, grad_z)
-    old = old_backward_batch(params, texts, pooled_old, z_old, grad_z)
+    new = assert_same_encoder(params, pack_tokens(texts), texts, 18)
     assert np.any(new["embedding_table"] != 0.0)
-    for name in old:
-        assert same_bits(new[name], old[name]), name
 
 
 def test_embed_dim_one_pools_in_token_order():
@@ -1283,16 +799,12 @@ def test_embed_dim_one_pools_in_token_order():
     # Values chosen so the two orders round differently.
     params = init_encoder(2, 10, 1, 3, Rng(17))
     params.embedding_table[:, 0] = [1e16] + [1.0] * 9
-    long_text, short_text = list(range(10)), [0, 1, 2]
-    _, cache = forward_batch(params, pack_tokens([long_text, short_text]))
-    for row, text in zip(cache.pooled, [long_text, short_text]):
-        total = 0.0
-        for i in text:
-            total += params.embedding_table[i, 0]
-        assert same_bits(row, np.array([total / len(text)]))
-    pairwise = params.embedding_table[long_text].mean(axis=0)
+    texts = [list(range(10)), [0, 1, 2]]
+    _, cache = forward_batch(params, pack_tokens(texts))
+    assert same_bits(cache.pooled, old_forward_batch(params, texts)[1])
+    pairwise = params.embedding_table[texts[0]].mean(axis=0)
     assert not same_bits(cache.pooled[0], pairwise)  # the known deviation
-    assert same_bits(cache.pooled[1], params.embedding_table[short_text].mean(axis=0))
+    assert same_bits(cache.pooled[1], params.embedding_table[texts[1]].mean(axis=0))
 
 
 @SETTINGS
@@ -1313,16 +825,7 @@ def test_take_matches_the_list_based_encoder(vocab, texts, data):
     batch = packed.take(chosen)
     lists = [texts[i] for i in chosen]
     assert same_bits(batch.ids, np.concatenate(lists).astype(np.int64))
-    z, cache = forward_batch(params, batch)
-    z_list, cache_list = list_forward_batch(params, lists)
-    assert same_bits(z, z_list)
-    assert same_bits(cache.pooled, cache_list[2])
-    grad_z = Rng(len(chosen)).normal(z.size).reshape(z.shape)
-    new = backward_into_zeros(params, cache, grad_z)
-    old = list_backward_batch(params, cache_list, grad_z, z_list)
-    assert list(new) == list(old)
-    for name in old:
-        assert same_bits(new[name], old[name]), name
+    assert_same_encoder(params, batch, lists, len(chosen))
 
 
 @st.composite
@@ -1413,17 +916,6 @@ def test_lazy_rows_match_the_eager_init(seed, vocab, embed, data):
         assert lazy._undrawn is None and lazy._stale is None
 
 
-def decayed_eagerly(table, fresh, lrs, weight_decay):
-    """Every row of `table` outside `fresh` after one AdamW step of zero
-    gradient per entry of `lrs`, in order, applied now."""
-    stale = np.setdiff1d(np.arange(len(table)), fresh)
-    flat = table[stale].ravel()
-    opt = AdamW(flat, [("rows", flat)], clip_norm=1.0)
-    for lr in lrs:
-        opt.step(np.zeros_like(flat), lr, weight_decay)
-    table[stale] = flat.reshape(-1, table.shape[1])
-
-
 @SETTINGS
 @given(seed=st.integers(0, 2**32), vocab=st.integers(1, 30), embed=st.integers(1, 5), data=st.data())
 def test_a_second_deferral_settles_the_first(seed, vocab, embed, data):
@@ -1501,6 +993,43 @@ def settled(table, live, lrs, weight_decay):
     return params.embedding_table
 
 
+def dense_blocks(start, sparse, seed):
+    """OldAdamW's blocks for AdamW's blocks `start`: each sparse block
+    (`sparse`: name -> (rows, total)) at its rows of a (total, E) table
+    whose other rows are drawn from Rng(seed)."""
+    blocks = dict(start)
+    for name, (rows, total) in sparse.items():
+        table = Rng(seed).normal(total * blocks[name].shape[1]).reshape(total, -1)
+        table[rows] = blocks[name]
+        blocks[name] = table
+    return blocks
+
+
+def dense_grads(grads, sparse):
+    """The gradients with each sparse block spread at its rows over zeros."""
+    spread = dict(grads)
+    for name, (rows, total) in sparse.items():
+        spread[name] = np.zeros((total,) + grads[name].shape[1:])
+        spread[name][rows] = grads[name]
+    return spread
+
+
+def assert_same_adamw(new, new_params, old, old_params, first, lrs, weight_decay):
+    """AdamW `new` and OldAdamW `old` over dense tables hold the same bits
+    after steps at `lrs`: every block and its moments, where a sparse
+    block's table, whose other rows started as in `first`, is compared once
+    those rows have replayed their decay (`settled`)."""
+    for name, arr in new_params.items():
+        rows = slice(None)
+        if name in new.sparse:
+            rows, table = new.sparse[name][0], first[name].copy()
+            table[rows] = arr
+            arr = settled(table, rows, lrs, weight_decay)
+        assert same_bits(arr, old_params[name]), name
+        assert same_bits(new.m[name], old.m[name][rows]), name
+        assert same_bits(new.v[name], old.v[name][rows]), name
+
+
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32),
@@ -1537,71 +1066,9 @@ def test_live_row_adamw_matches_dense(seed, vocab, dim, live_frac, steps, clip, 
         grads["table"][live[rng.random(live.size) < 0.3]] = 0.0
         new.step(flat_grad({**grads, "table": grads["table"][live]}, shapes), lr, weight_decay)
         old.step(grads, lr, weight_decay)
-        table = start["table"].copy()
-        table[live] = new_params["table"]
-        assert same_bits(settled(table, live, [lr] * (step + 1), weight_decay), old_params["table"])
-        for name in ("bias", "head"):
-            assert same_bits(new_params[name], old_params[name])
-            assert same_bits(new.m[name], old.m[name])
-            assert same_bits(new.v[name], old.v[name])
-        assert same_bits(new.m["table"], old.m["table"][live])
-        assert same_bits(new.v["table"], old.v["table"][live])
+        assert_same_adamw(new, new_params, old, old_params, start, [lr] * (step + 1), weight_decay)
         assert same_bits(old.m["table"][dead], np.zeros((dead.size, dim)))
         assert same_bits(old.v["table"][dead], np.zeros((dead.size, dim)))
-
-
-def dense_train(texts, labels, num_classes, config):
-    """The training loop before the compact table: the whole table goes
-    through forward, backward and OldAdamW, and every row decays at every
-    step. Returns (params, bank, loss trace, the gradient norm of each step)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(texts)
-    loss_cfg, w = config.loss, config.ce_weight
-    shuffle_rng = Rng(derive_seed(config.seed, "shuffle"))
-    mining_rng = Rng(derive_seed(config.seed, "mining"))
-    params = trainer.init_encoder(
-        num_classes, config.vocab_size, config.embed_dim, config.out_dim,
-        Rng(derive_seed(config.seed, "init")),
-    )
-    bank = None
-    if loss_cfg.is_proxy_based:
-        bank = init_proxies(
-            num_classes, loss_cfg.proxies_per_class(), config.out_dim,
-            Rng(derive_seed(config.seed, "proxies")),
-        )
-    tokenized = [tokenize(t, config.vocab_size) for t in texts]
-    total_steps = config.epochs * math.ceil(n / config.batch_size)
-    blocks = params.blocks() + ([("proxies", bank.matrix)] if bank is not None else [])
-    optimizer = OldAdamW(blocks, config.clip_norm)
-    log = []
-    step = 0
-    for _ in range(config.epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            chosen = order[start : start + config.batch_size]
-            yb = labels[chosen]
-            z, cache = forward_batch(params, pack_tokens([tokenized[i] for i in chosen]))
-            metric = ce = None
-            if loss_cfg.is_metric:
-                metric = dml_loss(EmbeddingBatch(z, yb, num_classes), loss_cfg, bank, mining_rng)
-            if w > 0.0:
-                c_out = cce_loss(softmax_rows(classify_logits(params, z)), yb)
-                grad_logits = w * c_out.grad_embeddings
-                ce = LossOutput(c_out.value, c_out.grad_embeddings @ params.classifier.T)
-            out = metric if ce is None else ce if metric is None else combined_loss(ce, metric, w)
-            log.append((step, out.value))
-            grads = allocating_backward_batch(params, cache, out.grad_embeddings)
-            if w > 0.0:
-                grads["classifier"] = z.T @ grad_logits
-                grads["classifier_bias"] = grad_logits.sum(axis=0)
-            if bank is not None:
-                grads["proxies"] = out.grad_proxies
-            lr = lr_schedule(step, total_steps, config.lr, config.warmup_fraction)
-            optimizer.step(grads, lr, config.weight_decay)
-            if bank is not None:
-                bank.matrix[:] = l2_normalize_rows(bank.matrix)
-            step += 1
-    return params, bank, log, optimizer.norms
 
 
 def assert_same_training(model, reference):
@@ -1763,31 +1230,30 @@ def flat_adamw_cases(draw):
     weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
     bad=st.sampled_from([None, np.inf, -np.inf, np.nan, 1e200]),
 )
-def test_flat_adamw_matches_block_adamw(case, seed, steps, clip, weight_decay, bad):
-    # clipped and unclipped steps, a sparse table, and now and then a
-    # gradient entry that makes the norm overflow or NaN
+def test_flat_adamw_matches_dense_adamw(case, seed, steps, clip, weight_decay, bad):
+    # clipped and unclipped steps, a sparse table against the whole one,
+    # and now and then a gradient entry that makes the norm overflow or NaN
     vocab, live, shapes = case
     rng = Rng(seed)
     start = [(name, rng.normal(math.prod(s)).reshape(s)) for name, s in shapes]
     flat, new_params = flat_copy(start)
-    old_params = {name: arr.copy() for name, arr in start}
     sparse = {"embedding_table": (live, vocab)}
+    first = dense_blocks(start, sparse, seed + 1)
+    old_params = {name: arr.copy() for name, arr in first.items()}
     new = AdamW(flat, list(new_params.items()), clip, sparse=sparse)
-    old = BlockAdamW(list(old_params.items()), clip, sparse=sparse)
+    old = OldAdamW(list(old_params.items()), clip)
+    lrs = []
     for step in range(steps):
         grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes}
         if bad is not None and step == steps - 1:
             name, _ = shapes[rng.randint(len(shapes))]
             grads[name].reshape(-1)[rng.randint(grads[name].size)] = bad
         grad = flat_grad(grads, [name for name, _ in shapes])
-        lr = 0.0 if step == 0 else 1e-2 / step
+        lrs.append(0.0 if step == 0 else 1e-2 / step)
         with np.errstate(all="ignore"):
-            new.step(grad, lr, weight_decay)
-            old.step(grads, lr, weight_decay)
-        for name, _ in shapes:
-            assert same_bits(new_params[name], old_params[name]), name
-            assert same_bits(new.m[name], old.m[name]), name
-            assert same_bits(new.v[name], old.v[name]), name
+            new.step(grad, lrs[-1], weight_decay)
+            old.step(dense_grads(grads, sparse), lrs[-1], weight_decay)
+        assert_same_adamw(new, new_params, old, old_params, first, lrs, weight_decay)
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -1807,27 +1273,25 @@ def test_adamw_near_the_clip_and_the_no_clip_bound(seed, sparse):
     grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes}
     grad = flat_grad(grads, [name for name, _ in shapes])
     norm = math.sqrt(sum(float(np.square(g).sum()) for g in grads.values()))
-    sparse_rows = {"embedding_table": (live, vocab)} if sparse else None
+    sparse_rows = {"embedding_table": (live, vocab)} if sparse else {}
     for ratio in (1.0, 1.0 - 1e-9, 0.25):  # clip at the norm, at the bound, twice the norm
         for rel in (-1e-12, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 1e-12):
             clip = norm * (1.0 + rel) / math.sqrt(ratio)
             flat, new_params = flat_copy(start)
-            old_params = {name: arr.copy() for name, arr in start}
+            first = dense_blocks(start, sparse_rows, seed + 1)
+            old_params = {name: arr.copy() for name, arr in first.items()}
             new = AdamW(flat, list(new_params.items()), clip, sparse=sparse_rows)
-            old = BlockAdamW(list(old_params.items()), clip, sparse=sparse_rows)
+            old = OldAdamW(list(old_params.items()), clip)
             with mock.patch.object(AdamW, "_sum_of_squares", autospec=True,
                                    side_effect=AdamW._sum_of_squares) as summed:
                 for lr in (0.1, 0.05):
                     new.step(grad, lr, 0.01)
-                    old.step(grads, lr, 0.01)
+                    old.step(dense_grads(grads, sparse_rows), lr, 0.01)
             misses = not float(np.dot(grad, grad)) < new._dot_below
             assert summed.call_count == 2 * misses, (ratio, rel)
             if ratio != 1.0 - 1e-9:  # next to the bound either path may run
                 assert misses == (ratio != 0.25), (ratio, rel)
-            for name, _ in shapes:
-                assert same_bits(new_params[name], old_params[name]), (ratio, rel, name)
-                assert same_bits(new.m[name], old.m[name]), (ratio, rel, name)
-                assert same_bits(new.v[name], old.v[name]), (ratio, rel, name)
+            assert_same_adamw(new, new_params, old, old_params, first, [0.1, 0.05], 0.01)
 
 
 def test_flat_adamw_rejects_blocks_that_do_not_fill_the_vector():
@@ -1847,7 +1311,7 @@ def test_backward_into_views_matches_allocating_backward(case, data):
     grad = np.full(sum(arr.size for _, arr in params.blocks()) + 2 * params.out_dim * len(extra), np.nan)
     grads = block_views(grad, [(name, arr.shape) for name, arr in params.blocks()] + extra)
     backward_batch(params, cache, grad_z, grads)
-    old = allocating_backward_batch(params, cache, grad_z)
+    old = old_backward_batch(params, texts, cache.pooled, z, grad_z)
     for name in BLOCK_NAMES[:3]:
         assert same_bits(grads[name], old[name]), name
     for name in BLOCK_NAMES[3:] + tuple(name for name, _ in extra):
@@ -1856,8 +1320,8 @@ def test_backward_into_views_matches_allocating_backward(case, data):
 
 @st.composite
 def pooling_batches(draw):
-    """A packed batch of 1 to 70 texts of mixed lengths, some long, over a
-    table with signed zeros and a wide range of magnitudes."""
+    """1 to 70 token lists of mixed lengths, some long, over a table with
+    signed zeros and a wide range of magnitudes."""
     vocab = draw(st.integers(1, 50))
     embed = draw(st.integers(1, 32))
     lengths = draw(st.lists(
@@ -1873,15 +1337,15 @@ def pooling_batches(draw):
         table[::3] *= 1e6
         table[1::5] = -0.0
         table[2::7] = -table[2::7] * 1e16  # cancellations next to small entries
-    return params, pack_tokens(texts)
+    return params, texts
 
 
 @SETTINGS
 @given(case=pooling_batches())
-def test_pooling_by_length_matches_per_position_pooling(case):
-    params, batch = case
-    z, cache = forward_batch(params, batch)
-    z_old, pooled_old = position_forward_batch(params, batch)
+def test_pooling_by_length_matches_per_text_pooling(case):
+    params, texts = case
+    z, cache = forward_batch(params, pack_tokens(texts))
+    z_old, pooled_old = old_forward_batch(params, texts)
     assert same_bits(cache.pooled, pooled_old)
     assert same_bits(z, z_old)
 
@@ -1893,9 +1357,9 @@ def test_pooling_splits_many_texts_of_one_length(texts, embed):
     # the rest, down to a single text
     params = init_encoder(2, 50, embed, 3, Rng(texts))
     rng = Rng(embed)
-    batch = pack_tokens([(rng.random(9) * 50).astype(np.int64).tolist() for _ in range(texts)])
-    z, cache = forward_batch(params, batch)
-    z_old, pooled_old = position_forward_batch(params, batch)
+    lists = [(rng.random(9) * 50).astype(np.int64).tolist() for _ in range(texts)]
+    z, cache = forward_batch(params, pack_tokens(lists))
+    z_old, pooled_old = old_forward_batch(params, lists)
     assert same_bits(cache.pooled, pooled_old)
     assert same_bits(z, z_old)
 
@@ -1924,25 +1388,15 @@ def test_pooling_one_long_text_at_embed_dim_one(length):
     # Values chosen so the two orders round differently.
     params = init_encoder(2, length, 1, 3, Rng(17))
     params.embedding_table[:, 0] = [1e16] + [1.0] * (length - 1)
-    batch = pack_tokens([list(range(length))])
-    _, cache = forward_batch(params, batch)
-    assert same_bits(cache.pooled, position_forward_batch(params, batch)[1])
-    total = 0.0
-    for i in range(length):
-        total += params.embedding_table[i, 0]
-    assert same_bits(cache.pooled, np.array([[total / length]]))
+    texts = [list(range(length))]
+    _, cache = forward_batch(params, pack_tokens(texts))
+    assert same_bits(cache.pooled, old_forward_batch(params, texts)[1])
     pairwise = params.embedding_table[:, 0].sum() / length
-    assert total / length != pairwise  # the order the spare text avoids
+    assert cache.pooled[0, 0] != pairwise  # the order the spare text avoids
 
 
 # ---------------------------------------------------------------------------
 # normalize_backward
-
-
-def old_normalize_backward(raw, grad_unit):
-    r = float(np.linalg.norm(raw))
-    u = raw / r
-    return (grad_unit - (grad_unit @ u) * u) / r
 
 
 @given(
@@ -1970,23 +1424,6 @@ def test_normalize_backward_matches_per_row(seed, rows, dim, zeros):
 
 # ---------------------------------------------------------------------------
 # synth_dataset
-
-
-def old_synth(num_classes, size, signal_tokens, noise, seed, tokens_per_text):
-    rng = Rng(derive_seed(seed, "synth"))
-    texts, labels = [], []
-    base, extra = divmod(size, num_classes)
-    for c in range(num_classes):
-        for _ in range(base + (1 if c < extra else 0)):
-            words = []
-            for _ in range(tokens_per_text):
-                if rng.random() < noise:
-                    words.append(f"n{rng.randint(NOISE_POOL)}")
-                else:
-                    words.append(f"c{c}t{rng.randint(signal_tokens)}")
-            texts.append(" ".join(words))
-            labels.append(c)
-    return texts, labels
 
 
 @given(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import mix64_reference
 from scipy.special import logsumexp as scipy_lse
 
 from dmlbench.errors import DegenerateVectorError, DimensionError, OracleFailureError
@@ -20,15 +21,6 @@ from dmlbench.numeric import (
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
-
-
-def mix64_reference(x):
-    # independent pure-integer SplitMix64 finalizer, straight from the
-    # published constants
-    x &= MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK
-    return (x ^ (x >> 31)) & MASK
 
 
 class TestRng:

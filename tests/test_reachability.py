@@ -1,5 +1,7 @@
 """Every module-level function and class of the package has a caller
-outside the tests, and so does every option.
+outside the tests, and so does every option. In the tests, every imported
+name is used, and every reference in `tests/reference.py` is named by a
+test module.
 
 A name counts as used where non-test code (`src/`, `bench/`, `demos/`,
 `tools/`) names it outside its own definition: as a name, as an
@@ -15,6 +17,9 @@ constant (the CLI's flag tables and the grids set fields by name); a
 field also counts as used where an attribute of its name is read or
 set. A `**` argument sets no option by itself: the keys it carries are
 named elsewhere.
+
+A test module uses an imported name where it names it as `names_used`
+counts, or has a parameter of that name (pytest passes fixtures by name).
 """
 
 import ast
@@ -23,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "dmlbench"
+TESTS = ROOT / "tests"
 CALLERS = [ROOT / d for d in ("src", "bench", "demos", "tools")]
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -156,3 +162,33 @@ def test_every_option_is_set_outside_the_tests():
 def test_every_test_hook_is_still_an_option():
     options = {(where, name) for where, name, _, _ in package_options()}
     assert TEST_HOOKS <= options
+
+
+def imported_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, name) of every name an import binds."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, a.asname or a.name) for a in node.names]
+    return found
+
+
+def test_every_name_a_test_module_imports_is_used():
+    unused = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = names_used(tree) + Counter(n.arg for n in ast.walk(tree) if isinstance(n, ast.arg))
+        unused += [f"{path.name}:{line} {name}" for line, name in imported_names(tree) if not used[name]]
+    assert not unused, f"imported and never used: {unused}"
+
+
+def test_every_reference_is_named_by_a_test():
+    tree = ast.parse((TESTS / "reference.py").read_text(encoding="utf-8"))
+    defined = [node.name for node in tree.body if isinstance(node, DEFINITIONS)]
+    used = Counter()
+    for path in sorted(TESTS.glob("test_*.py")):
+        used += names_used(ast.parse(path.read_text(encoding="utf-8")))
+    unnamed = [name for name in defined if not used[name]]
+    assert not unnamed, f"no test names {unnamed}"

@@ -184,16 +184,21 @@ class TestTrain:
             assert xa.tobytes() == xb.tobytes(), name
         assert [v for _, v in cce.steps] == [v for _, v in pa.steps]
 
-    def test_blend_zero_never_runs_the_classifier(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "beta, other_side",
+        [(0.0, ("cce_loss", "classify_logits")), (1.0, ("dml_loss",))],
+        ids=["beta0", "beta1"],
+    )
+    def test_blend_endpoint_never_runs_the_other_side(self, monkeypatch, beta, other_side):
         texts, labels = toy_data()
-        config = small_config(LossConfig("proxyanchor", beta=0.0))
+        config = small_config(LossConfig("proxyanchor", beta=beta))
         plain = train(texts, labels, 2, config)
 
         def refuse(*args):
-            raise AssertionError("the classifier ran at blend weight 0")
+            raise AssertionError(f"the side of weight 0 ran at blend weight {beta}")
 
-        monkeypatch.setattr(trainer, "cce_loss", refuse)
-        monkeypatch.setattr(trainer, "classify_logits", refuse)
+        for name in other_side:
+            monkeypatch.setattr(trainer, name, refuse)
         patched = train(texts, labels, 2, config)
         assert patched.steps == plain.steps
         for (name, xa), (_, xb) in zip(patched.params.blocks(), plain.params.blocks()):

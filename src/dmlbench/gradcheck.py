@@ -4,7 +4,10 @@ Each metric loss is checked through its own `LOSSES` row, so the oracle
 checks what training calls: `draw_probe` draws a batch (and, for a proxy
 loss, a bank of unit rows), lets the row's `mine` pick the structure once
 per instance, and `probe` wraps the row's `call` at that fixed structure
-as a scalar function of one flat vector (embeddings, then proxies). Each
+as a scalar function of one flat vector (embeddings, then proxies). The
+analytic gradient is read once per instance, at x0; the probes of the
+finite differences read only the value, so a metric loss's backward pass
+never runs for them (cross-entropy computes its gradient regardless). Each
 variant checks at the `LossConfig` fields in `PROBE_SETTINGS`. The
 cross-entropy head is probed through its logits. The analytic gradient is
 compared coordinate by coordinate with the central-difference estimate. A
@@ -108,8 +111,9 @@ def check_gradient(f, x0: np.ndarray, analytic: np.ndarray) -> tuple[bool, float
 def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure):
     """(f, x0, analytic) for the variant's `LOSSES` row at a fixed
     structure: f calls the row's `call` on the flat embeddings (then the
-    proxies) x, x0 is that vector for `batch` and `bank`, and analytic is
-    the call's gradient there."""
+    proxies) x and reads only its value, so it forms no gradient; x0 is
+    that vector for `batch` and `bank`, and analytic is the call's
+    gradient there, read at once."""
     call = LOSSES[config.variant].call
     shape, labels, classes = batch.embeddings.shape, batch.labels, batch.num_classes
     n_emb = batch.embeddings.size
@@ -121,11 +125,11 @@ def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, str
         at = ProxyBank(flat[n_emb:].reshape(bank.matrix.shape), bank.classes, bank.proxies_per_class)
         return call(b, config, at, structure).value
 
-    out = call(batch, config, bank, structure)
+    grad_embeddings, grad_proxies = call(batch, config, bank, structure).gradients()
     if bank is None:
-        return f, batch.embeddings.ravel(), out.grad_embeddings.ravel()
+        return f, batch.embeddings.ravel(), grad_embeddings.ravel()
     x0 = np.concatenate([batch.embeddings.ravel(), bank.matrix.ravel()])
-    return f, x0, np.concatenate([out.grad_embeddings.ravel(), out.grad_proxies.ravel()])
+    return f, x0, np.concatenate([grad_embeddings.ravel(), grad_proxies.ravel()])
 
 
 def _clear_of_kinks(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure) -> bool:

@@ -6,7 +6,10 @@ proxy-NCA, soft-triple, proxy-anchor). Every loss returns a `LossOutput`
 carrying the scalar value, the gradient w.r.t. the batch embeddings, and,
 for proxy-based losses, the gradient w.r.t. the proxy bank. Gradients are
 derived by hand and verified against the central-difference oracle in the
-test suite; there is no autograd anywhere.
+test suite; there is no autograd anywhere. Each metric loss is a forward
+part, which makes every check that can raise and computes the value, and
+a `backward` closure over the forward's intermediates, which the output
+runs when a gradient is first read; cross-entropy computes both at once.
 
 `LOSSES`, at the end of the module, is the one table of variants: per loss
 it holds the miner that picks the structure the loss needs from a batch
@@ -34,8 +37,11 @@ Conventions:
 
 Supcon, proxy-NCA, n-pairs and proxy-anchor take stacked passes where they
 once looped in Python over anchors, rows, pairs or classes, and each keeps
-the bits of its loop, which stays in `tests/test_hotpath_equivalence.py`
-as the reference. How the bits are kept, in all four:
+the bits of its loop, which stays in `tests/reference.py` as the
+reference (`tests/test_hotpath_equivalence.py` compares them). Where a
+loss takes STACK_ROWS rows at a time, the forward keeps each block's
+intermediates and the backward goes over the blocks in the same order.
+How the bits are kept, in all four:
 
 * a log-sum-exp row is read C-ordered through `log_sum_exp_rows`, which
   gives it the bits it has alone as a 1-D array; rows of different lengths
@@ -112,21 +118,52 @@ class EmbeddingBatch:
         return self.embeddings.shape[0]
 
 
-@dataclass
 class LossOutput:
-    value: float
-    grad_embeddings: np.ndarray
-    grad_proxies: np.ndarray | None = None
+    """A loss value and its gradients: w.r.t. the batch embeddings, and,
+    for a proxy-based loss, w.r.t. the proxy bank (None otherwise).
 
-    def __post_init__(self):
+    The value is computed and checked when the output is built: a
+    non-finite value raises `TrainingDivergedError` there. Gradients given
+    as arrays are checked there too. A metric loss gives a `backward`
+    closure instead, over its forward's own intermediates, returning
+    (grad_embeddings, grad_proxies): it runs, and its gradients are checked
+    and kept, when one of them is first read. It computes them from the
+    inputs of the call as they are then, so read them before changing
+    those inputs in place (`dml_loss` reads them before it returns). A
+    caller that reads only `value`, as the gradient oracle's probes do,
+    forms no gradient.
+    """
+
+    def __init__(self, value, grad_embeddings=None, grad_proxies=None, *, backward=None):
         # a non-finite loss is a diverging run, which poisons its grid cell
-        self.value = float(self.value)
+        self.value = float(value)
         if not np.isfinite(self.value):
             raise TrainingDivergedError("loss value is not finite")
-        if not np.isfinite(self.grad_embeddings).all():
-            raise TrainingDivergedError("embedding gradient contains NaN or Inf")
-        if self.grad_proxies is not None and not np.isfinite(self.grad_proxies).all():
-            raise TrainingDivergedError("proxy gradient contains NaN or Inf")
+        self._backward = backward
+        self._grads = None if backward is not None else _finite_gradients(grad_embeddings, grad_proxies)
+
+    def gradients(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """(grad_embeddings, grad_proxies), from `backward` on the first call."""
+        if self._grads is None:
+            self._grads = _finite_gradients(*self._backward())
+            self._backward = None  # frees the forward's intermediates
+        return self._grads
+
+    @property
+    def grad_embeddings(self) -> np.ndarray:
+        return self.gradients()[0]
+
+    @property
+    def grad_proxies(self) -> np.ndarray | None:
+        return self.gradients()[1]
+
+
+def _finite_gradients(grad_embeddings, grad_proxies):
+    if not np.isfinite(grad_embeddings).all():
+        raise TrainingDivergedError("embedding gradient contains NaN or Inf")
+    if grad_proxies is not None and not np.isfinite(grad_proxies).all():
+        raise TrainingDivergedError("proxy gradient contains NaN or Inf")
+    return grad_embeddings, grad_proxies
 
 
 @dataclass
@@ -256,15 +293,17 @@ def triplet_loss(batch: EmbeddingBatch, triplets, margin: float) -> LossOutput:
     # stacked (1, d) @ (d, 1) products are the same BLAS dots as ap @ ap per row
     slack = (ap[:, None, :] @ ap[:, :, None] - an[:, None, :] @ an[:, :, None])[:, 0, 0] + margin
     hit = slack > 0.0
-    grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
-    if not hit.any():
-        return LossOutput(0.0, grad)
-    value = float(np.cumsum(slack[hit])[-1])
-    ap, an = ap[hit], an[hit]
-    rows = idx[hit].ravel()
-    steps = np.stack((2.0 * (ap - an), -2.0 * ap, 2.0 * an), axis=1)
-    add_rows_at(grad, rows, steps)
-    return LossOutput(value, grad)
+    value = float(np.cumsum(slack[hit])[-1]) if hit.any() else 0.0
+
+    ap, an, rows = ap[hit], an[hit], idx[hit].ravel()
+
+    def backward():
+        grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
+        steps = np.stack((2.0 * (ap - an), -2.0 * ap, 2.0 * an), axis=1)
+        add_rows_at(grad, rows, steps)
+        return grad, None
+
+    return LossOutput(value, backward=backward)
 
 
 def mine_triplets(batch: EmbeddingBatch, *, rng: Rng | None = None, cap: int = 512) -> np.ndarray:
@@ -376,13 +415,12 @@ def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
     member_labels = labels[members]
     # rows per pair: the positive, then the members outside the anchor's class
     widths = 1 + members.size - np.bincount(member_labels, minlength=batch.num_classes)[labels[anchors]]
-    grad = np.zeros_like(z)
     gaps = np.empty(len(idx))  # each pair's lse - scores[0]
+    blocks = []  # per block: its pair count and its groups' intermediates
     for start in range(0, len(idx), STACK_ROWS):
         block = slice(start, start + STACK_ROWS)
         block_widths = widths[block]
-        terms = np.zeros((block_widths.size + 1,) + z.shape)
-        terms[0] = grad
+        groups = []
         for width in set(block_widths.tolist()):
             sel = np.flatnonzero(block_widths == width)  # in the block, in pair order
             i = anchors[block][sel]
@@ -393,15 +431,26 @@ def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
             scores = (zr @ zi[:, :, None])[:, :, 0]
             lse = log_sum_exp_rows(scores)
             gaps[start + sel] = lse - scores[:, 0]
-            coeff = np.exp(scores - lse[:, None])
-            coeff[:, 0] -= 1.0
-            terms[1 + sel[:, None], rows] = coeff[:, :, None] * zi[:, None, :]  # outer products
-            terms[1 + sel, i] = (coeff[:, None, :] @ zr)[:, 0, :]
-        np.add.reduce(terms, axis=0, out=grad)
+            groups.append((sel, i, rows, zr, zi, scores, lse))
+        blocks.append((block_widths.size, groups))
     value = 0.0
     for gap in gaps.tolist():
         value += gap
-    return LossOutput(value / len(idx), grad / len(idx))
+
+    def backward():
+        grad = np.zeros_like(z)
+        for count, groups in blocks:
+            terms = np.zeros((count + 1,) + z.shape)
+            terms[0] = grad
+            for sel, i, rows, zr, zi, scores, lse in groups:
+                coeff = np.exp(scores - lse[:, None])
+                coeff[:, 0] -= 1.0
+                terms[1 + sel[:, None], rows] = coeff[:, :, None] * zi[:, None, :]  # outer products
+                terms[1 + sel, i] = (coeff[:, None, :] @ zr)[:, 0, :]
+            np.add.reduce(terms, axis=0, out=grad)
+        return grad / len(idx), None
+
+    return LossOutput(value / len(idx), backward=backward)
 
 
 def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
@@ -481,33 +530,40 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
     if anchors.size == 0:
         raise DegenerateBatchError("no anchor in the batch has a positive")
     value = 0.0
-    grad = np.zeros_like(z)
+    blocks = []  # per block: its anchors' intermediates
     for start in range(0, anchors.size, STACK_ROWS):
         block = anchors[start : start + STACK_ROWS]
-        count = block.size
         others = np.arange(length - 1) + (np.arange(length - 1) >= block[:, None])  # (B, L-1)
         rows = sims[block[:, None], others]
         lse = log_sum_exp_rows(rows)
         block_labels = labels[block]
         positive = labels[others] == block_labels[:, None]
-        means = np.empty(count)
+        means = np.empty(block.size)
         for cls in np.unique(block_labels):
             members = block_labels == cls
             pos = rows[members][positive[members]].reshape(int(members.sum()), -1)
             means[members] = pos.sum(axis=1) / pos.shape[1]
         for term in (lse - means).tolist():
             value += term
-        coeff = np.exp(rows - lse[:, None])
-        coeff = np.where(positive, coeff - 1.0 / positive.sum(axis=1)[:, None], coeff)
-        spread = np.zeros((count, length))  # coeff at each anchor's others, 0 at the anchor
-        spread[np.arange(count)[:, None], others] = coeff
-        terms = np.empty((count + 1, length, z.shape[1]))
-        terms[0] = grad
-        np.multiply(spread[:, :, None], z[block][:, None, :], out=terms[1:])  # outer products
-        terms[1:] /= tau
-        terms[1 + np.arange(count), block] = (coeff[:, None, :] @ z.take(others, axis=0))[:, 0, :] / tau
-        np.add.reduce(terms, axis=0, out=grad)
-    return LossOutput(value, grad)
+        blocks.append((block, others, rows, lse, positive))
+
+    def backward():
+        grad = np.zeros_like(z)
+        for block, others, rows, lse, positive in blocks:
+            count = block.size
+            coeff = np.exp(rows - lse[:, None])
+            coeff = np.where(positive, coeff - 1.0 / positive.sum(axis=1)[:, None], coeff)
+            spread = np.zeros((count, length))  # coeff at each anchor's others, 0 at the anchor
+            spread[np.arange(count)[:, None], others] = coeff
+            terms = np.empty((count + 1, length, z.shape[1]))
+            terms[0] = grad
+            np.multiply(spread[:, :, None], z[block][:, None, :], out=terms[1:])  # outer products
+            terms[1:] /= tau
+            terms[1 + np.arange(count), block] = (coeff[:, None, :] @ z.take(others, axis=0))[:, 0, :] / tau
+            np.add.reduce(terms, axis=0, out=grad)
+        return grad, None
+
+    return LossOutput(value, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -560,36 +616,43 @@ def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossO
     p = l2_normalize_rows(p_raw)
     n, classes, dim = batch.size, bank.classes, z.shape[1]
     value = 0.0
-    grad_z = np.zeros_like(z)
-    grad_p = np.zeros_like(p)
+    blocks = []  # per block: its rows' intermediates
     for start in range(0, n, STACK_ROWS):
         block = slice(start, start + STACK_ROWS)
         y = batch.labels[block]
-        count = y.size
-        rows = np.arange(count)
+        rows = np.arange(y.size)
         diffs = z[block, None, :] - p  # (B, C, d)
         dists = np.linalg.norm(diffs, axis=2)
-        # unit direction of d(z, p_c) w.r.t. z; subgradient 0 at d == 0
-        safe = np.where(dists > 0.0, dists, 1.0)
-        dirs = diffs / safe[:, :, None]
-        dirs[dists == 0.0] = 0.0
         off_target = np.arange(classes) != y[:, None]  # (B, C)
-        neg_scores = (-scale * dists)[off_target].reshape(count, classes - 1)
+        neg_scores = (-scale * dists)[off_target].reshape(y.size, classes - 1)
         lse = log_sum_exp_rows(neg_scores)
         for term in (scale * dists[rows, y] + lse).tolist():
             value += term
-        target = (scale / n) * dirs[rows, y]  # (B, d)
-        weights = np.exp(neg_scores - lse[:, None])
-        pull = (scale / n) * weights[:, :, None] * dirs[off_target].reshape(count, classes - 1, dim)
-        grad_z[block] += target
-        grad_z[block] -= pull.sum(axis=1)
-        terms = np.empty((count + 1, classes, dim))
-        terms[0] = grad_p
-        terms[1:][off_target] = pull.reshape(-1, dim)
-        terms[1 + rows, y] = -target
-        np.add.reduce(terms, axis=0, out=grad_p)
+        blocks.append((block, y, rows, diffs, dists, off_target, neg_scores, lse))
     value /= n
-    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(p_raw, grad_p))
+
+    def backward():
+        grad_z = np.zeros_like(z)
+        grad_p = np.zeros_like(p)
+        for block, y, rows, diffs, dists, off_target, neg_scores, lse in blocks:
+            count = y.size
+            # unit direction of d(z, p_c) w.r.t. z; subgradient 0 at d == 0
+            safe = np.where(dists > 0.0, dists, 1.0)
+            dirs = diffs / safe[:, :, None]
+            dirs[dists == 0.0] = 0.0
+            target = (scale / n) * dirs[rows, y]  # (B, d)
+            weights = np.exp(neg_scores - lse[:, None])
+            pull = (scale / n) * weights[:, :, None] * dirs[off_target].reshape(count, classes - 1, dim)
+            grad_z[block] += target
+            grad_z[block] -= pull.sum(axis=1)
+            terms = np.empty((count + 1, classes, dim))
+            terms[0] = grad_p
+            terms[1:][off_target] = pull.reshape(-1, dim)
+            terms[1 + rows, y] = -target
+            np.add.reduce(terms, axis=0, out=grad_p)
+        return normalize_backward(z_raw, grad_z), normalize_backward(p_raw, grad_p)
+
+    return LossOutput(value, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -638,17 +701,20 @@ def softtriple_loss(
     picked = np.clip(probs[rows, batch.labels], PROB_FLOOR, 1.0)
     value = -float(np.log(picked).sum()) / n
 
-    grad_relaxed = probs.copy()
-    grad_relaxed[rows, batch.labels] -= 1.0
-    grad_relaxed *= scale / n  # (L, C)
+    def backward():
+        grad_relaxed = probs.copy()
+        grad_relaxed[rows, batch.labels] -= 1.0
+        grad_relaxed *= scale / n  # (L, C)
 
-    # dS'/ds_k = a_k + (a_k / gamma) (s_k - S')
-    inner = weights * (1.0 + (sims - relaxed[:, :, None]) / gamma)
-    grad_sims = grad_relaxed[:, :, None] * inner  # (L, C, K)
+        # dS'/ds_k = a_k + (a_k / gamma) (s_k - S')
+        inner = weights * (1.0 + (sims - relaxed[:, :, None]) / gamma)
+        grad_sims = grad_relaxed[:, :, None] * inner  # (L, C, K)
 
-    grad_z = np.einsum("lck,ckd->ld", grad_sims, w)
-    grad_w = np.einsum("lck,ld->ckd", grad_sims, z).reshape(classes * per_class, d)
-    return LossOutput(value, normalize_backward(z_raw, grad_z), normalize_backward(w_raw, grad_w))
+        grad_z = np.einsum("lck,ckd->ld", grad_sims, w)
+        grad_w = np.einsum("lck,ld->ckd", grad_sims, z).reshape(classes * per_class, d)
+        return normalize_backward(z_raw, grad_z), normalize_backward(w_raw, grad_w)
+
+    return LossOutput(value, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +777,7 @@ def proxyanchor_loss(
     own = batch.labels[:, None] == np.arange(classes)  # (L, C): the pull side's entries
     x = np.where(own, -alpha * (sims - delta), alpha * (sims + delta))
     # log-sum-exp row k < C is class k's pull (over its members), row C + k
-    # its push (over its outsiders); entry (l, c) of x is in row[l, c]
-    row = np.arange(classes) + classes * ~own
+    # its push (over its outsiders)
     sides = np.concatenate((own.T, ~own.T))  # (2C, L): the batch rows each row takes
     lengths = sides.sum(axis=1)
     lse = np.zeros(2 * classes)
@@ -722,18 +787,25 @@ def proxyanchor_loss(
         lse[which] = log_sum_exp_rows(x[entries, which[:, None] % classes])
     present = int(np.count_nonzero(lengths[:classes]))
     value = 0.0
-    sig = np.zeros(2 * classes)
     for k, (t, length) in enumerate(zip(lse.tolist(), lengths.tolist())):
         if length:
             value += softplus(t) / (present if k < classes else classes)
-            sig[k] = sigmoid(t)
-    weight = np.where(own, -alpha / present, alpha / classes)
-    grad_sims = weight * (sig[row] * np.exp(x - lse[row]))
-    grad_sims += 0.0  # as the loop's scatter onto zeros, -0.0 becomes +0.0
 
-    grad_z = normalize_backward(z_raw, grad_sims @ p)
-    grad_p = normalize_backward(p_raw, grad_sims.T @ z)
-    return LossOutput(value, grad_z, grad_p)
+    def backward():
+        sig = np.zeros(2 * classes)
+        for k, (t, length) in enumerate(zip(lse.tolist(), lengths.tolist())):
+            if length:
+                sig[k] = sigmoid(t)
+        # entry (l, c) of x is in log-sum-exp row[l, c]
+        row = np.arange(classes) + classes * ~own
+        weight = np.where(own, -alpha / present, alpha / classes)
+        grad_sims = weight * (sig[row] * np.exp(x - lse[row]))
+        grad_sims += 0.0  # as the loop's scatter onto zeros, -0.0 becomes +0.0
+        grad_z = normalize_backward(z_raw, grad_sims @ p)
+        grad_p = normalize_backward(p_raw, grad_sims.T @ z)
+        return grad_z, grad_p
+
+    return LossOutput(value, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +933,9 @@ def dml_loss(
     `LOSSES` row calls it: the row's `mine` picks the structure once (with
     `rng` where it subsamples), an empty structure gives a zero
     contribution (no valid triplet, no class with two members, every
-    class a singleton), and otherwise the row's `call` takes it.
+    class a singleton), and otherwise the row's `call` takes it. The
+    gradients are read before it returns, so the step's backward pass
+    runs, and a non-finite gradient raises, inside this call.
     """
     spec = LOSSES[config.variant]
     if spec.call is None:
@@ -871,4 +945,6 @@ def dml_loss(
     structure = spec.mine(batch, rng) if spec.mine is not None else None
     if structure is not None and len(structure) == 0:
         return zero_output(batch)
-    return spec.call(batch, config, bank, structure)
+    out = spec.call(batch, config, bank, structure)
+    out.gradients()
+    return out

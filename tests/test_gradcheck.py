@@ -1,4 +1,6 @@
 import contextlib
+import sys
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dmlbench import gradcheck
+from dmlbench import gradcheck, losses
 from dmlbench.gradcheck import (
     ABS_TOL,
     NEAR_ZERO,
@@ -20,7 +22,7 @@ from dmlbench.gradcheck import (
     probe,
     run_gradcheck,
 )
-from dmlbench.losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig
+from dmlbench.losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig, LossOutput
 from dmlbench.numeric import Rng, derive_seed, fd_gradient, five_point, l2_normalize_rows
 from dmlbench.proxies import ProxyBank
 
@@ -80,6 +82,33 @@ class TestRunGradcheck:
         assert any(
             ra.worst_rel != rb.worst_rel for ra, rb in zip(a, b)
         )
+
+
+def test_probes_form_no_gradient():
+    # each instance's analytic gradient is read once, in `probe`; the
+    # central differences read only values. Every output that forms a
+    # gradient, from its backward or from the arrays it was built with, is
+    # counted under the function that built it
+    formed = Counter()
+
+    class Counted(LossOutput):
+        def __init__(self, value, *grads, backward=None):
+            builder = sys._getframe(1).f_code.co_name
+            if backward is None:
+                formed[builder] += 1
+                super().__init__(value, *grads)
+                return
+
+            def counted():
+                formed[builder] += 1
+                return backward()
+
+            super().__init__(value, backward=counted)
+
+    with mock.patch.object(losses, "LossOutput", Counted):
+        run_gradcheck(instances=2, seed=31)
+    metric = [f"{v}_loss" for v in VARIANTS if LOSSES[v].call is not None]
+    assert {name: formed[name] for name in metric} == dict.fromkeys(metric, 2)
 
 
 @pytest.mark.parametrize("call", [11, 37])

@@ -10,8 +10,11 @@ from dmlbench.errors import (
     InvalidTripletError,
     LabelError,
     PairingError,
+    TrainingDivergedError,
 )
 from dmlbench.losses import (
+    LOSSES,
+    VARIANTS,
     EmbeddingBatch,
     LossConfig,
     LossOutput,
@@ -614,3 +617,64 @@ class TestDispatch:
         # --delta sets both deltas, and softtriple trains with a negative one
         LossConfig("triplet", margin=0.0)
         LossConfig("softtriple", st_delta=-2.0, pa_delta=-2.0)
+
+
+class TestDeferredGradients:
+    """A metric loss's output holds its value at once and its gradients as a
+    backward pass that runs when they are first read."""
+
+    def test_value_is_checked_when_built(self):
+        never = []
+        with pytest.raises(TrainingDivergedError, match="loss value is not finite"):
+            LossOutput(float("nan"), backward=lambda: never.append(1))
+        assert never == []
+
+    @pytest.mark.parametrize(
+        "grads, message",
+        [
+            ((np.array([[np.nan, 1.0]]), None), "embedding gradient contains NaN or Inf"),
+            ((np.zeros((1, 2)), np.array([[np.inf, 0.0]])), "proxy gradient contains NaN or Inf"),
+        ],
+    )
+    def test_a_non_finite_gradient_raises_when_read(self, grads, message):
+        out = LossOutput(0.5, backward=lambda: grads)  # builds: the value is finite
+        with pytest.raises(TrainingDivergedError, match=message):
+            out.grad_embeddings
+
+    def test_backward_runs_once(self):
+        runs = []
+
+        def backward():
+            runs.append(1)
+            return np.ones((2, 3)), np.zeros((4, 3))
+
+        out = LossOutput(0.5, backward=backward)
+        assert runs == []
+        first = out.grad_embeddings
+        assert out.grad_embeddings is first and out.grad_proxies.shape == (4, 3)
+        assert runs == [1]
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if LOSSES[v].call is not None])
+    def test_dml_loss_gradients_outlive_their_inputs(self, variant):
+        # dml_loss reads the gradients before it returns, so overwriting the
+        # batch embeddings and the bank in place afterwards, as a training
+        # step does, changes none of their bits
+        config = LossConfig(variant)
+        labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
+        z = Rng(41).normal(8 * 5).reshape(8, 5)
+        rows = 3 * config.proxies_per_class()
+        proxies = l2_normalize_rows(Rng(42).normal(rows * 5).reshape(rows, 5))
+
+        def call():
+            batch = EmbeddingBatch(z.copy(), labels, 3)
+            bank = ProxyBank(proxies.copy(), 3, config.proxies_per_class())
+            return batch, bank, dml_loss(batch, config, bank if config.is_proxy_based else None, Rng(43))
+
+        _, _, expected = call()
+        batch, bank, out = call()
+        batch.embeddings[...] = 7.0
+        bank.matrix[...] = 0.5
+        assert out.grad_embeddings.tobytes() == expected.grad_embeddings.tobytes()
+        assert (out.grad_proxies is None) == (expected.grad_proxies is None)
+        if out.grad_proxies is not None:
+            assert out.grad_proxies.tobytes() == expected.grad_proxies.tobytes()

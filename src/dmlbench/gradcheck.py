@@ -3,11 +3,15 @@
 Each metric loss is checked through its own `LOSSES` row, so the oracle
 checks what training calls: `draw_probe` draws a batch (and, for a proxy
 loss, a bank of unit rows), lets the row's `mine` pick the structure once
-per instance, and `probe` wraps the row's `call` at that fixed structure
-as a scalar function of one flat vector (embeddings, then proxies). The
-analytic gradient is read once per instance, at x0; the probes of the
-finite differences read only the value, so a metric loss's backward pass
-never runs for them (cross-entropy computes its gradient regardless). Each
+per instance, and `probe` builds the row's `plan` once at that fixed
+structure and wraps the row's `call`, handed that plan, as a scalar
+function of one flat vector (embeddings, then proxies). So the checks and
+index arrays that read only the labels, the structure and the
+hyperparameters are made once per instance, and those that read the
+embedding and proxy values on every call. The analytic gradient is read
+once per instance, at x0; the probes of the finite differences read only
+the value, so a metric loss's backward pass never runs for them
+(cross-entropy computes its gradient regardless). Each
 variant checks at the `LossConfig` fields in `PROBE_SETTINGS`. The
 cross-entropy head is probed through its logits. The analytic gradient is
 compared coordinate by coordinate with the central-difference estimate. A
@@ -110,22 +114,29 @@ def check_gradient(f, x0: np.ndarray, analytic: np.ndarray) -> tuple[bool, float
 
 def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure):
     """(f, x0, analytic) for the variant's `LOSSES` row at a fixed
-    structure: f calls the row's `call` on the flat embeddings (then the
-    proxies) x and reads only its value, so it forms no gradient; x0 is
+    structure. The row's `plan` is built once, here, and every call below
+    is handed it: f calls the row's `call` on a new batch (and bank) at
+    the flat embeddings (then the proxies) x, with the plan's labels and
+    structure, and reads only its value, so it forms no gradient; x0 is
     that vector for `batch` and `bank`, and analytic is the call's
-    gradient there, read at once."""
-    call = LOSSES[config.variant].call
-    shape, labels, classes = batch.embeddings.shape, batch.labels, batch.num_classes
+    gradient there, read at once. Every call still runs the loss's checks
+    on the embedding and proxy values."""
+    spec = LOSSES[config.variant]
+    plan = spec.plan(batch, config, bank, structure)
+    shape, classes = batch.embeddings.shape, batch.num_classes
     n_emb = batch.embeddings.size
 
-    def f(flat):
-        b = EmbeddingBatch(flat[:n_emb].reshape(shape), labels, classes)
-        if bank is None:
-            return call(b, config, None, structure).value
-        at = ProxyBank(flat[n_emb:].reshape(bank.matrix.shape), bank.classes, bank.proxies_per_class)
-        return call(b, config, at, structure).value
+    def loss(embeddings, at):
+        b = EmbeddingBatch(embeddings, plan.labels, classes)
+        return spec.call(b, config, at, plan.structure, plan=plan)
 
-    grad_embeddings, grad_proxies = call(batch, config, bank, structure).gradients()
+    def f(flat):
+        if bank is None:
+            return loss(flat[:n_emb].reshape(shape), None).value
+        at = ProxyBank(flat[n_emb:].reshape(bank.matrix.shape), bank.classes, bank.proxies_per_class)
+        return loss(flat[:n_emb].reshape(shape), at).value
+
+    grad_embeddings, grad_proxies = loss(batch.embeddings, bank).gradients()
     if bank is None:
         return f, batch.embeddings.ravel(), grad_embeddings.ravel()
     x0 = np.concatenate([batch.embeddings.ravel(), bank.matrix.ravel()])

@@ -6,19 +6,32 @@ proxy-NCA, soft-triple, proxy-anchor). Every loss returns a `LossOutput`
 carrying the scalar value, the gradient w.r.t. the batch embeddings, and,
 for proxy-based losses, the gradient w.r.t. the proxy bank. Gradients are
 derived by hand and verified against the central-difference oracle in the
-test suite; there is no autograd anywhere. Each metric loss is a forward
-part, which makes every check that can raise and computes the value, and
-a `backward` closure over the forward's intermediates, which the output
-runs when a gradient is first read; cross-entropy computes both at once.
+test suite; there is no autograd anywhere. Each metric loss is three
+parts:
+
+* a plan (`LossPlan`, built by `<variant>_plan`): every check and index
+  array that reads only the labels, the class count, the mined structure,
+  the hyperparameters and the bank's shape;
+* a forward part, which reads the embedding and proxy values, makes the
+  checks on them and computes the value;
+* a `backward` closure over the forward's intermediates, which the output
+  runs when a gradient is first read.
+
+`<variant>_loss(..., plan=None)` builds its plan itself when it is given
+none, as in training; given one, it checks that the plan is this call's
+and skips the plan's work, which is how the gradient oracle makes it once
+for all the calls of one instance. Cross-entropy computes everything at
+once.
 
 `LOSSES`, at the end of the module, is the one table of variants: per loss
 it holds the miner that picks the structure the loss needs from a batch
-(if any) and the call that computes the loss on that structure, whether
-it trains a proxy bank and with how many proxies per class, its full and
-desk hyperparameter grids, and which CLI flags set its `LossConfig`
-fields. `VARIANTS`, `PROXY_VARIANTS`, `dml_loss` (and so the trainer), the
-harness grids, the CLI and the gradient check all read it; cce's row is
-empty, as the trainer runs the classifier loss itself.
+(if any), the function that builds its plan and the call that computes
+the loss on that structure, whether it trains a proxy bank and with how
+many proxies per class, its full and desk hyperparameter grids, and which
+CLI flags set its `LossConfig` fields. `VARIANTS`, `PROXY_VARIANTS`,
+`dml_loss` (and so the trainer), the harness grids, the CLI and the
+gradient check all read it; cce's row is empty, as the trainer runs the
+classifier loss itself.
 
 Conventions:
 
@@ -166,6 +179,49 @@ def _finite_gradients(grad_embeddings, grad_proxies):
     return grad_embeddings, grad_proxies
 
 
+class LossPlan:
+    """What a metric loss reads of a call besides the embedding and proxy
+    values: built once from the batch's labels and class count, the mined
+    structure (None for a loss that takes none), the loss's
+    hyperparameters (`settings`, in its parameter order) and the bank's
+    class and proxy counts. The function that builds it (`triplet_plan`,
+    ...) has run every check that reads only these, and `parts` holds the
+    loss's index arrays. The labels and the structure are read-only
+    copies, so a call handed the plan checks by identity that its batch
+    and structure are the plan's own (`checked`)."""
+
+    def __init__(self, batch: EmbeddingBatch, structure, settings: tuple, bank: ProxyBank | None, parts):
+        self.labels = _read_only(batch.labels)
+        self.num_classes = batch.num_classes
+        self.structure = None if structure is None else _read_only(structure)
+        self.settings = settings
+        self.geometry = _geometry(bank)
+        self.parts = parts
+
+    def checked(self, batch: EmbeddingBatch, structure, settings: tuple, bank: ProxyBank | None = None):
+        """This plan, after checking that it was built for this call;
+        ConfigError if not."""
+        if (
+            batch.labels is not self.labels
+            or batch.num_classes != self.num_classes
+            or structure is not self.structure
+            or settings != self.settings
+            or _geometry(bank) != self.geometry
+        ):
+            raise ConfigError("the loss plan was built for other labels, structure, hyperparameters or bank")
+        return self
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = array.copy()
+    array.flags.writeable = False
+    return array
+
+
+def _geometry(bank: ProxyBank | None):
+    return None if bank is None else (bank.classes, bank.proxies_per_class)
+
+
 @dataclass
 class LossConfig:
     """Variant tag plus every per-loss hyperparameter; only the tagged
@@ -255,24 +311,18 @@ def cce_loss(probs, labels) -> LossOutput:
 # triplet
 
 
-def triplet_loss(batch: EmbeddingBatch, triplets, margin: float) -> LossOutput:
-    """Sum of hinge terms [d²(a,p) - d²(a,n) + margin]+ over the given triplets.
+def triplet_plan(batch: EmbeddingBatch, triplets, margin: float) -> LossPlan:
+    """`triplet_loss`'s plan: its checks, and the (a, p, n) columns.
 
     `triplets` is a (T, 3) int array of (anchor, positive, negative) rows,
-    each index in [0, L), under one margin. Squared Euclidean distances;
-    the subgradient at the hinge kink is zero. The first invalid row raises
-    the first of the checks below that it fails. The terms are computed for
-    all triplets at once but summed in triplet order, and each active
-    triplet scatters its (anchor, positive, negative) rows in that order,
-    so the result is the same to the bit as taking one triplet at a time.
-    """
+    each index in [0, L), under one margin. The first invalid row raises
+    the first of the checks below that it fails."""
     idx = np.asarray(triplets)
     if idx.size == 0:
         raise InvalidTripletError("need at least one triplet")
     if idx.ndim != 2 or idx.shape[1] != 3 or idx.dtype.kind not in "iu":
         raise DimensionError(f"triplets must be integers of shape (T, 3), got {idx.dtype} {idx.shape}")
     idx = idx.astype(np.int64, copy=False)
-    z = batch.embeddings
     labels = batch.labels
     outside = np.any((idx < 0) | (idx >= batch.size), axis=1)
     a, p, n = np.where(outside[:, None], 0, idx).T  # such rows fail the range check first
@@ -288,6 +338,24 @@ def triplet_loss(batch: EmbeddingBatch, triplets, margin: float) -> LossOutput:
         row = int(np.argmax(bad.any(axis=0)))
         message = checks[int(np.argmax(bad[:, row]))][1]
         raise InvalidTripletError(message.format(*idx[row].tolist(), L=batch.size))
+    return LossPlan(batch, idx, (margin,), None, (a, p, n))
+
+
+def triplet_loss(
+    batch: EmbeddingBatch, triplets, margin: float, *, plan: LossPlan | None = None
+) -> LossOutput:
+    """Sum of hinge terms [d²(a,p) - d²(a,n) + margin]+ over the given triplets.
+
+    Squared Euclidean distances; the subgradient at the hinge kink is zero.
+    `triplet_plan` checks the triplets and the margin (a given plan must
+    be this call's). The terms are computed for all triplets at once but
+    summed in triplet order, and each active triplet scatters its (anchor,
+    positive, negative) rows in that order, so the result is the same to
+    the bit as taking one triplet at a time.
+    """
+    plan = triplet_plan(batch, triplets, margin) if plan is None else plan.checked(batch, triplets, (margin,))
+    a, p, n = plan.parts
+    z = batch.embeddings
     ap = z[a] - z[p]
     an = z[a] - z[n]
     # stacked (1, d) @ (d, 1) products are the same BLAS dots as ap @ ap per row
@@ -295,7 +363,7 @@ def triplet_loss(batch: EmbeddingBatch, triplets, margin: float) -> LossOutput:
     hit = slack > 0.0
     value = float(np.cumsum(slack[hit])[-1]) if hit.any() else 0.0
 
-    ap, an, rows = ap[hit], an[hit], idx[hit].ravel()
+    ap, an, rows = ap[hit], an[hit], plan.structure[hit].ravel()
 
     def backward():
         grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
@@ -359,14 +427,56 @@ STACK_ROWS = 64
 # n-pairs
 
 
-def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
+def npairs_plan(batch: EmbeddingBatch, pairs) -> LossPlan:
+    """`npairs_loss`'s plan: the pair checks, and per STACK_ROWS block of
+    pairs its size and its groups by row count K, each group's pairs (in
+    the block, in pair order), anchors and (G, K) rows: the positive,
+    then the members outside the anchor's class, ascending."""
+    idx = np.asarray(pairs)
+    if idx.size == 0:
+        raise PairingError("need at least one (anchor, positive) pair")
+    if idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
+        raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
+    labels = batch.labels
+    if ((idx < 0) | (idx >= batch.size)).any():
+        raise PairingError(f"pair indices must lie in [0, {batch.size})")
+    anchors, positives = idx.T
+    if (anchors == positives).any():
+        raise PairingError("an anchor cannot be its own positive")
+    if (labels[anchors] != labels[positives]).any():
+        raise PairingError("an anchor and its positive differ in class")
+    if np.unique(anchors).size != anchors.size:
+        raise PairingError("an anchor appears in more than one pair")
+    members = np.unique(idx)
+    member_labels = labels[members]
+    # rows per pair: the positive, then the members outside the anchor's class
+    widths = 1 + members.size - np.bincount(member_labels, minlength=batch.num_classes)[labels[anchors]]
+    blocks = []
+    for start in range(0, len(idx), STACK_ROWS):
+        block = slice(start, start + STACK_ROWS)
+        block_widths = widths[block]
+        groups = []
+        for width in set(block_widths.tolist()):
+            sel = np.flatnonzero(block_widths == width)  # in the block, in pair order
+            i = anchors[block][sel]
+            outside = member_labels != labels[i][:, None]  # (G, members)
+            others = members[np.nonzero(outside)[1]].reshape(sel.size, width - 1)
+            rows = np.concatenate((positives[block][sel][:, None], others), axis=1)  # (G, K)
+            groups.append((sel, i, rows))
+        blocks.append((start, block_widths.size, groups))
+    return LossPlan(batch, idx, (), None, blocks)
+
+
+def npairs_loss(batch: EmbeddingBatch, pairs, *, plan: LossPlan | None = None) -> LossOutput:
     """Softmax of the anchor-positive dot product against anchor-negative ones.
 
     `pairs` is a (P, 2) int array of (anchor, positive) rows, each index in
-    [0, L), every anchor in one pair only. An anchor's negatives are the
-    rows of other classes that appear in `pairs`, ascending (Sohn, NeurIPS
-    2016: the other pairs' members). The value and the gradient are
-    averaged over the pairs, taken in their given order.
+    [0, L), every anchor in one pair only; `npairs_plan` checks them (a
+    given plan must be this call's). An anchor's negatives are the rows of
+    other classes that appear in `pairs`, ascending (Sohn, NeurIPS 2016:
+    the other pairs' members). The value and the gradient are averaged
+    over the pairs, taken in their given order.
 
     The pairs are taken STACK_ROWS at a time in stacked passes, to the bit
     of one pair at a time:
@@ -394,63 +504,38 @@ def npairs_loss(batch: EmbeddingBatch, pairs) -> LossOutput:
     OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
     OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
-    idx = np.asarray(pairs)
-    if idx.size == 0:
-        raise PairingError("need at least one (anchor, positive) pair")
-    if idx.ndim != 2 or idx.shape[1] != 2 or idx.dtype.kind not in "iu":
-        raise DimensionError(f"pairs must be integers of shape (P, 2), got {idx.dtype} {idx.shape}")
-    idx = idx.astype(np.int64, copy=False)
-    labels = batch.labels
-    if ((idx < 0) | (idx >= batch.size)).any():
-        raise PairingError(f"pair indices must lie in [0, {batch.size})")
-    anchors, positives = idx.T
-    if (anchors == positives).any():
-        raise PairingError("an anchor cannot be its own positive")
-    if (labels[anchors] != labels[positives]).any():
-        raise PairingError("an anchor and its positive differ in class")
-    if np.unique(anchors).size != anchors.size:
-        raise PairingError("an anchor appears in more than one pair")
+    plan = npairs_plan(batch, pairs) if plan is None else plan.checked(batch, pairs, ())
     z = batch.embeddings
-    members = np.unique(idx)
-    member_labels = labels[members]
-    # rows per pair: the positive, then the members outside the anchor's class
-    widths = 1 + members.size - np.bincount(member_labels, minlength=batch.num_classes)[labels[anchors]]
-    gaps = np.empty(len(idx))  # each pair's lse - scores[0]
+    count = len(plan.structure)
+    gaps = np.empty(count)  # each pair's lse - scores[0]
     blocks = []  # per block: its pair count and its groups' intermediates
-    for start in range(0, len(idx), STACK_ROWS):
-        block = slice(start, start + STACK_ROWS)
-        block_widths = widths[block]
-        groups = []
-        for width in set(block_widths.tolist()):
-            sel = np.flatnonzero(block_widths == width)  # in the block, in pair order
-            i = anchors[block][sel]
-            outside = member_labels != labels[i][:, None]  # (G, members)
-            others = members[np.nonzero(outside)[1]].reshape(sel.size, width - 1)
-            rows = np.concatenate((positives[block][sel][:, None], others), axis=1)  # (G, K)
+    for start, size, groups in plan.parts:
+        forward = []
+        for sel, i, rows in groups:
             zr, zi = z[rows], z[i]
             scores = (zr @ zi[:, :, None])[:, :, 0]
             lse = log_sum_exp_rows(scores)
             gaps[start + sel] = lse - scores[:, 0]
-            groups.append((sel, i, rows, zr, zi, scores, lse))
-        blocks.append((block_widths.size, groups))
+            forward.append((sel, i, rows, zr, zi, scores, lse))
+        blocks.append((size, forward))
     value = 0.0
     for gap in gaps.tolist():
         value += gap
 
     def backward():
         grad = np.zeros_like(z)
-        for count, groups in blocks:
-            terms = np.zeros((count + 1,) + z.shape)
+        for size, forward in blocks:
+            terms = np.zeros((size + 1,) + z.shape)
             terms[0] = grad
-            for sel, i, rows, zr, zi, scores, lse in groups:
+            for sel, i, rows, zr, zi, scores, lse in forward:
                 coeff = np.exp(scores - lse[:, None])
                 coeff[:, 0] -= 1.0
                 terms[1 + sel[:, None], rows] = coeff[:, :, None] * zi[:, None, :]  # outer products
                 terms[1 + sel, i] = (coeff[:, None, :] @ zr)[:, 0, :]
             np.add.reduce(terms, axis=0, out=grad)
-        return grad / len(idx), None
+        return grad / count, None
 
-    return LossOutput(value / len(idx), backward=backward)
+    return LossOutput(value / count, backward=backward)
 
 
 def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
@@ -485,7 +570,34 @@ def rows_with_a_positive(labels) -> np.ndarray:
     return np.flatnonzero(np.bincount(labels)[labels] > 1)
 
 
-def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
+def supcon_plan(batch: EmbeddingBatch, tau: float) -> LossPlan:
+    """`supcon_loss`'s plan: its checks, and per STACK_ROWS block of
+    anchors the anchors, each one's (B, L-1) `others` (every row but its
+    own, ascending), the mask of its positives among them, and per class
+    of the block its anchors' places in the block with their rows of that
+    mask."""
+    if tau <= 0.0:
+        raise ConfigError("tau must be positive")
+    labels = batch.labels
+    length = batch.size
+    anchors = rows_with_a_positive(labels)
+    if anchors.size == 0:
+        raise DegenerateBatchError("no anchor in the batch has a positive")
+    blocks = []
+    for start in range(0, anchors.size, STACK_ROWS):
+        block = anchors[start : start + STACK_ROWS]
+        others = np.arange(length - 1) + (np.arange(length - 1) >= block[:, None])  # (B, L-1)
+        block_labels = labels[block]
+        positive = labels[others] == block_labels[:, None]
+        classes = []
+        for cls in np.unique(block_labels):
+            members = np.flatnonzero(block_labels == cls)
+            classes.append((members, positive[members]))
+        blocks.append((block, others, positive, classes))
+    return LossPlan(batch, None, (tau,), None, blocks)
+
+
+def supcon_loss(batch: EmbeddingBatch, tau: float, *, plan: LossPlan | None = None) -> LossOutput:
     """Supervised contrastive loss over raw dot products at temperature tau.
 
     Every batch member with a positive (`rows_with_a_positive`, which is
@@ -493,7 +605,8 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
     same-class others and the contrast set is everything else in the batch.
     Anchors without a positive contribute zero (singleton classes are
     common in few-shot batches); a batch where no anchor has one is
-    degenerate.
+    degenerate. `supcon_plan` makes those checks (a given plan must be
+    this call's).
 
     The anchors are taken STACK_ROWS at a time in stacked passes, to the
     bit of one anchor at a time:
@@ -520,28 +633,18 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
     OpenBLAS 0.3.31's SkylakeX kernels; another BLAS may round a stacked
     matmul otherwise.
     """
-    if tau <= 0.0:
-        raise ConfigError("tau must be positive")
+    plan = supcon_plan(batch, tau) if plan is None else plan.checked(batch, None, (tau,))
     z = batch.embeddings
-    labels = batch.labels
     length = batch.size
     sims = (z @ z.T) / tau
-    anchors = rows_with_a_positive(labels)
-    if anchors.size == 0:
-        raise DegenerateBatchError("no anchor in the batch has a positive")
     value = 0.0
     blocks = []  # per block: its anchors' intermediates
-    for start in range(0, anchors.size, STACK_ROWS):
-        block = anchors[start : start + STACK_ROWS]
-        others = np.arange(length - 1) + (np.arange(length - 1) >= block[:, None])  # (B, L-1)
+    for block, others, positive, classes in plan.parts:
         rows = sims[block[:, None], others]
         lse = log_sum_exp_rows(rows)
-        block_labels = labels[block]
-        positive = labels[others] == block_labels[:, None]
         means = np.empty(block.size)
-        for cls in np.unique(block_labels):
-            members = block_labels == cls
-            pos = rows[members][positive[members]].reshape(int(members.sum()), -1)
+        for members, mask in classes:
+            pos = rows[members][mask].reshape(members.size, -1)
             means[members] = pos.sum(axis=1) / pos.shape[1]
         for term in (lse - means).tolist():
             value += term
@@ -570,13 +673,37 @@ def supcon_loss(batch: EmbeddingBatch, tau: float) -> LossOutput:
 # proxy-NCA
 
 
-def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossOutput:
+def proxynca_plan(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossPlan:
+    """`proxynca_loss`'s plan: its checks, and per STACK_ROWS block of
+    rows their slice, labels, positions in the block and (B, C)
+    `off_target` mask."""
+    if scale <= 0.0:
+        raise ConfigError("scale must be positive")
+    if bank.proxies_per_class != 1:
+        raise ConfigError("proxy-NCA needs exactly one proxy per class")
+    if bank.classes < 2:
+        raise DegenerateBatchError("proxy-NCA needs >= 2 classes for its denominator")
+    if batch.num_classes > bank.classes:
+        raise LabelError("batch classes exceed the proxy bank")
+    blocks = []
+    for start in range(0, batch.size, STACK_ROWS):
+        block = slice(start, start + STACK_ROWS)
+        y = batch.labels[block].copy()  # no view of the caller's labels
+        blocks.append((block, y, np.arange(y.size), np.arange(bank.classes) != y[:, None]))
+    return LossPlan(batch, None, (scale,), bank, blocks)
+
+
+def proxynca_loss(
+    batch: EmbeddingBatch, bank: ProxyBank, scale: float, *, plan: LossPlan | None = None
+) -> LossOutput:
     """Negative log-ratio of the target-proxy term over the non-target proxies.
 
     Embeddings and proxies are L2-normalized first, and the returned
     gradients chain back to the raw inputs. Distances between the unit
     rows are Euclidean, scaled by `scale` inside both exponents. The
     denominator excludes the target proxy, so the value can be negative.
+    `proxynca_plan` checks the scale and the bank (a given plan must be
+    this call's).
 
     The rows are taken STACK_ROWS at a time in stacked passes, to the bit
     of one row at a time:
@@ -602,14 +729,7 @@ def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossO
     The equality with the per-row loop was seen with numpy 2.4.6 on
     OpenBLAS 0.3.31's SkylakeX kernels.
     """
-    if scale <= 0.0:
-        raise ConfigError("scale must be positive")
-    if bank.proxies_per_class != 1:
-        raise ConfigError("proxy-NCA needs exactly one proxy per class")
-    if bank.classes < 2:
-        raise DegenerateBatchError("proxy-NCA needs >= 2 classes for its denominator")
-    if batch.num_classes > bank.classes:
-        raise LabelError("batch classes exceed the proxy bank")
+    plan = proxynca_plan(batch, bank, scale) if plan is None else plan.checked(batch, None, (scale,), bank)
     z_raw = batch.embeddings
     p_raw = bank.matrix
     z = l2_normalize_rows(z_raw)
@@ -617,13 +737,9 @@ def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossO
     n, classes, dim = batch.size, bank.classes, z.shape[1]
     value = 0.0
     blocks = []  # per block: its rows' intermediates
-    for start in range(0, n, STACK_ROWS):
-        block = slice(start, start + STACK_ROWS)
-        y = batch.labels[block]
-        rows = np.arange(y.size)
+    for block, y, rows, off_target in plan.parts:
         diffs = z[block, None, :] - p  # (B, C, d)
         dists = np.linalg.norm(diffs, axis=2)
-        off_target = np.arange(classes) != y[:, None]  # (B, C)
         neg_scores = (-scale * dists)[off_target].reshape(y.size, classes - 1)
         lse = log_sum_exp_rows(neg_scores)
         for term in (scale * dists[rows, y] + lse).tolist():
@@ -659,12 +775,27 @@ def proxynca_loss(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossO
 # soft-triple
 
 
+def softtriple_plan(
+    batch: EmbeddingBatch, bank: ProxyBank, scale: float, gamma: float, delta: float
+) -> LossPlan:
+    """`softtriple_loss`'s plan: its checks, and the row index."""
+    if gamma <= 0.0:
+        raise ConfigError("gamma must be positive")
+    if scale <= 0.0:
+        raise ConfigError("scale must be positive")
+    if batch.num_classes > bank.classes:
+        raise LabelError("batch classes exceed the proxy bank")
+    return LossPlan(batch, None, (scale, gamma, delta), bank, np.arange(batch.size))
+
+
 def softtriple_loss(
     batch: EmbeddingBatch,
     bank: ProxyBank,
     scale: float,
     gamma: float,
     delta: float,
+    *,
+    plan: LossPlan | None = None,
 ) -> LossOutput:
     """Cross-entropy over relaxed class similarities with K proxies per class.
 
@@ -673,13 +804,15 @@ def softtriple_loss(
     class only, and `scale` multiplies every logit. Embeddings and proxies
     are L2-normalized before the inner products; gradients flow through
     the softmax weights, the similarities, and the normalization.
+    `softtriple_plan` checks gamma, the scale and the bank (a given plan
+    must be this call's).
     """
-    if gamma <= 0.0:
-        raise ConfigError("gamma must be positive")
-    if scale <= 0.0:
-        raise ConfigError("scale must be positive")
-    if batch.num_classes > bank.classes:
-        raise LabelError("batch classes exceed the proxy bank")
+    settings = (scale, gamma, delta)
+    plan = (
+        softtriple_plan(batch, bank, *settings)
+        if plan is None
+        else plan.checked(batch, None, settings, bank)
+    )
     n, d = batch.embeddings.shape
     classes, per_class = bank.classes, bank.proxies_per_class
     z_raw = batch.embeddings
@@ -695,7 +828,7 @@ def softtriple_loss(
     relaxed = np.einsum("lck,lck->lc", weights, sims)  # (L, C)
 
     logits = scale * relaxed
-    rows = np.arange(n)
+    rows = plan.parts
     logits[rows, batch.labels] -= scale * delta
     probs = softmax_rows(logits)
     picked = np.clip(probs[rows, batch.labels], PROB_FLOOR, 1.0)
@@ -721,11 +854,43 @@ def softtriple_loss(
 # proxy-anchor
 
 
+def proxyanchor_plan(batch: EmbeddingBatch, bank: ProxyBank, alpha: float, delta: float) -> LossPlan:
+    """`proxyanchor_loss`'s plan: its checks; `own`, the (L, C) mask of
+    the pull side's entries; of the 2C log-sum-exp rows (row k < C is
+    class k's pull over its members, row C + k its push over its
+    outsiders), per length the rows of that length with the (rows,
+    length) batch rows they take and their columns; the count of present
+    classes; and the (row, divisor) of each of the value's terms, in
+    order: the rows that take any batch row."""
+    if alpha <= 0.0:
+        raise ConfigError("alpha must be positive")
+    if delta < 0.0:
+        raise ConfigError("delta must be >= 0")
+    if bank.proxies_per_class != 1:
+        raise ConfigError("proxy-anchor needs exactly one proxy per class")
+    if batch.num_classes > bank.classes:
+        raise LabelError("batch classes exceed the proxy bank")
+    classes = bank.classes
+    own = batch.labels[:, None] == np.arange(classes)
+    sides = np.concatenate((own.T, ~own.T))  # (2C, L): the batch rows each row takes
+    lengths = sides.sum(axis=1)
+    entries = []
+    for length in set(lengths.tolist()) - {0}:
+        which = np.flatnonzero(lengths == length)
+        rows = np.nonzero(sides[which])[1].reshape(which.size, length)
+        entries.append((which, rows, which[:, None] % classes))
+    present = int(np.count_nonzero(lengths[:classes]))
+    terms = [(k, present if k < classes else classes) for k, length in enumerate(lengths.tolist()) if length]
+    return LossPlan(batch, None, (alpha, delta), bank, (own, entries, present, terms))
+
+
 def proxyanchor_loss(
     batch: EmbeddingBatch,
     bank: ProxyBank,
     alpha: float,
     delta: float,
+    *,
+    plan: LossPlan | None = None,
 ) -> LossOutput:
     """Proxies act as anchors: a softplus pull toward each in-batch class
     proxy and a push from every proxy's out-of-class batch members.
@@ -733,6 +898,8 @@ def proxyanchor_loss(
     Cosine similarities throughout; the pull term averages over the proxies
     whose class appears in the batch, the push term over all proxies. Inner
     sums go through log-sum-exp + log1p so large `alpha` cannot overflow.
+    `proxyanchor_plan` checks alpha, delta and the bank (a given plan must
+    be this call's).
 
     Each side's log-sum-exp rows (a present class's members for the pull,
     a class's outsiders for the push) are taken in stacked passes, to the
@@ -760,42 +927,32 @@ def proxyanchor_loss(
     OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
     OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
-    if alpha <= 0.0:
-        raise ConfigError("alpha must be positive")
-    if delta < 0.0:
-        raise ConfigError("delta must be >= 0")
-    if bank.proxies_per_class != 1:
-        raise ConfigError("proxy-anchor needs exactly one proxy per class")
-    if batch.num_classes > bank.classes:
-        raise LabelError("batch classes exceed the proxy bank")
+    settings = (alpha, delta)
+    plan = (
+        proxyanchor_plan(batch, bank, *settings)
+        if plan is None
+        else plan.checked(batch, None, settings, bank)
+    )
+    own, entries, present, terms = plan.parts
     z_raw = batch.embeddings
     p_raw = bank.matrix
     z = l2_normalize_rows(z_raw)
     p = l2_normalize_rows(p_raw)
     sims = z @ p.T  # (L, C) cosine similarities
     classes = bank.classes
-    own = batch.labels[:, None] == np.arange(classes)  # (L, C): the pull side's entries
     x = np.where(own, -alpha * (sims - delta), alpha * (sims + delta))
-    # log-sum-exp row k < C is class k's pull (over its members), row C + k
-    # its push (over its outsiders)
-    sides = np.concatenate((own.T, ~own.T))  # (2C, L): the batch rows each row takes
-    lengths = sides.sum(axis=1)
     lse = np.zeros(2 * classes)
-    for length in set(lengths.tolist()) - {0}:
-        which = np.flatnonzero(lengths == length)
-        entries = np.nonzero(sides[which])[1].reshape(which.size, length)
-        lse[which] = log_sum_exp_rows(x[entries, which[:, None] % classes])
-    present = int(np.count_nonzero(lengths[:classes]))
+    for which, rows, columns in entries:
+        lse[which] = log_sum_exp_rows(x[rows, columns])
     value = 0.0
-    for k, (t, length) in enumerate(zip(lse.tolist(), lengths.tolist())):
-        if length:
-            value += softplus(t) / (present if k < classes else classes)
+    at = lse.tolist()
+    for k, divisor in terms:
+        value += softplus(at[k]) / divisor
 
     def backward():
         sig = np.zeros(2 * classes)
-        for k, (t, length) in enumerate(zip(lse.tolist(), lengths.tolist())):
-            if length:
-                sig[k] = sigmoid(t)
+        for k, _ in terms:
+            sig[k] = sigmoid(at[k])
         # entry (l, c) of x is in log-sum-exp row[l, c]
         row = np.arange(classes) + classes * ~own
         weight = np.where(own, -alpha / present, alpha / classes)
@@ -846,14 +1003,18 @@ def combined_loss(cce: LossOutput, dml: LossOutput, beta: float) -> LossOutput:
 @dataclass(frozen=True)
 class LossSpec:
     """One loss variant. Training (`dml_loss`) and the gradient check both
-    take the structure from `mine` once and hand it to `call`. The callables
-    look the loss functions up when they run, so a name patched on this
-    module is the one called."""
+    take the structure from `mine` once and hand it to `call`; the check
+    also builds the loss's plan once per instance with `plan` and hands it
+    to every call. The callables look the loss functions up when they run,
+    so a name patched on this module is the one called."""
 
     # (batch, rng) -> the int64 index array the loss needs: triplets (T, 3),
     # n-pairs (P, 2), supcon's rows with a positive; None when it needs none
     mine: Callable[..., np.ndarray] | None = None
-    # (batch, config, bank, structure) -> LossOutput; None for cce
+    # (batch, config, bank, structure) -> the loss's LossPlan; None for cce
+    plan: Callable[..., LossPlan] | None = None
+    # (batch, config, bank, structure, plan=None) -> LossOutput; None for
+    # cce. Given a plan, the structure must be the plan's own
     call: Callable[..., LossOutput] | None = None
     # config -> proxies per class; None when the loss trains no proxy bank
     proxies: Callable[[LossConfig], int] | None = None
@@ -868,27 +1029,33 @@ LOSSES: dict[str, LossSpec] = {
     "cce": LossSpec(),
     "triplet": LossSpec(
         mine=lambda batch, rng: mine_triplets(batch, rng=rng),
-        call=lambda batch, config, bank, triplets: triplet_loss(batch, triplets, config.margin),
+        plan=lambda batch, config, bank, triplets: triplet_plan(batch, triplets, config.margin),
+        call=lambda batch, config, bank, triplets, plan=None: triplet_loss(
+            batch, triplets, config.margin, plan=plan
+        ),
         full_grid={"margin": [1, 3, 5, 7, 9]},
         desk_grid={"margin": [1, 5, 9]},
         flags={"margin": "margin"},
     ),
     "npairs": LossSpec(
         mine=lambda batch, rng: select_npairs_pairs(batch.labels, rng),
-        call=lambda batch, config, bank, pairs: npairs_loss(batch, pairs),
+        plan=lambda batch, config, bank, pairs: npairs_plan(batch, pairs),
+        call=lambda batch, config, bank, pairs, plan=None: npairs_loss(batch, pairs, plan=plan),
         full_grid={},
         desk_grid={},
     ),
     "supcon": LossSpec(
         mine=lambda batch, rng: rows_with_a_positive(batch.labels),
-        call=lambda batch, config, bank, anchors: supcon_loss(batch, config.tau),
+        plan=lambda batch, config, bank, anchors: supcon_plan(batch, config.tau),
+        call=lambda batch, config, bank, anchors, plan=None: supcon_loss(batch, config.tau, plan=plan),
         full_grid={"tau": [0.1, 0.3, 0.5, 0.7, 0.9]},
         desk_grid={"tau": [0.1, 0.5, 0.9]},
         flags={"tau": "tau"},
     ),
     "proxynca": LossSpec(
-        call=lambda batch, config, bank, structure: proxynca_loss(
-            batch, bank, config.softmax_scale
+        plan=lambda batch, config, bank, structure: proxynca_plan(batch, bank, config.softmax_scale),
+        call=lambda batch, config, bank, structure, plan=None: proxynca_loss(
+            batch, bank, config.softmax_scale, plan=plan
         ),
         proxies=lambda config: 1,
         full_grid={"softmax_scale": [0.4, 0.6, 0.8, 1, 1.2, 1.4, 1.6, 1.8, 2, 3, 5]},
@@ -896,8 +1063,11 @@ LOSSES: dict[str, LossSpec] = {
         flags={"softmax_scale": "softmax_scale"},
     ),
     "softtriple": LossSpec(
-        call=lambda batch, config, bank, structure: softtriple_loss(
+        plan=lambda batch, config, bank, structure: softtriple_plan(
             batch, bank, config.st_lambda, config.st_gamma, config.st_delta
+        ),
+        call=lambda batch, config, bank, structure, plan=None: softtriple_loss(
+            batch, bank, config.st_lambda, config.st_gamma, config.st_delta, plan=plan
         ),
         proxies=lambda config: config.st_k,
         full_grid={
@@ -910,8 +1080,11 @@ LOSSES: dict[str, LossSpec] = {
         flags={"k": "st_k", "gamma": "st_gamma", "lam": "st_lambda", "delta": "st_delta"},
     ),
     "proxyanchor": LossSpec(
-        call=lambda batch, config, bank, structure: proxyanchor_loss(
+        plan=lambda batch, config, bank, structure: proxyanchor_plan(
             batch, bank, config.pa_alpha, config.pa_delta
+        ),
+        call=lambda batch, config, bank, structure, plan=None: proxyanchor_loss(
+            batch, bank, config.pa_alpha, config.pa_delta, plan=plan
         ),
         proxies=lambda config: 1,
         full_grid={"pa_alpha": [16, 32, 64, 128], "pa_delta": [0, 0.1, 0.3, 0.5, 0.7, 0.9]},

@@ -47,6 +47,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+CHOICE_SCAN = 32  # Rng.choice looks for its colliding steps from this many draws on
 
 
 def as_vector(x) -> np.ndarray:
@@ -129,9 +130,11 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
     The rows are read C-ordered, so each row's sum of squares is numpy's
     sum over one contiguous run and a Fortran-ordered or transposed matrix
-    gives the bits of its C-ordered copy; the result is C-ordered."""
+    gives the bits of its C-ordered copy; the result is C-ordered. The
+    norms are the expression `np.linalg.norm(m, axis=1)` evaluates for a
+    real matrix in numpy 2.4.6, without its dispatch."""
     m = np.ascontiguousarray(m)
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    norms = np.sqrt(np.add.reduce(m * m, axis=1, keepdims=True))
     if (norms == 0.0).any():
         raise DegenerateVectorError("cannot normalize zero-norm row")
     if not np.isfinite(norms).all():
@@ -202,7 +205,7 @@ def fd_gradient(f, x, h: float = 1e-5) -> np.ndarray:
         x[i] = orig - h
         lo = float(f(x))
         x[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not (math.isfinite(hi) and math.isfinite(lo)):
             raise OracleFailureError(
                 f"non-finite function value while probing coordinate {i}"
             )
@@ -228,7 +231,7 @@ def five_point(f, x, h: float, coords) -> np.ndarray:
             x[i] = orig + step
             vals.append(float(f(x)))
         x[i] = orig
-        if not np.isfinite(vals).all():
+        if not all(map(math.isfinite, vals)):
             raise OracleFailureError(f"non-finite function value while probing coordinate {i}")
         grad[k] = (-vals[0] + 8 * vals[1] - 8 * vals[2] + vals[3]) / (12 * h)
     return grad
@@ -387,31 +390,52 @@ class Rng:
         """Integer in [0, bound) via floor(u * bound); exact for bound < 2**53."""
         return int(self.random() * bound)
 
-    def _offsets(self, bounds: np.ndarray) -> list[int]:
+    def _offsets(self, bounds: np.ndarray) -> np.ndarray:
         """One randint(b) per bound, from a single block of uniforms:
         floor(u * b) is exact in float64 for b < 2**53, so the offsets and
         the counter match drawing them one call at a time."""
-        return (self.random(bounds.size) * bounds).astype(np.int64).tolist()
+        return (self.random(bounds.size) * bounds).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n): for i = n-1 down to 1, swap
         i with randint(i + 1). Draws n - 1 uniforms (none for n < 2)."""
         perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), self._offsets(np.arange(n, 1, -1))):
+        for i, j in zip(range(n - 1, 0, -1), self._offsets(np.arange(n, 1, -1)).tolist()):
             perm[i], perm[j] = perm[j], perm[i]
         return np.array(perm, dtype=np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), in draw order (partial
-        Fisher-Yates: step i swaps i with i + randint(n - i)). Draws k
-        uniforms; the swapped slots live in a dict, so the cost is O(k)
-        whatever n is."""
+        Fisher-Yates: step i swaps slot i with slot j_i = i + randint(n - i)
+        and picks what slot j_i held). Draws k uniforms.
+
+        A step picks j_i itself unless an earlier step moved something into
+        slot j_i, and what it moves into j_i is i unless an earlier step
+        moved something into slot i. So from CHOICE_SCAN draws on, only the
+        steps that share their j with another step, whose j < k is a later
+        step's i, or whose i is an earlier step's j, run the swap loop, over
+        a dict of moved slots, in order; the others pick their j. Below it,
+        finding those steps costs more than looping over all of them. The
+        cost is O(k) whatever n is."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
+        steps = np.arange(k)
+        picked = steps + self._offsets(np.arange(n, n - k, -1))
+        if k < CHOICE_SCAN:
+            loop = range(k)
+        else:
+            order = np.argsort(picked)
+            shared = picked[order[1:]] == picked[order[:-1]]  # neighbours in j order share it
+            ahead = (picked < k) & (picked > steps)  # j is a later step's i
+            looped = ahead.copy()
+            looped[picked[ahead]] = True  # that later step
+            looped[order[1:][shared]] = True
+            looped[order[:-1][shared]] = True
+            loop = np.flatnonzero(looped).tolist()
+        slots = picked.tolist()
         moved: dict[int, int] = {}
-        picked = []
-        for i, j in enumerate(self._offsets(np.arange(n, n - k, -1))):
-            j += i
-            picked.append(moved.get(j, j))
+        for i in loop:
+            j = slots[i]
+            picked[i] = moved.get(j, j)
             moved[j] = moved.get(i, i)
-        return np.array(picked, dtype=np.int64)
+        return picked

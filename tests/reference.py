@@ -8,8 +8,9 @@ edits its one reference here. The references, by package module:
 
 - numeric: `old_permutation` (`Rng.permutation`), `old_choice`
   (`Rng.choice`), `old_log_sum_exp` (`log_sum_exp_rows`),
-  `old_normalize_backward` (`normalize_backward`) and `mix64_reference`
-  (the SplitMix64 finalizer behind `Rng`);
+  `old_l2_normalize_rows` (`l2_normalize_rows`), `old_normalize_backward`
+  (`normalize_backward`) and `mix64_reference` (the SplitMix64 finalizer
+  behind `Rng`);
 - losses: `old_mine_triplets`, `old_triplet_loss`, `old_supcon_loss`,
   `old_proxynca_loss` and `old_proxyanchor_loss`, each for the function
   without `old_`; `old_npairs_pairs_loss` (`npairs_loss`) and
@@ -31,6 +32,7 @@ from dmlbench.encoder import EncoderParams, block_shapes, classify_logits, token
 from dmlbench.errors import (
     ConfigError,
     DegenerateBatchError,
+    DegenerateVectorError,
     DimensionError,
     InvalidTripletError,
     LabelError,
@@ -88,6 +90,19 @@ def old_log_sum_exp(xs) -> float:
     if x.size == 1:
         return m
     return m + float(np.log(np.sum(np.exp(x - m))))
+
+
+def old_l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of m, read C-ordered, over its norm from
+    `np.linalg.norm(m, axis=1)`; a zero norm raises, and then a non-finite
+    one."""
+    m = np.ascontiguousarray(m)
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    if (norms == 0.0).any():
+        raise DegenerateVectorError("cannot normalize zero-norm row")
+    if not np.isfinite(norms).all():
+        raise DegenerateVectorError("row norm is not finite")
+    return m / norms
 
 
 def old_normalize_backward(raw: np.ndarray, grad_unit: np.ndarray) -> np.ndarray:

@@ -111,6 +111,28 @@ def test_probes_form_no_gradient():
     assert {name: formed[name] for name in metric} == dict.fromkeys(metric, 2)
 
 
+def test_each_instance_builds_its_plan_once():
+    # every call of an instance, the analytic one and each probe, is
+    # handed the plan `probe` built
+    built = Counter()
+
+    def counting(variant):
+        build = getattr(losses, f"{variant}_plan")
+
+        def counted(*args):
+            built[variant] += 1
+            return build(*args)
+
+        return counted
+
+    metric = [v for v in VARIANTS if LOSSES[v].call is not None]
+    with contextlib.ExitStack() as stack:
+        for variant in metric:
+            stack.enter_context(mock.patch.object(losses, f"{variant}_plan", counting(variant)))
+        run_gradcheck(instances=2, seed=31)
+    assert built == dict.fromkeys(metric, 2)
+
+
 @pytest.mark.parametrize("call", [11, 37])
 def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     # the central difference alone fails supcon at these calls of the

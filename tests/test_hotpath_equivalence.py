@@ -10,8 +10,8 @@ Each function has one reference, the plainest loop that gives its bits:
   (`dml_loss`, which mines with `select_npairs_pairs`): `old_npairs_step`;
 - `supcon_loss`, `proxynca_loss` and `proxyanchor_loss`:
   `old_supcon_loss`, `old_proxynca_loss`, `old_proxyanchor_loss`;
-- `log_sum_exp_rows`: `old_log_sum_exp`; `normalize_backward`:
-  `old_normalize_backward`;
+- `log_sum_exp_rows`: `old_log_sum_exp`; `l2_normalize_rows`:
+  `old_l2_normalize_rows`; `normalize_backward`: `old_normalize_backward`;
 - `init_encoder`: `eager_init_encoder`; `forward_batch`:
   `old_forward_batch`; `backward_batch`: `old_backward_batch`;
   `EncoderParams.defer_decay`: `decayed_eagerly`;
@@ -42,6 +42,7 @@ from reference import (
     old_backward_batch,
     old_choice,
     old_forward_batch,
+    old_l2_normalize_rows,
     old_log_sum_exp,
     old_mine_triplets,
     old_normalize_backward,
@@ -67,7 +68,7 @@ from dmlbench.encoder import (
     save_encoder,
     tokenize,
 )
-from dmlbench.errors import DimensionError, InvalidTripletError
+from dmlbench.errors import DegenerateVectorError, DimensionError, InvalidTripletError
 from dmlbench.harness import synth_dataset
 from dmlbench.losses import (
     VARIANTS,
@@ -716,6 +717,67 @@ def test_npairs_and_proxyanchor_raise_on_an_overflowing_exponent():
             lambda: old_proxyanchor_loss(batch, bank, 1.7e308, 0.9),
         )
         assert got is DimensionError
+
+
+# ---------------------------------------------------------------------------
+# plans: a loss handed its own plan gives the bits of a call without one
+
+
+# per metric loss: its hyperparameters, valid and not, in parameter order
+PLAN_SETTINGS = {
+    "triplet": st.tuples(st.sampled_from([0.0, 1.0, 50.0, -0.5])),
+    "npairs": st.just(()),
+    "supcon": st.tuples(st.sampled_from([0.1, 0.9, 0.0])),
+    "proxynca": st.tuples(st.sampled_from([1.0, 5.0, 1e308, 0.0])),
+    "softtriple": st.tuples(
+        st.sampled_from([1.0, 10.0, 0.0]), st.sampled_from([0.05, 0.1, 0.0]), st.sampled_from([0.1, 0.9])
+    ),
+    "proxyanchor": st.tuples(st.sampled_from([8.0, 32.0, 1.7e308, 0.0]), st.sampled_from([0.0, 0.1, -0.1])),
+}
+
+
+@settings(SETTINGS, max_examples=240)
+@given(
+    data=st.data(),
+    variant=st.sampled_from(list(PLAN_SETTINGS)),
+    batch=uneven_batches(max_rows=12) | overflowing_batches(),
+    seed=st.integers(0, 2**32),
+    extra_classes=st.integers(-1, 2),
+    per_class=st.integers(1, 2),
+)
+def test_a_loss_given_its_own_plan_keeps_the_bits(data, variant, batch, seed, extra_classes, per_class):
+    settings = data.draw(PLAN_SETTINGS[variant])
+    build, loss = getattr(losses, f"{variant}_plan"), getattr(losses, f"{variant}_loss")
+    if variant == "triplet":
+        head = (mine_triplets(batch, rng=Rng(seed), cap=40),)
+        if not len(head[0]):
+            head = (np.array(data.draw(st.lists(st.tuples(*[st.integers(-1, 12)] * 3), max_size=4))),)
+    elif variant == "npairs":
+        head = (data.draw(hand_built_pairs(batch)),)
+    elif variant == "supcon":
+        head = ()
+    else:
+        classes = max(batch.num_classes + extra_classes, 1)
+        proxies = Rng(seed).normal(classes * per_class * batch.embeddings.shape[1])
+        head = (ProxyBank(proxies.reshape(classes * per_class, -1), classes, per_class),)
+
+    def planned():
+        plan = build(batch, *head, *settings)
+        own = EmbeddingBatch(batch.embeddings, plan.labels, batch.num_classes)
+        return loss(own, *(head if plan.structure is None else (plan.structure,)), *settings, plan=plan)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome_bits(planned) == outcome_bits(lambda: loss(batch, *head, *settings))
+
+
+def outcome_bits(call):
+    """The raw bytes of call()'s value and gradients, or the type and
+    message of what it raised, building the output or reading them."""
+    try:
+        out = call()
+        return tuple(None if x is None else np.asarray(x).tobytes() for x in (out.value, *out.gradients()))
+    except Exception as exc:
+        return type(exc), str(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -1421,6 +1483,36 @@ def test_normalize_backward_matches_per_row(seed, rows, dim, zeros):
     # gives the C-ordered result for any layout
     fortran = normalize_backward(np.asfortranarray(raw), np.asfortranarray(grad))
     assert same_bits(fortran, expected)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    rows=st.integers(1, 70),
+    dim=st.integers(1, 64),
+    layout=st.sampled_from(["c", "fortran", "transposed"]),
+    bad=st.sampled_from([None, 0.0, 1e160, 1e300]),
+)
+@SETTINGS
+def test_l2_normalize_rows_matches_the_linalg_norm(seed, rows, dim, layout, bad):
+    # a row of zeros raises, and so does one whose squares overflow
+    gen = np.random.default_rng(seed)
+    m = gen.normal(size=(rows, dim)) * 10.0 ** gen.integers(-3, 4, size=(rows, 1))
+    if bad is not None:
+        m[gen.integers(rows)] = bad
+    if layout == "fortran":
+        m = np.asfortranarray(m)
+    elif layout == "transposed":
+        m = np.ascontiguousarray(m.T).T
+    with np.errstate(over="ignore"):
+        try:
+            expected = old_l2_normalize_rows(m)
+        except DegenerateVectorError as exc:
+            with pytest.raises(DegenerateVectorError) as got:
+                l2_normalize_rows(m)
+            assert str(got.value) == str(exc)
+            assert bad is not None
+            return
+        assert same_bits(l2_normalize_rows(m), expected)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from dmlbench import losses
 from dmlbench.errors import (
     ConfigError,
     DegenerateBatchError,
+    DegenerateVectorError,
     DimensionError,
     InvalidTripletError,
     LabelError,
@@ -678,3 +681,101 @@ class TestDeferredGradients:
         assert (out.grad_proxies is None) == (expected.grad_proxies is None)
         if out.grad_proxies is not None:
             assert out.grad_proxies.tobytes() == expected.grad_proxies.tobytes()
+
+
+METRIC = [v for v in VARIANTS if LOSSES[v].call is not None]
+
+
+def planned_call(variant, **fields):
+    """A batch, bank and structure for the variant, its plan, and a call of
+    its row with that plan and any of batch, config, bank or structure
+    replaced."""
+    config = LossConfig(variant, **fields)
+    labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
+    batch = EmbeddingBatch(Rng(51).normal(8 * 5).reshape(8, 5), labels, 3)
+    rows = 3 * config.proxies_per_class()
+    proxies = l2_normalize_rows(Rng(52).normal(rows * 5).reshape(rows, 5))
+    bank = ProxyBank(proxies, 3, config.proxies_per_class()) if config.is_proxy_based else None
+    spec = LOSSES[variant]
+    structure = spec.mine(batch, None) if spec.mine is not None else None
+    plan = spec.plan(batch, config, bank, structure)
+    own = EmbeddingBatch(batch.embeddings, plan.labels, 3)
+
+    def call(batch=own, config=config, bank=bank, structure=plan.structure):
+        return spec.call(batch, config, bank, structure, plan=plan)
+
+    return plan, call
+
+
+class TestPlans:
+    """A metric loss handed a plan checks that it was built for this call,
+    and runs only the checks that read embedding or proxy values."""
+
+    @pytest.mark.parametrize("variant", METRIC)
+    def test_a_plan_for_other_labels_or_classes_raises(self, variant):
+        plan, call = planned_call(variant)
+        call()
+        z = Rng(53).normal(8 * 5).reshape(8, 5)
+        others = [
+            EmbeddingBatch(z, np.array([0, 1, 1, 0, 2, 2, 0, 1]), 3),
+            EmbeddingBatch(z, plan.labels.copy(), 3),  # equal labels, not the plan's own
+            EmbeddingBatch(z, plan.labels, 4),
+        ]
+        for batch in others:
+            with pytest.raises(ConfigError, match="loss plan was built for"):
+                call(batch=batch)
+
+    @pytest.mark.parametrize("variant", ["triplet", "npairs"])
+    def test_a_plan_for_another_structure_raises(self, variant):
+        plan, call = planned_call(variant)
+        for structure in (plan.structure.copy(), plan.structure[:1]):
+            with pytest.raises(ConfigError, match="loss plan was built for"):
+                call(structure=structure)
+
+    @pytest.mark.parametrize(
+        "variant, field, value",
+        [
+            ("triplet", "margin", 2.0),
+            ("supcon", "tau", 0.2),
+            ("proxynca", "softmax_scale", 2.0),
+            ("softtriple", "st_lambda", 2.0),
+            ("softtriple", "st_gamma", 0.2),
+            ("softtriple", "st_delta", 0.4),
+            ("proxyanchor", "pa_alpha", 16.0),
+            ("proxyanchor", "pa_delta", 0.4),
+        ],
+    )
+    def test_a_plan_for_another_hyperparameter_raises(self, variant, field, value):
+        _, call = planned_call(variant)
+        with pytest.raises(ConfigError, match="loss plan was built for"):
+            call(config=LossConfig(variant, **{field: value}))
+
+    @pytest.mark.parametrize("variant", ["proxynca", "softtriple", "proxyanchor"])
+    def test_a_plan_for_another_bank_shape_raises(self, variant):
+        _, call = planned_call(variant)
+        other = ProxyBank(l2_normalize_rows(Rng(54).normal(4 * 5).reshape(4, 5)), 4, 1)
+        with pytest.raises(ConfigError, match="loss plan was built for"):
+            call(bank=other)
+
+    @pytest.mark.parametrize("variant", METRIC)
+    def test_a_call_with_a_plan_runs_no_plan_side_check(self, variant):
+        plan, call = planned_call(variant)
+        expected = call()
+        with mock.patch.object(losses, f"{variant}_plan", side_effect=AssertionError("plan built again")):
+            out = call()
+        assert out.value == expected.value
+        assert out.grad_embeddings.tobytes() == expected.grad_embeddings.tobytes()
+
+    @pytest.mark.parametrize("variant", ["proxynca", "softtriple", "proxyanchor"])
+    def test_a_call_with_a_plan_checks_the_values(self, variant):
+        plan, call = planned_call(variant)
+        z = Rng(55).normal(8 * 5).reshape(8, 5)
+        z[3] = 0.0  # a zero row has no direction to normalize
+        with pytest.raises(DegenerateVectorError, match="zero-norm row"):
+            call(batch=EmbeddingBatch(z, plan.labels, 3))
+
+    def test_the_plan_keeps_read_only_copies(self):
+        plan, call = planned_call("triplet")
+        assert not plan.labels.flags.writeable and not plan.structure.flags.writeable
+        with pytest.raises(ValueError):
+            plan.structure[0, 0] = 1

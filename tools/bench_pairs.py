@@ -3,17 +3,22 @@
     python3 tools/bench_pairs.py --base HEAD~1 --label live_rows \
         --workload fewshot-1000 --workload gradcheck --pairs 10 --seed 31
 
-Extracts the committed files of ``--base`` into a temporary directory with
-``git archive`` and runs ``python3 bench/run.py`` there and in this working
-tree in turn, ``--pairs`` times per workload (base first in even pairs, the
-working tree first in odd ones, so a drift in the machine's speed reaches
-both sides alike). Writes ``BENCH_<label>.json`` at the repository root:
-the base commit's sha, every run's last-line JSON, its ``result_sha`` and
-``fingerprint_sha``, whether those two are the same in every run, each
-side's failed and attempted operations, the median and quartiles of each
-end-to-end metric on each side, how many pairs the working tree won on it,
-each side's failed share of its operations, and the numpy version and CPU
-count of the machine. When the working tree fails a larger share of its
+Both sides run from sibling temporary checkouts whose paths have the same
+length, ``<tmp>/base`` and ``<tmp>/work``, so neither runs from a directory
+the other does not share: ``--base``'s committed files come from ``git
+archive``, and the working tree's are every file git would commit (tracked,
+or untracked and not ignored) as it is on disk. ``python3 bench/run.py``
+runs in each in turn, ``--pairs`` times per workload (base first in even
+pairs, the working tree first in odd ones, so a drift in the machine's
+speed reaches both sides alike). Writes ``BENCH_<label>.json`` at the
+repository root: the base commit's sha, every run's last-line JSON, its
+``result_sha`` and ``fingerprint_sha``, whether those two are the same in
+every run, each side's failed and attempted operations, the median and
+quartiles of each end-to-end metric on each side, how many pairs the
+working tree won on it, the two verdicts of `compare` on it, each side's
+failed share of its operations, and the numpy version and CPU count of
+the machine. The verdicts are printed per workload and metric. When the
+working tree fails a larger share of its
 operations than the base on a workload and seed, a line that begins
 ``MORE FAILURES`` says so: the benchmark counts that as a regression
 whatever the metrics show. One more run per side
@@ -30,6 +35,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -40,7 +46,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-SIDES = ("base", "work")
+SIDES = ("base", "work")  # also the checkouts' directory names, of equal length
+GAIN_SHARE = 0.9  # a gain needs the working tree to win this share of the pairs
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -53,6 +60,20 @@ def extract(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return sha
+
+
+def copy_work_tree(dest: Path) -> None:
+    """Every file git would commit in the working tree, tracked or
+    untracked and not ignored, copied as it is on disk to the same path
+    under dest; a tracked file deleted on disk is left out."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout
+    for name in sorted(set(listed.decode().split("\0")) - {""}):
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
@@ -74,24 +95,59 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: b
 
 def compare(runs: dict, metrics: list) -> dict:
     """Per end-to-end metric: each side's median and quartiles, the
-    relative change of the median, and the pairs the working tree won
-    (strictly better in the metric's direction; ties count for neither)."""
+    relative change of the median, the pairs the working tree won
+    (strictly better in the metric's direction; ties count for neither),
+    and two verdicts:
+
+    * "gain": the working tree won at least GAIN_SHARE of the pairs, and
+      its median is better than the base's by more than the distance
+      between the base's quartiles (False with fewer than two pairs);
+    * "within_bound": the working tree's median is not worse than the
+      base's by more than the metric's relative "bound" (None when the
+      metric declares none).
+    """
     out = {}
     for m in metrics:
         name = m["name"]
         values = {side: [r["summary"]["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
         sign = 1 if m["better"] == "higher" else -1
         median = {side: statistics.median(values[side]) for side in SIDES}
+        quartiles = {
+            side: statistics.quantiles(values[side], n=4)[::2] if len(values[side]) > 1 else None
+            for side in SIDES
+        }
+        wins = sum(sign * (w - b) > 0 for b, w in zip(values["base"], values["work"]))
+        spread = quartiles["base"][1] - quartiles["base"][0] if quartiles["base"] else None
+        bound = m.get("bound")
         out[name] = {
             "median": median,
-            "quartiles": {
-                side: statistics.quantiles(values[side], n=4)[::2] if len(values[side]) > 1 else None
-                for side in SIDES
-            },
+            "quartiles": quartiles,
             "change": median["work"] / median["base"] - 1 if median["base"] else None,
-            "work_wins": sum(sign * (w - b) > 0 for b, w in zip(values["base"], values["work"])),
+            "work_wins": wins,
+            "gain": spread is not None
+            and wins >= GAIN_SHARE * len(values["base"])
+            and sign * (median["work"] - median["base"]) > spread,
+            "within_bound": None
+            if bound is None
+            else sign * (median["work"] - median["base"]) >= -bound * abs(median["base"]),
         }
     return out
+
+
+def verdicts(record: dict) -> list[str]:
+    """One printed line per end-to-end metric of an `entry`: both medians,
+    the pairs won, and `compare`'s two verdicts."""
+    lines = []
+    pairs = len(record["base"])
+    for name, m in record["metrics"].items():
+        change = f" ({m['change']:+.1%})" if m["change"] is not None else ""
+        bound = {None: "no bound", True: "within bound", False: "OUTSIDE BOUND"}[m["within_bound"]]
+        lines.append(
+            f"{record['workload']} seed {record['seed']} {name}: base {m['median']['base']:.4g}, "
+            f"work {m['median']['work']:.4g}{change}, won {m['work_wins']}/{pairs}; "
+            f"gain {'holds' if m['gain'] else 'does not hold'}; {bound}"
+        )
+    return lines
 
 
 def entry(
@@ -156,8 +212,9 @@ def main(argv=None) -> int:
     report = json.loads(out_path.read_text()) if out_path.exists() else {"runs": {}}
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        base_sha = extract(args.base, Path(tmp))
-        checkouts = {"base": Path(tmp), "work": ROOT}
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        base_sha = extract(args.base, checkouts["base"])
+        copy_work_tree(checkouts["work"])
         for workload in args.workload:
             runs = {side: [] for side in SIDES}
             for i in range(args.pairs):
@@ -170,6 +227,8 @@ def main(argv=None) -> int:
             print(f"{workload} seed {args.seed}: one traced run per side", flush=True)
             record = entry(workload, args.seed, seconds, base_sha, runs, declared["end_to_end"], traced)
             report["runs"][f"{workload} seed {args.seed}"] = record
+            for line in verdicts(record):
+                print(line, flush=True)
             if more_failures(record):
                 print(more_failures(record), flush=True)
             report.update(label=args.label, numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))

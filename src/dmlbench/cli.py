@@ -111,7 +111,7 @@ def _fields(args: argparse.Namespace, flags: dict[str, list[str]], defaults) -> 
 
 
 def _cmd_gradcheck(args) -> int:
-    results = run_gradcheck(int(args.instances), int(args.seed))
+    results = run_gradcheck(int(args.instances), seed=int(args.seed))
     ok = True
     for r in results:
         status = "ok" if r.passed else f"FAIL ({r.failures}/{r.instances})"

@@ -4,11 +4,13 @@ Each metric loss is checked through its own `LOSSES` row, so the oracle
 checks what training calls: `draw_probe` draws a batch (and, for a proxy
 loss, a bank of unit rows), lets the row's `mine` pick the structure once
 per instance, and `probe` builds the row's `plan` once at that fixed
-structure and wraps the row's `call`, handed that plan, as a scalar
-function of one flat vector (embeddings, then proxies). So the checks and
-index arrays that read only the labels, the structure and the
+structure and wraps the row's `call`, handed that plan as `_plan`, as a
+scalar function of one flat vector (embeddings, then proxies). So the
+checks and index arrays that read only the labels, the structure and the
 hyperparameters are made once per instance, and those that read the
-embedding and proxy values on every call. The analytic gradient is read
+embedding and proxy values on every call. `probe` is the one caller that
+hands a loss a plan: it builds it from exactly the labels, structure,
+config and bank shape that each call gets. The analytic gradient is read
 once per instance, at x0; the probes of the finite differences read only
 the value, so a metric loss's backward pass never runs for them
 (cross-entropy computes its gradient regardless). Each
@@ -115,20 +117,20 @@ def check_gradient(f, x0: np.ndarray, analytic: np.ndarray) -> tuple[bool, float
 def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, structure):
     """(f, x0, analytic) for the variant's `LOSSES` row at a fixed
     structure. The row's `plan` is built once, here, and every call below
-    is handed it: f calls the row's `call` on a new batch (and bank) at
-    the flat embeddings (then the proxies) x, with the plan's labels and
-    structure, and reads only its value, so it forms no gradient; x0 is
-    that vector for `batch` and `bank`, and analytic is the call's
-    gradient there, read at once. Every call still runs the loss's checks
-    on the embedding and proxy values."""
+    is handed it as `_plan`: f calls the row's `call` on a new batch (and
+    bank) at the flat embeddings (then the proxies) x, with `batch`'s own
+    labels and `structure`, and reads only its value, so it forms no
+    gradient; x0 is that vector for `batch` and `bank`, and analytic is
+    the call's gradient there, read at once. Every call still runs the
+    loss's checks on the embedding and proxy values."""
     spec = LOSSES[config.variant]
     plan = spec.plan(batch, config, bank, structure)
-    shape, classes = batch.embeddings.shape, batch.num_classes
+    shape, labels, classes = batch.embeddings.shape, batch.labels, batch.num_classes
     n_emb = batch.embeddings.size
 
     def loss(embeddings, at):
-        b = EmbeddingBatch(embeddings, plan.labels, classes)
-        return spec.call(b, config, at, plan.structure, plan=plan)
+        b = EmbeddingBatch(embeddings, labels, classes)
+        return spec.call(b, config, at, structure, _plan=plan)
 
     def f(flat):
         if bank is None:
@@ -204,7 +206,7 @@ def _instance(variant: str, rng: Rng):
     return draw_probe(LossConfig(variant, **settings), rng)
 
 
-def run_gradcheck(instances: int = 50, seed: int = 17) -> list[CheckResult]:
+def run_gradcheck(instances: int = 50, *, seed: int) -> list[CheckResult]:
     results = []
     for variant in VARIANTS:
         rng = Rng(derive_seed(seed, "gradcheck", variant))

@@ -358,7 +358,7 @@ def run_grid(
     failed fold; its significance against the baseline is a paired t-test
     over per-fold scores, so at least two folds are needed. Proxy-based
     variants also carry a proxy-blended score per cell (mixing weight
-    beta_inf at inference only).
+    beta_inf, in [0, 1], at inference only).
 
     The dataset's texts are tokenized and packed once per call, at the
     vocabulary the cells train with, before any cell runs; every cell,
@@ -371,6 +371,8 @@ def run_grid(
         raise ConfigError("grid points must share one variant")
     if shot not in SHOT_CHOICES:
         raise ConfigError(f"shot must be one of {SHOT_CHOICES}")
+    if not 0.0 <= beta_inf <= 1.0:
+        raise ConfigError("beta_inf must lie in [0, 1]")
     if len(plans) < 2:
         raise ConfigError("grid needs at least two folds to test against the baseline")
     overrides = {"epochs": DEFAULT_EPOCHS_BY_SHOT[shot], **(train_overrides or {})}

@@ -9,7 +9,7 @@ derived by hand and verified against the central-difference oracle in the
 test suite; there is no autograd anywhere. Each metric loss is three
 parts:
 
-* a plan (`LossPlan`, built by `<variant>_plan`): every check and index
+* a plan, the tuple `<variant>_plan` returns: every check and index
   array that reads only the labels, the class count, the mined structure,
   the hyperparameters and the bank's shape;
 * a forward part, which reads the embedding and proxy values, makes the
@@ -17,11 +17,11 @@ parts:
 * a `backward` closure over the forward's intermediates, which the output
   runs when a gradient is first read.
 
-`<variant>_loss(..., plan=None)` builds its plan itself when it is given
-none, as in training; given one, it checks that the plan is this call's
-and skips the plan's work, which is how the gradient oracle makes it once
-for all the calls of one instance. Cross-entropy computes everything at
-once.
+`<variant>_loss` builds its plan itself, as in training. Its private
+`_plan` keyword takes a plan built from the call's own labels, structure,
+hyperparameters and bank, and uses it unchecked; only the gradient oracle
+passes one, so that it makes the plan once for all the calls of one
+instance. Cross-entropy computes everything at once.
 
 `LOSSES`, at the end of the module, is the one table of variants: per loss
 it holds the miner that picks the structure the loss needs from a batch
@@ -179,49 +179,6 @@ def _finite_gradients(grad_embeddings, grad_proxies):
     return grad_embeddings, grad_proxies
 
 
-class LossPlan:
-    """What a metric loss reads of a call besides the embedding and proxy
-    values: built once from the batch's labels and class count, the mined
-    structure (None for a loss that takes none), the loss's
-    hyperparameters (`settings`, in its parameter order) and the bank's
-    class and proxy counts. The function that builds it (`triplet_plan`,
-    ...) has run every check that reads only these, and `parts` holds the
-    loss's index arrays. The labels and the structure are read-only
-    copies, so a call handed the plan checks by identity that its batch
-    and structure are the plan's own (`checked`)."""
-
-    def __init__(self, batch: EmbeddingBatch, structure, settings: tuple, bank: ProxyBank | None, parts):
-        self.labels = _read_only(batch.labels)
-        self.num_classes = batch.num_classes
-        self.structure = None if structure is None else _read_only(structure)
-        self.settings = settings
-        self.geometry = _geometry(bank)
-        self.parts = parts
-
-    def checked(self, batch: EmbeddingBatch, structure, settings: tuple, bank: ProxyBank | None = None):
-        """This plan, after checking that it was built for this call;
-        ConfigError if not."""
-        if (
-            batch.labels is not self.labels
-            or batch.num_classes != self.num_classes
-            or structure is not self.structure
-            or settings != self.settings
-            or _geometry(bank) != self.geometry
-        ):
-            raise ConfigError("the loss plan was built for other labels, structure, hyperparameters or bank")
-        return self
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array = array.copy()
-    array.flags.writeable = False
-    return array
-
-
-def _geometry(bank: ProxyBank | None):
-    return None if bank is None else (bank.classes, bank.proxies_per_class)
-
-
 @dataclass
 class LossConfig:
     """Variant tag plus every per-loss hyperparameter; only the tagged
@@ -311,8 +268,9 @@ def cce_loss(probs, labels) -> LossOutput:
 # triplet
 
 
-def triplet_plan(batch: EmbeddingBatch, triplets, margin: float) -> LossPlan:
-    """`triplet_loss`'s plan: its checks, and the (a, p, n) columns.
+def triplet_plan(batch: EmbeddingBatch, triplets, margin: float) -> tuple:
+    """`triplet_loss`'s plan: its checks, then the triplets as int64 and
+    their (a, p, n) columns.
 
     `triplets` is a (T, 3) int array of (anchor, positive, negative) rows,
     each index in [0, L), under one margin. The first invalid row raises
@@ -338,23 +296,20 @@ def triplet_plan(batch: EmbeddingBatch, triplets, margin: float) -> LossPlan:
         row = int(np.argmax(bad.any(axis=0)))
         message = checks[int(np.argmax(bad[:, row]))][1]
         raise InvalidTripletError(message.format(*idx[row].tolist(), L=batch.size))
-    return LossPlan(batch, idx, (margin,), None, (a, p, n))
+    return idx, a, p, n
 
 
-def triplet_loss(
-    batch: EmbeddingBatch, triplets, margin: float, *, plan: LossPlan | None = None
-) -> LossOutput:
+def triplet_loss(batch: EmbeddingBatch, triplets, margin: float, *, _plan: tuple | None = None) -> LossOutput:
     """Sum of hinge terms [d²(a,p) - d²(a,n) + margin]+ over the given triplets.
 
     Squared Euclidean distances; the subgradient at the hinge kink is zero.
-    `triplet_plan` checks the triplets and the margin (a given plan must
-    be this call's). The terms are computed for all triplets at once but
-    summed in triplet order, and each active triplet scatters its (anchor,
-    positive, negative) rows in that order, so the result is the same to
-    the bit as taking one triplet at a time.
+    `triplet_plan` checks the triplets and the margin (not when the call
+    is handed `_plan`). The terms are computed for all triplets at once
+    but summed in triplet order, and each active triplet scatters its
+    (anchor, positive, negative) rows in that order, so the result is the
+    same to the bit as taking one triplet at a time.
     """
-    plan = triplet_plan(batch, triplets, margin) if plan is None else plan.checked(batch, triplets, (margin,))
-    a, p, n = plan.parts
+    idx, a, p, n = triplet_plan(batch, triplets, margin) if _plan is None else _plan
     z = batch.embeddings
     ap = z[a] - z[p]
     an = z[a] - z[n]
@@ -363,7 +318,7 @@ def triplet_loss(
     hit = slack > 0.0
     value = float(np.cumsum(slack[hit])[-1]) if hit.any() else 0.0
 
-    ap, an, rows = ap[hit], an[hit], plan.structure[hit].ravel()
+    ap, an, rows = ap[hit], an[hit], idx[hit].ravel()
 
     def backward():
         grad = np.zeros(z.shape)  # C-ordered whatever z's layout, for add_rows_at
@@ -427,11 +382,12 @@ STACK_ROWS = 64
 # n-pairs
 
 
-def npairs_plan(batch: EmbeddingBatch, pairs) -> LossPlan:
-    """`npairs_loss`'s plan: the pair checks, and per STACK_ROWS block of
-    pairs its size and its groups by row count K, each group's pairs (in
-    the block, in pair order), anchors and (G, K) rows: the positive,
-    then the members outside the anchor's class, ascending."""
+def npairs_plan(batch: EmbeddingBatch, pairs) -> tuple:
+    """`npairs_loss`'s plan: the pair checks, then the pair count and, per
+    STACK_ROWS block of pairs, its size and its groups by row count K,
+    each group's pairs (in the block, in pair order), anchors and (G, K)
+    rows: the positive, then the members outside the anchor's class,
+    ascending."""
     idx = np.asarray(pairs)
     if idx.size == 0:
         raise PairingError("need at least one (anchor, positive) pair")
@@ -465,15 +421,15 @@ def npairs_plan(batch: EmbeddingBatch, pairs) -> LossPlan:
             rows = np.concatenate((positives[block][sel][:, None], others), axis=1)  # (G, K)
             groups.append((sel, i, rows))
         blocks.append((start, block_widths.size, groups))
-    return LossPlan(batch, idx, (), None, blocks)
+    return len(idx), tuple(blocks)
 
 
-def npairs_loss(batch: EmbeddingBatch, pairs, *, plan: LossPlan | None = None) -> LossOutput:
+def npairs_loss(batch: EmbeddingBatch, pairs, *, _plan: tuple | None = None) -> LossOutput:
     """Softmax of the anchor-positive dot product against anchor-negative ones.
 
     `pairs` is a (P, 2) int array of (anchor, positive) rows, each index in
-    [0, L), every anchor in one pair only; `npairs_plan` checks them (a
-    given plan must be this call's). An anchor's negatives are the rows of
+    [0, L), every anchor in one pair only; `npairs_plan` checks them (not
+    when the call is handed `_plan`). An anchor's negatives are the rows of
     other classes that appear in `pairs`, ascending (Sohn, NeurIPS 2016:
     the other pairs' members). The value and the gradient are averaged
     over the pairs, taken in their given order.
@@ -504,12 +460,11 @@ def npairs_loss(batch: EmbeddingBatch, pairs, *, plan: LossPlan | None = None) -
     OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
     OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
-    plan = npairs_plan(batch, pairs) if plan is None else plan.checked(batch, pairs, ())
+    count, parts = npairs_plan(batch, pairs) if _plan is None else _plan
     z = batch.embeddings
-    count = len(plan.structure)
     gaps = np.empty(count)  # each pair's lse - scores[0]
     blocks = []  # per block: its pair count and its groups' intermediates
-    for start, size, groups in plan.parts:
+    for start, size, groups in parts:
         forward = []
         for sel, i, rows in groups:
             zr, zi = z[rows], z[i]
@@ -570,7 +525,7 @@ def rows_with_a_positive(labels) -> np.ndarray:
     return np.flatnonzero(np.bincount(labels)[labels] > 1)
 
 
-def supcon_plan(batch: EmbeddingBatch, tau: float) -> LossPlan:
+def supcon_plan(batch: EmbeddingBatch, tau: float) -> tuple:
     """`supcon_loss`'s plan: its checks, and per STACK_ROWS block of
     anchors the anchors, each one's (B, L-1) `others` (every row but its
     own, ascending), the mask of its positives among them, and per class
@@ -594,10 +549,10 @@ def supcon_plan(batch: EmbeddingBatch, tau: float) -> LossPlan:
             members = np.flatnonzero(block_labels == cls)
             classes.append((members, positive[members]))
         blocks.append((block, others, positive, classes))
-    return LossPlan(batch, None, (tau,), None, blocks)
+    return tuple(blocks)
 
 
-def supcon_loss(batch: EmbeddingBatch, tau: float, *, plan: LossPlan | None = None) -> LossOutput:
+def supcon_loss(batch: EmbeddingBatch, tau: float, *, _plan: tuple | None = None) -> LossOutput:
     """Supervised contrastive loss over raw dot products at temperature tau.
 
     Every batch member with a positive (`rows_with_a_positive`, which is
@@ -605,8 +560,8 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, plan: LossPlan | None = No
     same-class others and the contrast set is everything else in the batch.
     Anchors without a positive contribute zero (singleton classes are
     common in few-shot batches); a batch where no anchor has one is
-    degenerate. `supcon_plan` makes those checks (a given plan must be
-    this call's).
+    degenerate. `supcon_plan` makes those checks (not when the call is
+    handed `_plan`).
 
     The anchors are taken STACK_ROWS at a time in stacked passes, to the
     bit of one anchor at a time:
@@ -633,13 +588,13 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, plan: LossPlan | None = No
     OpenBLAS 0.3.31's SkylakeX kernels; another BLAS may round a stacked
     matmul otherwise.
     """
-    plan = supcon_plan(batch, tau) if plan is None else plan.checked(batch, None, (tau,))
+    parts = supcon_plan(batch, tau) if _plan is None else _plan
     z = batch.embeddings
     length = batch.size
     sims = (z @ z.T) / tau
     value = 0.0
     blocks = []  # per block: its anchors' intermediates
-    for block, others, positive, classes in plan.parts:
+    for block, others, positive, classes in parts:
         rows = sims[block[:, None], others]
         lse = log_sum_exp_rows(rows)
         means = np.empty(block.size)
@@ -673,7 +628,7 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, plan: LossPlan | None = No
 # proxy-NCA
 
 
-def proxynca_plan(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossPlan:
+def proxynca_plan(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> tuple:
     """`proxynca_loss`'s plan: its checks, and per STACK_ROWS block of
     rows their slice, labels, positions in the block and (B, C)
     `off_target` mask."""
@@ -688,13 +643,13 @@ def proxynca_plan(batch: EmbeddingBatch, bank: ProxyBank, scale: float) -> LossP
     blocks = []
     for start in range(0, batch.size, STACK_ROWS):
         block = slice(start, start + STACK_ROWS)
-        y = batch.labels[block].copy()  # no view of the caller's labels
+        y = batch.labels[block]
         blocks.append((block, y, np.arange(y.size), np.arange(bank.classes) != y[:, None]))
-    return LossPlan(batch, None, (scale,), bank, blocks)
+    return tuple(blocks)
 
 
 def proxynca_loss(
-    batch: EmbeddingBatch, bank: ProxyBank, scale: float, *, plan: LossPlan | None = None
+    batch: EmbeddingBatch, bank: ProxyBank, scale: float, *, _plan: tuple | None = None
 ) -> LossOutput:
     """Negative log-ratio of the target-proxy term over the non-target proxies.
 
@@ -702,8 +657,8 @@ def proxynca_loss(
     gradients chain back to the raw inputs. Distances between the unit
     rows are Euclidean, scaled by `scale` inside both exponents. The
     denominator excludes the target proxy, so the value can be negative.
-    `proxynca_plan` checks the scale and the bank (a given plan must be
-    this call's).
+    `proxynca_plan` checks the scale and the bank (not when the call is
+    handed `_plan`).
 
     The rows are taken STACK_ROWS at a time in stacked passes, to the bit
     of one row at a time:
@@ -729,7 +684,7 @@ def proxynca_loss(
     The equality with the per-row loop was seen with numpy 2.4.6 on
     OpenBLAS 0.3.31's SkylakeX kernels.
     """
-    plan = proxynca_plan(batch, bank, scale) if plan is None else plan.checked(batch, None, (scale,), bank)
+    parts = proxynca_plan(batch, bank, scale) if _plan is None else _plan
     z_raw = batch.embeddings
     p_raw = bank.matrix
     z = l2_normalize_rows(z_raw)
@@ -737,7 +692,7 @@ def proxynca_loss(
     n, classes, dim = batch.size, bank.classes, z.shape[1]
     value = 0.0
     blocks = []  # per block: its rows' intermediates
-    for block, y, rows, off_target in plan.parts:
+    for block, y, rows, off_target in parts:
         diffs = z[block, None, :] - p  # (B, C, d)
         dists = np.linalg.norm(diffs, axis=2)
         neg_scores = (-scale * dists)[off_target].reshape(y.size, classes - 1)
@@ -775,9 +730,7 @@ def proxynca_loss(
 # soft-triple
 
 
-def softtriple_plan(
-    batch: EmbeddingBatch, bank: ProxyBank, scale: float, gamma: float, delta: float
-) -> LossPlan:
+def softtriple_plan(batch: EmbeddingBatch, bank: ProxyBank, scale: float, gamma: float, delta: float) -> tuple:
     """`softtriple_loss`'s plan: its checks, and the row index."""
     if gamma <= 0.0:
         raise ConfigError("gamma must be positive")
@@ -785,7 +738,7 @@ def softtriple_plan(
         raise ConfigError("scale must be positive")
     if batch.num_classes > bank.classes:
         raise LabelError("batch classes exceed the proxy bank")
-    return LossPlan(batch, None, (scale, gamma, delta), bank, np.arange(batch.size))
+    return (np.arange(batch.size),)
 
 
 def softtriple_loss(
@@ -795,7 +748,7 @@ def softtriple_loss(
     gamma: float,
     delta: float,
     *,
-    plan: LossPlan | None = None,
+    _plan: tuple | None = None,
 ) -> LossOutput:
     """Cross-entropy over relaxed class similarities with K proxies per class.
 
@@ -804,15 +757,10 @@ def softtriple_loss(
     class only, and `scale` multiplies every logit. Embeddings and proxies
     are L2-normalized before the inner products; gradients flow through
     the softmax weights, the similarities, and the normalization.
-    `softtriple_plan` checks gamma, the scale and the bank (a given plan
-    must be this call's).
+    `softtriple_plan` checks gamma, the scale and the bank (not when the
+    call is handed `_plan`).
     """
-    settings = (scale, gamma, delta)
-    plan = (
-        softtriple_plan(batch, bank, *settings)
-        if plan is None
-        else plan.checked(batch, None, settings, bank)
-    )
+    (rows,) = softtriple_plan(batch, bank, scale, gamma, delta) if _plan is None else _plan
     n, d = batch.embeddings.shape
     classes, per_class = bank.classes, bank.proxies_per_class
     z_raw = batch.embeddings
@@ -828,7 +776,6 @@ def softtriple_loss(
     relaxed = np.einsum("lck,lck->lc", weights, sims)  # (L, C)
 
     logits = scale * relaxed
-    rows = plan.parts
     logits[rows, batch.labels] -= scale * delta
     probs = softmax_rows(logits)
     picked = np.clip(probs[rows, batch.labels], PROB_FLOOR, 1.0)
@@ -854,7 +801,7 @@ def softtriple_loss(
 # proxy-anchor
 
 
-def proxyanchor_plan(batch: EmbeddingBatch, bank: ProxyBank, alpha: float, delta: float) -> LossPlan:
+def proxyanchor_plan(batch: EmbeddingBatch, bank: ProxyBank, alpha: float, delta: float) -> tuple:
     """`proxyanchor_loss`'s plan: its checks; `own`, the (L, C) mask of
     the pull side's entries; of the 2C log-sum-exp rows (row k < C is
     class k's pull over its members, row C + k its push over its
@@ -881,7 +828,7 @@ def proxyanchor_plan(batch: EmbeddingBatch, bank: ProxyBank, alpha: float, delta
         entries.append((which, rows, which[:, None] % classes))
     present = int(np.count_nonzero(lengths[:classes]))
     terms = [(k, present if k < classes else classes) for k, length in enumerate(lengths.tolist()) if length]
-    return LossPlan(batch, None, (alpha, delta), bank, (own, entries, present, terms))
+    return own, entries, present, terms
 
 
 def proxyanchor_loss(
@@ -890,7 +837,7 @@ def proxyanchor_loss(
     alpha: float,
     delta: float,
     *,
-    plan: LossPlan | None = None,
+    _plan: tuple | None = None,
 ) -> LossOutput:
     """Proxies act as anchors: a softplus pull toward each in-batch class
     proxy and a push from every proxy's out-of-class batch members.
@@ -898,8 +845,8 @@ def proxyanchor_loss(
     Cosine similarities throughout; the pull term averages over the proxies
     whose class appears in the batch, the push term over all proxies. Inner
     sums go through log-sum-exp + log1p so large `alpha` cannot overflow.
-    `proxyanchor_plan` checks alpha, delta and the bank (a given plan must
-    be this call's).
+    `proxyanchor_plan` checks alpha, delta and the bank (not when the call
+    is handed `_plan`).
 
     Each side's log-sum-exp rows (a present class's members for the pull,
     a class's outsiders for the push) are taken in stacked passes, to the
@@ -927,13 +874,7 @@ def proxyanchor_loss(
     OpenBLAS 0.3.31's SkylakeX kernels, and with numpy held to AVX2 and
     OpenBLAS to Haswell (`tests/test_cpu_dispatch.py`).
     """
-    settings = (alpha, delta)
-    plan = (
-        proxyanchor_plan(batch, bank, *settings)
-        if plan is None
-        else plan.checked(batch, None, settings, bank)
-    )
-    own, entries, present, terms = plan.parts
+    own, entries, present, terms = proxyanchor_plan(batch, bank, alpha, delta) if _plan is None else _plan
     z_raw = batch.embeddings
     p_raw = bank.matrix
     z = l2_normalize_rows(z_raw)
@@ -1005,16 +946,19 @@ class LossSpec:
     """One loss variant. Training (`dml_loss`) and the gradient check both
     take the structure from `mine` once and hand it to `call`; the check
     also builds the loss's plan once per instance with `plan` and hands it
-    to every call. The callables look the loss functions up when they run,
-    so a name patched on this module is the one called."""
+    to each call of that instance as `_plan`. The callables look the loss
+    functions up when they run, so a name patched on this module is the
+    one called."""
 
     # (batch, rng) -> the int64 index array the loss needs: triplets (T, 3),
     # n-pairs (P, 2), supcon's rows with a positive; None when it needs none
     mine: Callable[..., np.ndarray] | None = None
-    # (batch, config, bank, structure) -> the loss's LossPlan; None for cce
-    plan: Callable[..., LossPlan] | None = None
-    # (batch, config, bank, structure, plan=None) -> LossOutput; None for
-    # cce. Given a plan, the structure must be the plan's own
+    # (batch, config, bank, structure) -> the tuple `<variant>_plan`
+    # returns; None for cce
+    plan: Callable[..., tuple] | None = None
+    # (batch, config, bank, structure, _plan=None) -> LossOutput; None for
+    # cce. `_plan` is used unchecked, so it must be `plan`'s at the same
+    # arguments
     call: Callable[..., LossOutput] | None = None
     # config -> proxies per class; None when the loss trains no proxy bank
     proxies: Callable[[LossConfig], int] | None = None
@@ -1030,8 +974,8 @@ LOSSES: dict[str, LossSpec] = {
     "triplet": LossSpec(
         mine=lambda batch, rng: mine_triplets(batch, rng=rng),
         plan=lambda batch, config, bank, triplets: triplet_plan(batch, triplets, config.margin),
-        call=lambda batch, config, bank, triplets, plan=None: triplet_loss(
-            batch, triplets, config.margin, plan=plan
+        call=lambda batch, config, bank, triplets, _plan=None: triplet_loss(
+            batch, triplets, config.margin, _plan=_plan
         ),
         full_grid={"margin": [1, 3, 5, 7, 9]},
         desk_grid={"margin": [1, 5, 9]},
@@ -1040,22 +984,22 @@ LOSSES: dict[str, LossSpec] = {
     "npairs": LossSpec(
         mine=lambda batch, rng: select_npairs_pairs(batch.labels, rng),
         plan=lambda batch, config, bank, pairs: npairs_plan(batch, pairs),
-        call=lambda batch, config, bank, pairs, plan=None: npairs_loss(batch, pairs, plan=plan),
+        call=lambda batch, config, bank, pairs, _plan=None: npairs_loss(batch, pairs, _plan=_plan),
         full_grid={},
         desk_grid={},
     ),
     "supcon": LossSpec(
         mine=lambda batch, rng: rows_with_a_positive(batch.labels),
         plan=lambda batch, config, bank, anchors: supcon_plan(batch, config.tau),
-        call=lambda batch, config, bank, anchors, plan=None: supcon_loss(batch, config.tau, plan=plan),
+        call=lambda batch, config, bank, anchors, _plan=None: supcon_loss(batch, config.tau, _plan=_plan),
         full_grid={"tau": [0.1, 0.3, 0.5, 0.7, 0.9]},
         desk_grid={"tau": [0.1, 0.5, 0.9]},
         flags={"tau": "tau"},
     ),
     "proxynca": LossSpec(
         plan=lambda batch, config, bank, structure: proxynca_plan(batch, bank, config.softmax_scale),
-        call=lambda batch, config, bank, structure, plan=None: proxynca_loss(
-            batch, bank, config.softmax_scale, plan=plan
+        call=lambda batch, config, bank, structure, _plan=None: proxynca_loss(
+            batch, bank, config.softmax_scale, _plan=_plan
         ),
         proxies=lambda config: 1,
         full_grid={"softmax_scale": [0.4, 0.6, 0.8, 1, 1.2, 1.4, 1.6, 1.8, 2, 3, 5]},
@@ -1066,8 +1010,8 @@ LOSSES: dict[str, LossSpec] = {
         plan=lambda batch, config, bank, structure: softtriple_plan(
             batch, bank, config.st_lambda, config.st_gamma, config.st_delta
         ),
-        call=lambda batch, config, bank, structure, plan=None: softtriple_loss(
-            batch, bank, config.st_lambda, config.st_gamma, config.st_delta, plan=plan
+        call=lambda batch, config, bank, structure, _plan=None: softtriple_loss(
+            batch, bank, config.st_lambda, config.st_gamma, config.st_delta, _plan=_plan
         ),
         proxies=lambda config: config.st_k,
         full_grid={
@@ -1083,8 +1027,8 @@ LOSSES: dict[str, LossSpec] = {
         plan=lambda batch, config, bank, structure: proxyanchor_plan(
             batch, bank, config.pa_alpha, config.pa_delta
         ),
-        call=lambda batch, config, bank, structure, plan=None: proxyanchor_loss(
-            batch, bank, config.pa_alpha, config.pa_delta, plan=plan
+        call=lambda batch, config, bank, structure, _plan=None: proxyanchor_loss(
+            batch, bank, config.pa_alpha, config.pa_delta, _plan=_plan
         ),
         proxies=lambda config: 1,
         full_grid={"pa_alpha": [16, 32, 64, 128], "pa_delta": [0, 0.1, 0.3, 0.5, 0.7, 0.9]},

@@ -186,6 +186,19 @@ class TestGridReportCommands:
         assert captured.out == ""
         assert captured.err.startswith("error:") and f"row 1 {field} must be" in captured.err
 
+    @pytest.mark.parametrize("loss", ["triplet", "proxyanchor"])
+    def test_grid_rejects_beta_inf_outside_the_unit_interval(self, loss, data_file, tmp_path, capsys):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "grid", "--data", str(data_file), "--loss", loss, "--folds", "2", "--shots", "20",
+            "--epochs", "1", "--beta-inf", "2", "--out", str(report_path),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        # refused before any cell, so the message names none
+        assert captured.out == "" and captured.err == "error: beta_inf must lie in [0, 1]\n"
+        assert not report_path.exists()
+
     def test_grid_rejects_cce(self, data_file, capsys):
         assert main(["grid", "--data", str(data_file), "--loss", "cce"]) == 2
         assert "error:" in capsys.readouterr().err

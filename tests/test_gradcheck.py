@@ -145,7 +145,7 @@ def test_supcon_probes_failing_the_oracle_have_correct_gradients(call):
     seed = derive_seed(211, "gradcheck", call)
     config = LossConfig("supcon", **PROBE_SETTINGS["supcon"])
     f, x0, analytic = draw_probe(config, Rng(derive_seed(seed, "gradcheck", "supcon")))
-    supcon = next(r for r in run_gradcheck(1, seed) if r.variant == "supcon")
+    supcon = next(r for r in run_gradcheck(1, seed=seed) if r.variant == "supcon")
     assert not compare_gradients(analytic, fd_gradient(f, x0))[0]
     assert supcon.passed, supcon
     ok, worst_abs, worst_rel = compare_gradients(analytic, five_point(f, x0, 1e-3, range(x0.size)))

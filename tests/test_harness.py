@@ -533,6 +533,22 @@ class TestRunGrid:
                 master_seed=28, shot=20, train_overrides=small_overrides(),
             )
 
+    @pytest.mark.parametrize("variant", ["triplet", "proxyanchor"])
+    @pytest.mark.parametrize("beta_inf", [-0.1, 2.0, float("nan")])
+    def test_beta_inf_outside_the_unit_interval_rejected_before_any_training(
+        self, variant, beta_inf, monkeypatch
+    ):
+        # a metric loss never reads beta_inf, and a proxy loss reads it
+        # only after its first cell has trained
+        ds, plans = self.make_inputs(34, n=40, folds=2)
+
+        def fake_train(*args, **kwargs):
+            raise AssertionError("a cell trained")
+
+        monkeypatch.setattr(harness, "train", fake_train)
+        with pytest.raises(ConfigError, match=r"beta_inf must lie in \[0, 1\]"):
+            run_grid(ds, plans, [{"variant": variant, "beta": 0.5}], 34, 20, beta_inf=beta_inf)
+
     def test_mixed_variants_rejected(self):
         ds, plans = self.make_inputs(26)
         with pytest.raises(ConfigError):

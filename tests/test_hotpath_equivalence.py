@@ -762,9 +762,7 @@ def test_a_loss_given_its_own_plan_keeps_the_bits(data, variant, batch, seed, ex
         head = (ProxyBank(proxies.reshape(classes * per_class, -1), classes, per_class),)
 
     def planned():
-        plan = build(batch, *head, *settings)
-        own = EmbeddingBatch(batch.embeddings, plan.labels, batch.num_classes)
-        return loss(own, *(head if plan.structure is None else (plan.structure,)), *settings, plan=plan)
+        return loss(batch, *head, *settings, _plan=build(batch, *head, *settings))
 
     with np.errstate(over="ignore", invalid="ignore"):
         assert outcome_bits(planned) == outcome_bits(lambda: loss(batch, *head, *settings))

@@ -686,11 +686,12 @@ class TestDeferredGradients:
 METRIC = [v for v in VARIANTS if LOSSES[v].call is not None]
 
 
-def planned_call(variant, **fields):
-    """A batch, bank and structure for the variant, its plan, and a call of
-    its row with that plan and any of batch, config, bank or structure
-    replaced."""
-    config = LossConfig(variant, **fields)
+def planned_call(variant):
+    """A batch, bank and structure for the variant, and a call of its row
+    handed, as `_plan`, the plan built from them under the default config;
+    the batch may be replaced by another with its labels, the config by
+    another of the variant, and the plan by None."""
+    config = LossConfig(variant)
     labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
     batch = EmbeddingBatch(Rng(51).normal(8 * 5).reshape(8, 5), labels, 3)
     rows = 3 * config.proxies_per_class()
@@ -699,38 +700,33 @@ def planned_call(variant, **fields):
     spec = LOSSES[variant]
     structure = spec.mine(batch, None) if spec.mine is not None else None
     plan = spec.plan(batch, config, bank, structure)
-    own = EmbeddingBatch(batch.embeddings, plan.labels, 3)
 
-    def call(batch=own, config=config, bank=bank, structure=plan.structure):
-        return spec.call(batch, config, bank, structure, plan=plan)
+    def call(batch=batch, config=config, plan=plan):
+        return spec.call(batch, config, bank, structure, _plan=plan)
 
-    return plan, call
+    return batch, call
 
 
 class TestPlans:
-    """A metric loss handed a plan checks that it was built for this call,
-    and runs only the checks that read embedding or proxy values."""
+    """A metric loss handed its plan as `_plan` runs only the checks that
+    read embedding or proxy values."""
 
     @pytest.mark.parametrize("variant", METRIC)
-    def test_a_plan_for_other_labels_or_classes_raises(self, variant):
-        plan, call = planned_call(variant)
-        call()
-        z = Rng(53).normal(8 * 5).reshape(8, 5)
-        others = [
-            EmbeddingBatch(z, np.array([0, 1, 1, 0, 2, 2, 0, 1]), 3),
-            EmbeddingBatch(z, plan.labels.copy(), 3),  # equal labels, not the plan's own
-            EmbeddingBatch(z, plan.labels, 4),
-        ]
-        for batch in others:
-            with pytest.raises(ConfigError, match="loss plan was built for"):
-                call(batch=batch)
+    def test_a_call_with_a_plan_runs_no_plan_side_check(self, variant):
+        _, call = planned_call(variant)
+        expected = call()
+        with mock.patch.object(losses, f"{variant}_plan", side_effect=AssertionError("plan built again")):
+            out = call()
+        assert out.value == expected.value
+        assert out.grad_embeddings.tobytes() == expected.grad_embeddings.tobytes()
 
-    @pytest.mark.parametrize("variant", ["triplet", "npairs"])
-    def test_a_plan_for_another_structure_raises(self, variant):
-        plan, call = planned_call(variant)
-        for structure in (plan.structure.copy(), plan.structure[:1]):
-            with pytest.raises(ConfigError, match="loss plan was built for"):
-                call(structure=structure)
+    @pytest.mark.parametrize("variant", ["proxynca", "softtriple", "proxyanchor"])
+    def test_a_call_with_a_plan_checks_the_values(self, variant):
+        batch, call = planned_call(variant)
+        z = Rng(55).normal(8 * 5).reshape(8, 5)
+        z[3] = 0.0  # a zero row has no direction to normalize
+        with pytest.raises(DegenerateVectorError, match="zero-norm row"):
+            call(batch=EmbeddingBatch(z, batch.labels, 3))
 
     @pytest.mark.parametrize(
         "variant, field, value",
@@ -745,37 +741,78 @@ class TestPlans:
             ("proxyanchor", "pa_delta", 0.4),
         ],
     )
-    def test_a_plan_for_another_hyperparameter_raises(self, variant, field, value):
+    def test_a_plan_built_under_another_hyperparameter_keeps_its_bits(self, variant, field, value):
+        # a plan checks the hyperparameters but holds none of their values:
+        # the forward reads them from the call
         _, call = planned_call(variant)
-        with pytest.raises(ConfigError, match="loss plan was built for"):
-            call(config=LossConfig(variant, **{field: value}))
-
-    @pytest.mark.parametrize("variant", ["proxynca", "softtriple", "proxyanchor"])
-    def test_a_plan_for_another_bank_shape_raises(self, variant):
-        _, call = planned_call(variant)
-        other = ProxyBank(l2_normalize_rows(Rng(54).normal(4 * 5).reshape(4, 5)), 4, 1)
-        with pytest.raises(ConfigError, match="loss plan was built for"):
-            call(bank=other)
-
-    @pytest.mark.parametrize("variant", METRIC)
-    def test_a_call_with_a_plan_runs_no_plan_side_check(self, variant):
-        plan, call = planned_call(variant)
-        expected = call()
-        with mock.patch.object(losses, f"{variant}_plan", side_effect=AssertionError("plan built again")):
-            out = call()
-        assert out.value == expected.value
+        other = LossConfig(variant, **{field: value})
+        out = call(config=other)
+        expected = call(config=other, plan=None)
+        assert out.value == expected.value != call().value
         assert out.grad_embeddings.tobytes() == expected.grad_embeddings.tobytes()
+        assert (out.grad_proxies is None) == (expected.grad_proxies is None)
+        if out.grad_proxies is not None:
+            assert out.grad_proxies.tobytes() == expected.grad_proxies.tobytes()
 
-    @pytest.mark.parametrize("variant", ["proxynca", "softtriple", "proxyanchor"])
-    def test_a_call_with_a_plan_checks_the_values(self, variant):
-        plan, call = planned_call(variant)
-        z = Rng(55).normal(8 * 5).reshape(8, 5)
+
+def direct_calls(variant):
+    """For the variant, embeddings that fail its value-side check, that
+    check's error, and calls of `<variant>_loss` on them with a sound plan
+    side and with a faulty one, with the error the faulty one's plan
+    raises."""
+    labels = np.array([0, 0, 1, 1, 2, 2, 0, 1])
+    z = Rng(56).normal(8 * 5).reshape(8, 5)
+    bank = ProxyBank(l2_normalize_rows(Rng(57).normal(3 * 5).reshape(3, 5)), 3, 1)
+    if variant == "triplet":
+        z[0], z[1], z[2] = 1e200, -1e200, 1e200  # d²(0, 1) overflows, d²(0, 2) is 0
+        value_error = (TrainingDivergedError, "loss value is not finite")
+    elif variant in ("npairs", "supcon"):
+        z[0], z[1] = 1e200, 1e200  # the score of the pair (0, 1) overflows
+        value_error = (DimensionError, "NaN or Inf")
+    else:
         z[3] = 0.0  # a zero row has no direction to normalize
-        with pytest.raises(DegenerateVectorError, match="zero-norm row"):
-            call(batch=EmbeddingBatch(z, plan.labels, 3))
+        value_error = (DegenerateVectorError, "zero-norm row")
+    batch = EmbeddingBatch(z, labels, 3)
+    pairs = select_npairs_pairs(labels)
+    sound, faulty, plan_error = {
+        "triplet": (
+            lambda: triplet_loss(batch, np.array([[0, 1, 2]]), 1.0),
+            lambda: triplet_loss(batch, np.array([[0, 1, 6]]), 1.0),
+            (InvalidTripletError, "share a class"),
+        ),
+        "npairs": (
+            lambda: npairs_loss(batch, pairs),
+            lambda: npairs_loss(batch, pairs[:, [0, 0]]),
+            (PairingError, "its own positive"),
+        ),
+        "supcon": (
+            lambda: supcon_loss(batch, 0.1),
+            lambda: supcon_loss(batch, 0.0),
+            (ConfigError, "tau must be positive"),
+        ),
+        "proxynca": (
+            lambda: proxynca_loss(batch, bank, 1.0),
+            lambda: proxynca_loss(batch, bank, 0.0),
+            (ConfigError, "scale must be positive"),
+        ),
+        "softtriple": (
+            lambda: softtriple_loss(batch, bank, 1.0, 0.1, 0.1),
+            lambda: softtriple_loss(batch, bank, 1.0, 0.0, 0.1),
+            (ConfigError, "gamma must be positive"),
+        ),
+        "proxyanchor": (
+            lambda: proxyanchor_loss(batch, bank, 32.0, 0.1),
+            lambda: proxyanchor_loss(batch, bank, 32.0, -0.1),
+            (ConfigError, "delta must be >= 0"),
+        ),
+    }[variant]
+    return value_error, sound, faulty, plan_error
 
-    def test_the_plan_keeps_read_only_copies(self):
-        plan, call = planned_call("triplet")
-        assert not plan.labels.flags.writeable and not plan.structure.flags.writeable
-        with pytest.raises(ValueError):
-            plan.structure[0, 0] = 1
+
+@pytest.mark.parametrize("variant", METRIC)
+def test_a_direct_call_makes_its_plan_side_checks_before_it_reads_a_value(variant):
+    (error, message), sound, faulty, (plan_error, plan_message) = direct_calls(variant)
+    with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        sound()
+    with pytest.raises(plan_error, match=plan_message):
+        faulty()

@@ -14,9 +14,9 @@ or a field of a dataclass. It counts as used where non-test code outside
 its definition passes it to the callee of that name, by keyword or by
 position (through `functools.partial` too), or names it in a string
 constant (the CLI's flag tables and the grids set fields by name); a
-field also counts as used where an attribute of its name is read or
-set. A `**` argument sets no option by itself: the keys it carries are
-named elsewhere.
+field also counts as used where an attribute of its name is assigned
+(reading a field sets nothing). A `**` argument sets no option by
+itself: the keys it carries are named elsewhere.
 
 A test module uses an imported name where it names it as `names_used`
 counts, or has a parameter of that name (pytest passes fixtures by name).
@@ -89,6 +89,11 @@ TEST_HOOKS = {
     ("harness.synth_dataset", "tokens_per_text"),
     # tests lower the cap to reach the subsampling draw on small batches
     ("losses.mine_triplets", "cap"),
+    # no non-test code sets the model sizes, which keep their defaults;
+    # tests set them to train small models
+    ("trainer.TrainConfig", "vocab_size"),
+    ("trainer.TrainConfig", "embed_dim"),
+    ("trainer.TrainConfig", "out_dim"),
 }
 
 
@@ -97,12 +102,13 @@ def name_of(func: ast.expr) -> str | None:
 
 
 def options_used(tree: ast.AST) -> Counter:
-    """Keys ("attr", name) and ("str", name) for each attribute and string
-    constant, and (callee, position) or (callee, keyword) for each argument
-    a call passes; a starred argument may fill any position, "*"."""
+    """Keys ("attr", name) and ("str", name) for each attribute assigned
+    and each string constant, and (callee, position) or (callee, keyword)
+    for each argument a call passes; a starred argument may fill any
+    position, "*"."""
     used = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
             used["attr", node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             used["str", node.value] += 1
@@ -157,6 +163,20 @@ def test_every_option_is_set_outside_the_tests():
         if (where, name) not in TEST_HOOKS and not any(used[k] > own[k] for k in keys):
             unreached.append(f"{where}({name})")
     assert not unreached, f"only tests set {unreached}"
+
+
+def test_only_the_gradient_oracle_hands_a_loss_its_plan():
+    # a loss uses its `_plan` unchecked, so its one producer must build it
+    # from the very arguments of each call it hands it to
+    naming = []
+    for folder in CALLERS:
+        for path in sorted(folder.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = names_used(tree)
+            used.update(n.arg for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.keyword)))
+            if used["_plan"] and path != PACKAGE / "losses.py":
+                naming.append(path.relative_to(ROOT).as_posix())
+    assert naming == ["src/dmlbench/gradcheck.py"]
 
 
 def test_every_test_hook_is_still_an_option():

@@ -20,6 +20,14 @@ each cell takes its training and test texts from that pack by index
 itself. Each training epoch takes its shuffled order from the pack once,
 and each step's batch is a run of views of that epoch (`TokenBatch.view`).
 `forward_batch` embeds a packed batch.
+
+The index work of a pass depends only on which texts a batch holds, so a
+pack builds it once (`TokenBatch`'s step layouts) and a view slices its
+parent's: an epoch's steps build no index array of their own. The layouts
+change no bit. Each text is still summed over its own column, in token
+order from +0.0; the spare text's sum is dropped; and `backward_batch`
+scatters the same (text, row) terms in the same order (`add_rows_at`), so
+a batch's bits do not depend on whether it was packed, taken or viewed.
 """
 
 from __future__ import annotations
@@ -259,9 +267,32 @@ class TokenBatch:
     included, with index arrays, and `view` slices a run of consecutive
     texts without a copy. A plain class with slots: one is built at every
     training step, and the class adds next to nothing to the package's
-    import time."""
+    import time.
 
-    __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_offsets")
+    Step layouts. The index work of `forward_batch` and `backward_batch`
+    depends only on which texts a batch holds. A pack builds it once, when
+    a pass or a view first needs it (`_layouts`); a view slices its
+    parent's and never builds its own. An epoch of training is one pack
+    (`take`), so its layouts are built once per epoch, and each step's
+    batch, a view, only slices them. They are:
+
+    * the gathers, one (texts, at) per text length l: the indices of the
+      n texts of that length, in order, and their ids position-major,
+      (l, n + 1): column j holds text j's ids in token order, and the last
+      column a spare text's (the length's first). A view's texts of one
+      length are a run of its parent's, so its gather is a run of the
+      parent's columns with the column after it as its spare, and its text
+      indices are counted from the view's first text;
+    * the shares, (P,): each (text, row) pair's count over its text's
+      length, the weight of the text's pooled gradient on that row.
+
+    A column holds exactly its text's ids and a share exactly count /
+    length, so a view's passes give the bits of the same texts packed
+    alone. The layouts hold about as many entries as the pack's ids and
+    pairs.
+    """
+
+    __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_offsets", "_layout")
 
     def __init__(self, ids, lengths, rows, counts, widths):
         self.ids = ids  # (T,) every text's token ids, one text after another
@@ -270,6 +301,7 @@ class TokenBatch:
         self.counts = counts  # (P,) occurrences of each of those ids in its text
         self.widths = widths  # (L,) distinct ids per text
         self._offsets = None  # where each text's ids and pairs start, and where the last ends
+        self._layout = None  # (gathers, shares), see the class docstring
 
     def __len__(self) -> int:
         return self.lengths.size
@@ -281,6 +313,23 @@ class TokenBatch:
                 np.concatenate(([0], np.cumsum(n))) for n in (self.lengths, self.widths)
             )
         return self._offsets
+
+    def _layouts(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """(gathers, shares), the step layouts (see the class docstring),
+        built once."""
+        if self._layout is None:
+            self._layout = self._build_layouts()
+        return self._layout
+
+    def _build_layouts(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+        """The step layouts of this pack, from its own arrays."""
+        starts = self._text_offsets()[0][:-1]
+        gathers = []
+        for length in np.unique(self.lengths):
+            texts = np.flatnonzero(self.lengths == length)
+            at = np.append(starts[texts], starts[texts[0]]) + np.arange(length)[:, None]
+            gathers.append((texts, self.ids[at]))
+        return gathers, self.counts / np.repeat(self.lengths, self.widths)
 
     def take(self, chosen) -> TokenBatch:
         """The texts `chosen` (indices into this batch), in that order."""
@@ -295,12 +344,21 @@ class TokenBatch:
     def view(self, first: int, stop: int) -> TokenBatch:
         """The texts first .. stop - 1 (0 <= first <= stop <= len), as views
         of this batch's arrays, with no gather: the values that
-        `take(np.arange(first, stop))` holds."""
+        `take(np.arange(first, stop))` holds. Its step layouts are slices
+        of this batch's, which are built here if they are not yet."""
         ids, pairs = (slice(at[first], at[stop]) for at in self._text_offsets())
-        return TokenBatch(
+        part = TokenBatch(
             self.ids[ids], self.lengths[first:stop],
             self.rows[pairs], self.counts[pairs], self.widths[first:stop],
         )
+        gathers, shares = self._layouts()
+        part_gathers = []
+        for texts, at in gathers:
+            a, b = texts.searchsorted((first, stop))
+            if a < b:
+                part_gathers.append((texts[a:b] - first, at[:, a : b + 1]))
+        part._layout = (part_gathers, shares[pairs])
+        return part
 
 
 def pack_tokens(token_lists: Iterable[list[int]]) -> TokenBatch:
@@ -341,26 +399,26 @@ def forward_batch(params: EncoderParams, batch: TokenBatch) -> tuple[np.ndarray,
     packed batch of texts (`pack_tokens`, `TokenBatch.take`), shape (L, d),
     with the cache for backward_batch.
 
-    The texts are pooled by length, up to _POOL_TEXTS at a time: one gather
-    of their rows, position-major (l, n + 1, E) with a spare text, and
-    np.add.reduce over axis 0 from +0.0 sum each text in token order, in
-    memory near a training batch's. The spare text keeps the summed axis
-    from being the contiguous one (E = 1, one text), which numpy sums
-    pairwise. Only the gathered rows are settled (see EncoderParams).
+    The texts are pooled by length, up to _POOL_TEXTS at a time, through
+    the batch's gathers (see TokenBatch): one gather of the table rows of
+    a run of columns and the column after it, a spare text, position-major
+    (l, n + 1, E), and np.add.reduce over axis 0 from +0.0 sum each text
+    in its own column, in token order, in memory near a training batch's.
+    The spare's sum is dropped, and no column reads another, so which text
+    is the spare changes no bit; it keeps the summed axis from being the
+    contiguous one (E = 1, one text), which numpy sums pairwise. Only the
+    gathered rows are settled (see EncoderParams).
     """
     if not len(batch):
         raise DimensionError("need at least one text")
-    ids, lengths = batch.ids, batch.lengths
-    starts = np.cumsum(lengths) - lengths
-    table = params.table_for(ids)
+    table = params.table_for(batch.ids)
     sums = np.empty((len(batch), params.embed_dim))
-    for length in np.unique(lengths):
-        same = np.flatnonzero(lengths == length)
-        for first in range(0, same.size, _POOL_TEXTS):
-            texts = same[first : first + _POOL_TEXTS]
-            at = np.append(starts[texts], starts[texts[0]]) + np.arange(length)[:, None]
-            sums[texts] = np.add.reduce(table[ids[at]], axis=0, initial=0.0)[:-1]
-    pooled = sums / lengths[:, None]
+    for texts, at in batch._layouts()[0]:
+        for first in range(0, texts.size, _POOL_TEXTS):
+            stop = first + _POOL_TEXTS
+            rows = table[at[:, first : stop + 1]]
+            sums[texts[first:stop]] = np.add.reduce(rows, axis=0, initial=0.0)[:-1]
+    pooled = sums / batch.lengths[:, None]
     z = np.tanh(pooled @ params.projection + params.projection_bias)
     return z, ForwardCache(batch, pooled, z)
 
@@ -375,21 +433,23 @@ def backward_batch(
     head gradient. Nothing of the table is read or settled.
 
     Each text's pooled gradient is distributed over its embedding rows in
-    proportion to how often the row's token occurs in the text. The
-    (text, row) pairs come from the batch, counted when it was packed, in
-    (text, row) order; one add_rows_at scatters them in that order, so
-    every table row sums its texts' terms in text order. Every product
-    keeps its operand layouts: a GEMM can round otherwise.
+    proportion to how often the row's token occurs in the text: repeated
+    once per (text, row) pair and scaled by the pair's share, which the
+    batch's layout holds (see TokenBatch). The pairs come from the batch,
+    counted when it was packed, in (text, row) order; one add_rows_at
+    scatters them in that order, so every table row sums its texts' terms
+    in text order. Every product keeps its operand layouts: a GEMM can
+    round otherwise.
     """
     z, batch = cache.embeddings, cache.batch
     grad_u = np.asarray(grad_embeddings, dtype=np.float64) * (1.0 - z * z)  # through tanh
     np.matmul(cache.pooled.T, grad_u, out=grads["projection"])
     np.add.reduce(grad_u, axis=0, out=grads["projection_bias"])
     grad_pooled = grad_u @ params.projection.T  # (L, d_emb)
-    texts = np.repeat(np.arange(len(batch)), batch.widths)
-    shares = batch.counts / batch.lengths[texts]
+    terms = np.repeat(grad_pooled, batch.widths, axis=0)
+    terms *= batch._layouts()[1][:, None]
     grads["embedding_table"].fill(0.0)
-    add_rows_at(grads["embedding_table"], batch.rows, shares[:, None] * grad_pooled[texts])
+    add_rows_at(grads["embedding_table"], batch.rows, terms)
 
 
 def save_encoder(params: EncoderParams, path) -> None:

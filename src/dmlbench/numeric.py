@@ -36,6 +36,7 @@ X86_V4 loops and with them disabled down to AVX2
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -45,6 +46,11 @@ from .errors import ConfigError, DegenerateVectorError, DimensionError, OracleFa
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# `_mix64`'s and `Rng._uniforms_at`'s constants as numpy scalars, made once
+# rather than on every draw
+_GOLDEN64 = np.uint64(_GOLDEN)
+_MIX_A, _MIX_B = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_U11, _U27, _U30, _U31 = (np.uint64(shift) for shift in (11, 27, 30, 31))
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 CHOICE_SCAN = 32  # Rng.choice looks for its colliding steps from this many draws on
@@ -165,13 +171,28 @@ def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> Non
     """target[rows[i]] += values[i] for i in order, so a row named several
     times adds its terms in the order given. One np.add.at over the flat
     element indices, which numpy runs much faster than the row-indexed
-    form. `target` must be C-contiguous: it is updated through a flat view,
-    and any other layout raises ValueError rather than update a copy."""
+    form. The indices are the rows `rows` of the target shape's index
+    table (`_flat_index`), taken in order: row r's r * width .. r * width +
+    width - 1, one row after another, so every term meets its entry in the
+    order given; the table is made once per shape, so a call only takes
+    from it. `target` must be C-contiguous: it is updated through a flat
+    view, and any other layout raises ValueError rather than update a
+    copy."""
     if not target.flags.c_contiguous:
         raise ValueError("add_rows_at needs a C-contiguous target")
-    width = target.shape[1]
-    flat = (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
-    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+    flat = _flat_index(*target.shape).take(rows, axis=0)
+    np.add.at(target.reshape(-1), flat.reshape(-1), values.reshape(-1))
+
+
+@functools.lru_cache(maxsize=8)
+def _flat_index(height: int, width: int) -> np.ndarray:
+    """The flat index of each entry of a C-ordered (height, width) array,
+    read-only: row r holds r * width .. r * width + width - 1. The memo is
+    bounded, a training run's table and loss batch shapes fit in it, and
+    an index depends on the shape alone, so it holds no state of any run."""
+    index = np.arange(height * width).reshape(height, width)
+    index.flags.writeable = False
+    return index
 
 
 def block_views(flat: np.ndarray, blocks) -> dict[str, np.ndarray]:
@@ -298,9 +319,9 @@ def _mix64_int(x: int) -> int:
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return x ^ (x >> np.uint64(31))
+    x = (x ^ (x >> _U30)) * _MIX_A
+    x = (x ^ (x >> _U27)) * _MIX_B
+    return x ^ (x >> _U31)
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -334,8 +355,8 @@ class Rng:
     def _uniforms_at(self, positions: np.ndarray) -> np.ndarray:
         """The uniforms of the draws at `positions` (uint64 counter values):
         the top 53 bits of each raw draw / 2**53."""
-        raw = _mix64(np.uint64(self.seed) + positions * np.uint64(_GOLDEN))
-        u = (raw >> np.uint64(11)).astype(np.float64)
+        raw = _mix64(np.uint64(self.seed) + positions * _GOLDEN64)
+        u = (raw >> _U11).astype(np.float64)
         return u / 9007199254740992.0
 
     def random(self, n: int | None = None):

@@ -60,6 +60,7 @@ from dmlbench import losses, trainer
 from dmlbench.encoder import (
     BLOCK_NAMES,
     EncoderParams,
+    TokenBatch,
     backward_batch,
     block_shapes,
     forward_batch,
@@ -925,6 +926,39 @@ def test_view_matches_take_on_ragged_packs(case, data):
         assert same_bits(new[name], old[name]), name
 
 
+def test_each_pack_builds_its_step_layouts_once():
+    # an epoch pack builds its gathers and shares once; its views slice
+    # them, and forward_batch and backward_batch only read them. 150 texts
+    # of 1 to 5 tokens, three in four of them 3, so the 3-token run of a
+    # long view spans more than one of forward_batch's gathers of 64 texts
+    texts = [[i % 7, i * 3 % 7, 2] if i % 4 else [i % 7] * (1 + i % 5) for i in range(150)]
+    params = init_encoder(3, 7, 4, 5, Rng(23))
+    epoch = pack_tokens(texts).take(Rng(24).permutation(len(texts)))
+    order = Rng(24).permutation(len(texts))
+    built = []
+    build = TokenBatch._build_layouts
+
+    def counted(batch):
+        built.append(batch)
+        return build(batch)
+
+    with mock.patch.object(TokenBatch, "_build_layouts", counted):
+        for first, stop in [(0, 100), (100, 150), (3, 150), (149, 150), (0, 100)]:
+            view = epoch.view(first, stop)
+            lists = [texts[i] for i in order[first:stop]]
+            for _ in range(2):
+                assert_same_encoder(params, view, lists, first)
+    assert len(built) == 1 and built[0] is epoch
+
+    # train's epochs are one pack each, with 3 steps apiece
+    built.clear()
+    data = synth_dataset(2, 20, seed=5)
+    config = TrainConfig(loss=LossConfig("triplet"), epochs=2, batch_size=8, seed=5)
+    with mock.patch.object(TokenBatch, "_build_layouts", counted):
+        train(data.texts, data.labels, data.num_classes, config)
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 def full_table(params, way):
     """The whole table, read through one of the paths that settle it all."""
     if way == "embedding_table":
@@ -1149,10 +1183,24 @@ def test_training_with_live_rows_matches_dense_adamw(variant):
     assert_same_training(train(data.texts, data.labels, data.num_classes, config), reference)
 
 
+@st.composite
+def ragged_texts(draw):
+    """6 to 24 texts, no multiple of 8 of them, each 1 to 20 words from a
+    small pool, so words repeat, and at least one blank text (tokenize
+    maps it to [0]); labelled 0, 1, 0, ... in order."""
+    word = st.sampled_from(["red", "green", "blue", "cyan", "gold", "grey"])
+    blank = st.sampled_from(["", "  ", "?!"])
+    n = draw(st.integers(6, 24).filter(lambda n: n % 8))
+    text = st.one_of(st.lists(word, min_size=1, max_size=20).map(" ".join), blank)
+    texts = draw(st.lists(text, min_size=n - 1, max_size=n - 1))
+    texts.insert(draw(st.integers(0, n - 1)), draw(blank))
+    return texts, [i % 2 for i in range(n)]
+
+
 @SETTINGS
 @given(
     variant=st.sampled_from(VARIANTS),
-    texts=st.integers(6, 24),
+    texts=st.one_of(st.integers(6, 24), ragged_texts()),
     vocab=st.integers(16, 400),
     weight_decay=st.sampled_from([0.0, 0.01]),
     signed_zeros=st.booleans(),
@@ -1165,8 +1213,14 @@ def test_compact_training_matches_dense_training(
     # the vocab sizes put the share of rows the texts use on both sides of
     # one half; clip_ulps puts clip_norm at the first step's dense gradient
     # norm or one ulp either side of it, where only the dense sum of squares
-    # decides whether clipping fires
-    data = synth_dataset(2, texts, seed=seed)
+    # decides whether clipping fires. `texts` is a number of synthetic
+    # 8-token texts, or ragged texts with their labels, which the last,
+    # short batch of each epoch and the texts' mixed lengths split unevenly
+    if isinstance(texts, int):
+        data = synth_dataset(2, texts, seed=seed)
+        texts, labels = data.texts, data.labels
+    else:
+        texts, labels = texts
     config = TrainConfig(
         loss=LossConfig(variant, beta=0.5), epochs=2, batch_size=8, seed=seed,
         vocab_size=vocab, weight_decay=weight_decay,
@@ -1182,11 +1236,11 @@ def test_compact_training_matches_dense_training(
 
     with mock.patch.object(trainer, "init_encoder", init_with_signed_zeros):
         if clip_ulps is not None:
-            norm = dense_train(data.texts, data.labels, data.num_classes, config)[3][0]
+            norm = dense_train(texts, labels, 2, config)[3][0]
             clip = norm if clip_ulps == 0 else np.nextafter(norm, np.inf * clip_ulps)
             config = dataclasses.replace(config, clip_norm=float(clip))
-        reference = dense_train(data.texts, data.labels, data.num_classes, config)
-        model = train(data.texts, data.labels, data.num_classes, config)
+        reference = dense_train(texts, labels, 2, config)
+        model = train(texts, labels, 2, config)
     assert_same_training(model, reference)
 
 

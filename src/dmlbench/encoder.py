@@ -18,16 +18,17 @@ in a bounded memo (`_token_hash`).
 each cell takes its training and test texts from that pack by index
 (`TokenBatch.take`); `dmlbench.trainer.train` packs a list of texts
 itself. Each training epoch takes its shuffled order from the pack once,
-and each step's batch is a run of views of that epoch (`TokenBatch.view`).
-`forward_batch` embeds a packed batch.
+and cuts that epoch pack into its step batches, runs of views of it, in
+one pass (`TokenBatch.split`). `forward_batch` embeds a packed batch.
 
 The index work of a pass depends only on which texts a batch holds, so a
-pack builds it once (`TokenBatch`'s step layouts) and a view slices its
-parent's: an epoch's steps build no index array of their own. The layouts
-change no bit. Each text is still summed over its own column, in token
-order from +0.0; the spare text's sum is dropped; and `backward_batch`
-scatters the same (text, row) terms in the same order (`add_rows_at`), so
-a batch's bits do not depend on whether it was packed, taken or viewed.
+pack builds it once (`TokenBatch`'s step layouts) and each batch split
+from it slices its parent's: an epoch's steps build no index array of
+their own. The layouts change no bit. Each text is still summed over its
+own column, in token order from +0.0; the spare text's sum is dropped; and
+`backward_batch` scatters the same (text, row) terms in the same order
+(`add_rows_at`), so a batch's bits do not depend on whether it was packed,
+taken or split.
 """
 
 from __future__ import annotations
@@ -264,32 +265,32 @@ class TokenBatch:
     per-text lengths, and each text's (row, count) pairs, its distinct ids
     in increasing order with how often each occurs in it. The pairs are
     counted once per pack; `take` gathers a batch of texts, pairs
-    included, with index arrays, and `view` slices a run of consecutive
-    texts without a copy. A plain class with slots: one is built at every
-    training step, and the class adds next to nothing to the package's
-    import time.
+    included, with index arrays, and `split` cuts the texts into runs of
+    consecutive texts without a copy. A plain class with slots: one is
+    built at every training step, and the class adds next to nothing to
+    the package's import time.
 
     Step layouts. The index work of `forward_batch` and `backward_batch`
     depends only on which texts a batch holds. A pack builds it once, when
-    a pass or a view first needs it (`_layouts`); a view slices its
-    parent's and never builds its own. An epoch of training is one pack
-    (`take`), so its layouts are built once per epoch, and each step's
-    batch, a view, only slices them. They are:
+    a pass or a split first needs it (`_layouts`); a batch split from it
+    slices its parent's and never builds its own. An epoch of training is
+    one pack (`take`), so its layouts are built once per epoch, and each
+    step's batch, split from it, only slices them. They are:
 
     * the gathers, one (texts, at) per text length l: the indices of the
       n texts of that length, in order, and their ids position-major,
       (l, n + 1): column j holds text j's ids in token order, and the last
-      column a spare text's (the length's first). A view's texts of one
-      length are a run of its parent's, so its gather is a run of the
+      column a spare text's (the length's first). A split batch's texts of
+      one length are a run of its parent's, so its gather is a run of the
       parent's columns with the column after it as its spare, and its text
-      indices are counted from the view's first text;
+      indices are counted from the batch's first text;
     * the shares, (P,): each (text, row) pair's count over its text's
       length, the weight of the text's pooled gradient on that row.
 
     A column holds exactly its text's ids and a share exactly count /
-    length, so a view's passes give the bits of the same texts packed
-    alone. The layouts hold about as many entries as the pack's ids and
-    pairs.
+    length, so a split batch's passes give the bits of the same texts
+    packed alone. The layouts hold about as many entries as the pack's ids
+    and pairs.
     """
 
     __slots__ = ("ids", "lengths", "rows", "counts", "widths", "_offsets", "_layout")
@@ -341,24 +342,32 @@ class TokenBatch:
             self.rows[pairs], self.counts[pairs], self.widths[chosen],
         )
 
-    def view(self, first: int, stop: int) -> TokenBatch:
-        """The texts first .. stop - 1 (0 <= first <= stop <= len), as views
-        of this batch's arrays, with no gather: the values that
-        `take(np.arange(first, stop))` holds. Its step layouts are slices
-        of this batch's, which are built here if they are not yet."""
-        ids, pairs = (slice(at[first], at[stop]) for at in self._text_offsets())
-        part = TokenBatch(
-            self.ids[ids], self.lengths[first:stop],
-            self.rows[pairs], self.counts[pairs], self.widths[first:stop],
-        )
+    def split(self, size: int) -> list[TokenBatch]:
+        """The texts in runs of `size` (size >= 1; the last run may be
+        shorter), each as views of this batch's arrays with no gather: run k
+        holds the values that `take(np.arange(k * size, min((k + 1) * size,
+        len)))` holds. The offsets and each length's cuts are read once for
+        all the runs. Their step layouts are slices of this batch's, which
+        are built here if they are not yet."""
+        cuts = list(range(0, len(self), size)) + [len(self)]
+        id_at, pair_at = (offsets[cuts].tolist() for offsets in self._text_offsets())
         gathers, shares = self._layouts()
-        part_gathers = []
-        for texts, at in gathers:
-            a, b = texts.searchsorted((first, stop))
-            if a < b:
-                part_gathers.append((texts[a:b] - first, at[:, a : b + 1]))
-        part._layout = (part_gathers, shares[pairs])
-        return part
+        gather_cuts = [(texts, at, texts.searchsorted(cuts).tolist()) for texts, at in gathers]
+        parts = []
+        for k, (first, stop) in enumerate(zip(cuts, cuts[1:])):
+            ids, pairs = slice(id_at[k], id_at[k + 1]), slice(pair_at[k], pair_at[k + 1])
+            part = TokenBatch(
+                self.ids[ids], self.lengths[first:stop],
+                self.rows[pairs], self.counts[pairs], self.widths[first:stop],
+            )
+            part_gathers = []
+            for texts, at, at_cut in gather_cuts:
+                a, b = at_cut[k], at_cut[k + 1]
+                if a < b:
+                    part_gathers.append((texts[a:b] - first, at[:, a : b + 1]))
+            part._layout = (part_gathers, shares[pairs])
+            parts.append(part)
+        return parts
 
 
 def pack_tokens(token_lists: Iterable[list[int]]) -> TokenBatch:
@@ -406,19 +415,27 @@ def forward_batch(params: EncoderParams, batch: TokenBatch) -> tuple[np.ndarray,
     in its own column, in token order, in memory near a training batch's.
     The spare's sum is dropped, and no column reads another, so which text
     is the spare changes no bit; it keeps the summed axis from being the
-    contiguous one (E = 1, one text), which numpy sums pairwise. Only the
-    gathered rows are settled (see EncoderParams).
+    contiguous one (E = 1, one text), which numpy sums pairwise. The sums
+    are scattered to their texts' rows and divided by each text's length.
+    When every text has one length, as in a training batch of texts of a
+    fixed size, the one gather holds the batch's texts in order: the sums
+    are written straight to their rows and divided by that length, a
+    scalar, with the same bits. Only the gathered rows are settled (see
+    EncoderParams).
     """
     if not len(batch):
         raise DimensionError("need at least one text")
     table = params.table_for(batch.ids)
-    sums = np.empty((len(batch), params.embed_dim))
-    for texts, at in batch._layouts()[0]:
+    gathers = batch._layouts()[0]
+    one_run = len(gathers) == 1  # one length: its texts are the batch's, in order
+    pooled = np.empty((len(batch), params.embed_dim))  # each text's sum, then its mean
+    for texts, at in gathers:
         for first in range(0, texts.size, _POOL_TEXTS):
             stop = first + _POOL_TEXTS
             rows = table[at[:, first : stop + 1]]
-            sums[texts[first:stop]] = np.add.reduce(rows, axis=0, initial=0.0)[:-1]
-    pooled = sums / batch.lengths[:, None]
+            into = slice(first, stop) if one_run else texts[first:stop]
+            pooled[into] = np.add.reduce(rows, axis=0, initial=0.0)[:-1]
+    pooled /= int(batch.lengths[0]) if one_run else batch.lengths[:, None]
     z = np.tanh(pooled @ params.projection + params.projection_bias)
     return z, ForwardCache(batch, pooled, z)
 

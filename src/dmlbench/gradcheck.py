@@ -121,16 +121,17 @@ def probe(config: LossConfig, batch: EmbeddingBatch, bank: ProxyBank | None, str
     bank) at the flat embeddings (then the proxies) x, with `batch`'s own
     labels and `structure`, and reads only its value, so it forms no
     gradient; x0 is that vector for `batch` and `bank`, and analytic is
-    the call's gradient there, read at once. Every call still runs the
-    loss's checks on the embedding and proxy values."""
+    the call's gradient there, read at once. The labels were checked when
+    `batch` was built, and a new batch takes them unchecked
+    (`EmbeddingBatch.with_embeddings`); every call still checks the shape
+    and finiteness of its embeddings and runs the loss's checks on the
+    embedding and proxy values."""
     spec = LOSSES[config.variant]
     plan = spec.plan(batch, config, bank, structure)
-    shape, labels, classes = batch.embeddings.shape, batch.labels, batch.num_classes
-    n_emb = batch.embeddings.size
+    shape, n_emb = batch.embeddings.shape, batch.embeddings.size
 
     def loss(embeddings, at):
-        b = EmbeddingBatch(embeddings, labels, classes)
-        return spec.call(b, config, at, structure, _plan=plan)
+        return spec.call(batch.with_embeddings(embeddings), config, at, structure, _plan=plan)
 
     def f(flat):
         if bank is None:

@@ -62,8 +62,10 @@ How the bits are kept, in all four:
 * a product the loop took per anchor or pair is a stacked matmul whose
   slices are the gemv the loop ran;
 * where the loop scattered terms onto a zeroed gradient in order, the
-  terms sit in one (1+B, rows, d) array after the running sum, and
-  `np.add.reduce(axis=0)` adds them in that order;
+  terms sit in one (1+B, rows, d) array after the running sum (supcon's
+  transposed, (1+B, d, rows)), and `np.add.reduce(axis=0)` adds them in
+  that order: each entry's sum runs over axis 0 one term after another,
+  whatever the layout of the other two axes;
 * the value adds its terms one by one in a Python loop, in the loop's
   order.
 
@@ -76,6 +78,7 @@ comparisons under both).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -123,8 +126,19 @@ class EmbeddingBatch:
             raise DimensionError("batch needs at least one row and one dimension")
         if self.num_classes < 1:
             raise LabelError("num_classes must be >= 1")
-        if (self.labels < 0).any() or (self.labels >= self.num_classes).any():
+        if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise LabelError(f"labels must lie in [0, {self.num_classes})")
+
+    def with_embeddings(self, embeddings) -> EmbeddingBatch:
+        """This batch's labels and classes at other embeddings of the same
+        shape, which are checked as the constructor checks them; the
+        labels, checked already, are not checked again."""
+        embeddings = as_matrix(embeddings)
+        if embeddings.shape != self.embeddings.shape:
+            raise DimensionError(f"embeddings of shape {embeddings.shape}, not {self.embeddings.shape}")
+        moved = object.__new__(EmbeddingBatch)
+        moved.embeddings, moved.labels, moved.num_classes = embeddings, self.labels, self.num_classes
+        return moved
 
     @property
     def size(self) -> int:
@@ -150,7 +164,7 @@ class LossOutput:
     def __init__(self, value, grad_embeddings=None, grad_proxies=None, *, backward=None):
         # a non-finite loss is a diverging run, which poisons its grid cell
         self.value = float(value)
-        if not np.isfinite(self.value):
+        if not math.isfinite(self.value):
             raise TrainingDivergedError("loss value is not finite")
         self._backward = backward
         self._grads = None if backward is not None else _finite_gradients(grad_embeddings, grad_proxies)
@@ -249,14 +263,16 @@ def cce_loss(probs, labels) -> LossOutput:
     probs = as_matrix(probs)
     labels = np.asarray(labels, dtype=np.int64)
     n, c = probs.shape
+    if n == 0:
+        raise DimensionError("need at least one probability row")
     if labels.shape != (n,):
         raise DimensionError("labels must align with probability rows")
-    if (labels < 0).any() or (labels >= c).any():
+    if labels.min() < 0 or labels.max() >= c:
         raise LabelError(f"labels must lie in [0, {c})")
     row_sums = probs.sum(axis=1)
     if (np.abs(row_sums - 1.0) > 1e-9).any():
         raise ConfigError("probability rows must sum to 1")
-    picked = np.clip(probs[np.arange(n), labels], PROB_FLOOR, 1.0)
+    picked = np.minimum(np.maximum(probs[np.arange(n), labels], PROB_FLOOR), 1.0)
     value = -float(np.log(picked).sum()) / n
     grad = probs.copy()
     grad[np.arange(n), labels] -= 1.0
@@ -518,6 +534,15 @@ def select_npairs_pairs(labels, rng: Rng | None = None) -> np.ndarray:
 # supervised contrastive
 
 
+def _off_diagonal(m: np.ndarray) -> np.ndarray:
+    """The entries off the diagonal of a C-ordered (L, L) matrix, as an
+    (L-1, L) view of its flat data: in row-major order they are each row
+    without its diagonal entry, row after row, which is (L, L-1) in that
+    order."""
+    length = m.shape[0]
+    return m.reshape(-1)[1:].reshape(length - 1, length + 1)[:, :length]
+
+
 def rows_with_a_positive(labels) -> np.ndarray:
     """The rows whose class has another member in the batch, ascending: the
     anchors of supervised contrastive learning, as an int64 array."""
@@ -570,7 +595,10 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, _plan: tuple | None = None
       the diagonal, C-ordered (B, L-1), and its log-sum-exp is
       `log_sum_exp_rows`, which raises exactly when the 1-D call on an
       anchor's row did (a non-anchor's row, inf self-similarity included,
-      is never read);
+      is never read). When a block's anchors are all L rows, those rows
+      are read, and the gradient's spread of them written, through the
+      flat (L-1, L+1) view of the off-diagonal entries (`_off_diagonal`),
+      which holds the same entries in the same order as the fancy index;
     * the mean over an anchor's positives stays a row sum per anchor, one
       class at a time, since all of a class's anchors have the same count:
       padding rows of different counts to one width would regroup numpy's
@@ -578,10 +606,13 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, _plan: tuple | None = None
     * the anchor's own gradient row is one stacked (B, 1, L-1) @
       (B, L-1, d) matmul, the same gemv per anchor as a 1-D @ 2-D product;
     * the terms of every gradient row (its own term at its anchor's place,
-      the other anchors' outer products elsewhere) sit in one (1+B, L, d)
-      array after the running sum, which starts at zeros; and
+      the other anchors' outer products elsewhere) sit transposed in one
+      (1+B, d, L) array after the running sum, which starts at zeros and
+      is kept transposed, (d, L), until the last block; and
       `np.add.reduce(axis=0)` adds them in anchor order, as the scatter
-      onto a zeroed gradient did;
+      onto a zeroed gradient did. The layout leaves each product, quotient
+      and sum as it was, and gives the outer products' broadcast an inner
+      loop of L entries, not d;
     * the value adds each anchor's term in a Python loop, in order.
 
     The equality with the per-anchor loop was seen with numpy 2.4.6 on
@@ -595,7 +626,10 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, _plan: tuple | None = None
     value = 0.0
     blocks = []  # per block: its anchors' intermediates
     for block, others, positive, classes in parts:
-        rows = sims[block[:, None], others]
+        if block.size == length:  # every row an anchor
+            rows = _off_diagonal(sims).reshape(length, length - 1)
+        else:
+            rows = sims[block[:, None], others]
         lse = log_sum_exp_rows(rows)
         means = np.empty(block.size)
         for members, mask in classes:
@@ -606,19 +640,27 @@ def supcon_loss(batch: EmbeddingBatch, tau: float, *, _plan: tuple | None = None
         blocks.append((block, others, rows, lse, positive))
 
     def backward():
-        grad = np.zeros_like(z)
+        grad_t = np.zeros((z.shape[1], length))  # the running sum, transposed
         for block, others, rows, lse, positive in blocks:
             count = block.size
             coeff = np.exp(rows - lse[:, None])
             coeff = np.where(positive, coeff - 1.0 / positive.sum(axis=1)[:, None], coeff)
             spread = np.zeros((count, length))  # coeff at each anchor's others, 0 at the anchor
-            spread[np.arange(count)[:, None], others] = coeff
-            terms = np.empty((count + 1, length, z.shape[1]))
-            terms[0] = grad
-            np.multiply(spread[:, :, None], z[block][:, None, :], out=terms[1:])  # outer products
+            if count == length:
+                _off_diagonal(spread)[...] = coeff.reshape(length - 1, length)
+            else:
+                spread[np.arange(count)[:, None], others] = coeff
+            # the (B, L-1, d) rows of the anchors' gemvs are freed before
+            # terms is made: one such array at a time
+            own = (coeff[:, None, :] @ z.take(others, axis=0))[:, 0, :] / tau
+            terms = np.empty((count + 1, z.shape[1], length))  # transposed: (1+B, d, L)
+            terms[0] = grad_t
+            np.multiply(spread[:, None, :], z[block][:, :, None], out=terms[1:])  # outer products
             terms[1:] /= tau
-            terms[1 + np.arange(count), block] = (coeff[:, None, :] @ z.take(others, axis=0))[:, 0, :] / tau
-            np.add.reduce(terms, axis=0, out=grad)
+            terms[1 + np.arange(count), :, block] = own
+            np.add.reduce(terms, axis=0, out=grad_t)
+        grad = np.empty_like(z)
+        grad[...] = grad_t.T
         return grad, None
 
     return LossOutput(value, backward=backward)
@@ -778,7 +820,7 @@ def softtriple_loss(
     logits = scale * relaxed
     logits[rows, batch.labels] -= scale * delta
     probs = softmax_rows(logits)
-    picked = np.clip(probs[rows, batch.labels], PROB_FLOOR, 1.0)
+    picked = np.minimum(np.maximum(probs[rows, batch.labels], PROB_FLOOR), 1.0)
     value = -float(np.log(picked).sum()) / n
 
     def backward():

@@ -47,7 +47,7 @@ from .encoder import (
     pack_tokens,
     tokenize,
 )
-from .errors import ConfigError, ScheduleError, TrainingDivergedError
+from .errors import ConfigError, DegenerateVectorError, ScheduleError, TrainingDivergedError
 from .losses import (
     EmbeddingBatch,
     LossConfig,
@@ -95,13 +95,14 @@ class AdamW:
     moments' blocks); a step runs its ufunc chain once over the whole
     vector, into two work vectors with ``out=``, in the order of the form
 
-        g = grad * scale
+        g = grad * scale   (g is grad itself when the scale is 1.0)
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g²
         param -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd param)
 
     entry by entry, so the result is that of a step block by block, to the
-    bit. The clip norm's sum of squares is taken block by block, in order,
-    unless one dot product of the gradient with itself rules clipping out.
+    bit; a scale of 1.0 takes no pass, as x * 1.0 is x. The clip norm's sum
+    of squares is taken block by block, in order, unless one dot product
+    of the gradient with itself rules clipping out.
 
     Sparse blocks. ``sparse`` maps a block name to ``(rows, total)``: the
     block holds the rows ``rows`` (increasing) of a table of ``total``
@@ -178,14 +179,15 @@ class AdamW:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        np.multiply(grad, scale, out=g)
+        if scale != 1.0:
+            grad = np.multiply(grad, scale, out=g)
         m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+        m += np.multiply(grad, 1.0 - ADAM_BETA1, out=tmp)
         v *= ADAM_BETA2
-        np.square(g, out=tmp)
+        np.square(grad, out=tmp)
         tmp *= 1.0 - ADAM_BETA2
         v += tmp
-        update = np.divide(m, bc1, out=g)  # g is not needed any more
+        update = np.divide(m, bc1, out=g)  # the scaled gradient is not needed any more
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += ADAM_EPS
@@ -257,8 +259,8 @@ def train(
     them made so (a grid packs its dataset once and passes each cell a
     `TokenBatch.take` of it); a pack with an id outside the vocabulary is
     refused with ConfigError. Both give the same bits. Each epoch takes
-    its shuffled order from the pack once, and each step's batch is a run
-    of views of that epoch pack (`TokenBatch.view`).
+    its shuffled order from the pack once and cuts that epoch pack into its
+    step batches, views of it, in one pass (`TokenBatch.split`).
 
     Compact table. The encoder comes from `init_encoder`, so the init
     stream is that of every other run, but only the R table rows that the
@@ -278,7 +280,7 @@ def train(
     n = len(texts)
     if n == 0 or labels.shape != (n,):
         raise ConfigError("texts and labels must be non-empty and aligned")
-    if num_classes < 1 or np.any(labels < 0) or np.any(labels >= num_classes):
+    if num_classes < 1 or labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError("labels must lie in [0, num_classes)")
     loss_cfg = config.loss
     w = config.ce_weight
@@ -333,10 +335,9 @@ def train(
     for _epoch in range(config.epochs):
         order = shuffle_rng.permutation(n)
         epoch, epoch_labels = packed.take(order), labels[order]
-        for start in range(0, n, config.batch_size):
-            stop = min(start + config.batch_size, n)
-            yb = epoch_labels[start:stop]
-            z, cache = forward_batch(compact, epoch.view(start, stop))
+        for start, batch in zip(range(0, n, config.batch_size), epoch.split(config.batch_size)):
+            yb = epoch_labels[start : start + config.batch_size]
+            z, cache = forward_batch(compact, batch)
             _check_finite("embeddings", z, step)
 
             metric = ce = None
@@ -365,10 +366,13 @@ def train(
             optimizer.step(grad, lr, config.weight_decay)
             lrs.append(lr)
             if bank is not None:
-                # a row norm overflows before an entry does: report it as a
-                # divergence before the renorm rejects the row
-                _check_finite("proxy norms", np.linalg.norm(bank.matrix, axis=1), step)
-                bank.matrix[:] = l2_normalize_rows(bank.matrix)
+                try:
+                    bank.matrix[:] = l2_normalize_rows(bank.matrix)
+                except DegenerateVectorError:
+                    # a row norm overflows before an entry does: report it
+                    # as a divergence, not as the row the renorm rejects
+                    _check_finite("proxy norms", np.linalg.norm(bank.matrix, axis=1), step)
+                    raise
             step += 1
 
     # the unused rows owe their init draw and the decay

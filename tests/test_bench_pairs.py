@@ -119,6 +119,51 @@ def test_more_failures_names_a_larger_failed_share_of_the_working_tree():
     assert bench_pairs.more_failures(same) is None
 
 
+def test_hashes_differ_names_each_sides_distinct_hashes():
+    bench_pairs = load_bench_pairs()
+    same = bench_pairs.entry("gradcheck", 31, 20, "abc123", fake_runs(), METRICS, TRACED)
+    assert bench_pairs.hashes_differ(same) is None
+    moved = bench_pairs.entry("gradcheck", 31, 20, "abc123", fake_runs(result="r2"), METRICS, TRACED)
+    assert bench_pairs.hashes_differ(moved) == (
+        "HASHES DIFFER gradcheck seed 31: result_sha/fingerprint_sha base r1/f1; work r1/f1, r2/f1"
+    )
+    missing = bench_pairs.entry("gradcheck", 31, 20, "abc123", fake_runs(fingerprint=None), METRICS, TRACED)
+    assert bench_pairs.hashes_differ(missing).endswith("base r1/f1; work r1/f1, r1/none")
+    runs = fake_runs()
+    runs["base"][1]["result_sha"] = "a" * 64
+    long = bench_pairs.entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
+    assert f"base {'a' * 16}/f1, r1/f1; work r1/f1" in bench_pairs.hashes_differ(long)
+
+
+def traced_layers(base, work):
+    """One traced run per side with these per-layer values (None: not traced)."""
+    traced = {}
+    for side, values in (("base", base), ("work", work)):
+        run = fake_run(20.0, 1.0, 2)
+        run["summary"]["metrics"] = {name: {"value": v} for name, v in values.items() if v is not None}
+        traced[side] = run
+    return traced
+
+
+def test_layer_changes_print_the_ten_that_changed_most():
+    bench_pairs = load_bench_pairs()
+    base = {f"layer.{i:02d}.s": 1.0 for i in range(12)}
+    work = {f"layer.{i:02d}.s": 1.0 + i / 100 for i in range(12)}
+    base["losses.supcon.s"], work["losses.supcon.s"] = 0.5, 0.25
+    base["only.work"], work["only.work"] = None, 3.0
+    base["zero.calls"], work["zero.calls"] = 0.0, 0.0
+    record = bench_pairs.entry("fewshot-1000", 31, 20, "abc123", fake_runs(), METRICS, traced_layers(base, work))
+    lines = bench_pairs.layer_changes(record)
+    assert len(lines) == bench_pairs.LAYER_LINES == 10
+    assert lines[:3] == [
+        "fewshot-1000 seed 31 layer only.work: base none -> work 3",
+        "fewshot-1000 seed 31 layer losses.supcon.s: base 0.5 -> work 0.25 (-50.0%)",
+        "fewshot-1000 seed 31 layer layer.11.s: base 1 -> work 1.11 (+11.0%)",
+    ]
+    assert lines[-1].startswith("fewshot-1000 seed 31 layer layer.04.s:")
+    assert not any("zero.calls" in line for line in lines)
+
+
 def test_failed_share_of_a_side_with_no_operations_is_zero():
     runs = {side: [fake_run(20.0, 1.0, 0, attempted=0)] for side in ("base", "work")}
     got = load_bench_pairs().entry("gradcheck", 31, 20, "abc123", runs, METRICS, TRACED)
@@ -259,3 +304,22 @@ def test_both_sides_run_from_sibling_checkouts_of_equal_path_length(repo, monkey
     report = json.loads((root / "BENCH_t.json").read_text())
     assert set(report["runs"]["gradcheck seed 3"]["metrics"]["ops_per_kref"]) >= {"gain", "within_bound"}
     assert "gradcheck seed 3 ops_per_kref: base" in capsys.readouterr().out
+
+
+def test_main_prints_moved_hashes_and_the_layers_that_changed(repo, monkeypatch, capsys):
+    bench_pairs, root = repo
+
+    def fake_bench(checkout, workload, seed, seconds, trace=False):
+        moved = checkout.name == "work"
+        run = fake_run(20.0, 1.0, 0, result="r2" if moved else "r1")
+        if trace:
+            run["summary"]["metrics"] = {"losses.supcon.s": {"value": 0.25 if moved else 0.5}}
+        return run
+
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_bench)
+    bench_pairs.main(["--base", "HEAD", "--label", "t", "--workload", "gradcheck", "--pairs", "2"])
+    out = capsys.readouterr().out.splitlines()
+    assert "HASHES DIFFER gradcheck seed 0: result_sha/fingerprint_sha base r1/f1; work r2/f1" in out
+    assert "gradcheck seed 0 layer losses.supcon.s: base 0.5 -> work 0.25 (-50.0%)" in out
+    report = json.loads((root / "BENCH_t.json").read_text())
+    assert report["runs"]["gradcheck seed 0"]["same_hashes"] is False

@@ -22,6 +22,7 @@ from dmlbench.gradcheck import (
     probe,
     run_gradcheck,
 )
+from dmlbench.errors import DimensionError
 from dmlbench.losses import LOSSES, VARIANTS, EmbeddingBatch, LossConfig, LossOutput
 from dmlbench.numeric import Rng, derive_seed, fd_gradient, five_point, l2_normalize_rows
 from dmlbench.proxies import ProxyBank
@@ -131,6 +132,22 @@ def test_each_instance_builds_its_plan_once():
             stack.enter_context(mock.patch.object(losses, f"{variant}_plan", counting(variant)))
         run_gradcheck(instances=2, seed=31)
     assert built == dict.fromkeys(metric, 2)
+
+
+@pytest.mark.parametrize("variant", list(PROBE_SETTINGS))
+def test_probes_check_their_embeddings_but_not_the_labels_again(variant):
+    # the instance's labels were checked when its batch was built; a
+    # probe's batch takes them unchecked, but still refuses embeddings
+    # that are not finite
+    f, x0, _ = draw_probe(LossConfig(variant, **PROBE_SETTINGS[variant]), Rng(3))
+    rebuilt = AssertionError("a probe built a batch through its constructor")
+    with mock.patch.object(EmbeddingBatch, "__post_init__", side_effect=rebuilt):
+        assert f(x0) == f(x0.copy())
+        f(x0 + 1e-3)
+    bad = x0.copy()
+    bad[0] = np.nan
+    with pytest.raises(DimensionError, match="NaN or Inf"):
+        f(bad)
 
 
 @pytest.mark.parametrize("call", [11, 37])

@@ -386,6 +386,22 @@ def test_supcon_loss_matches_per_anchor_loop(batch, tau):
     assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
 
 
+@pytest.mark.parametrize("tau", [0.1, 0.9])
+@pytest.mark.parametrize("singleton", [False, True])
+@pytest.mark.parametrize("length", [64, 65])
+def test_supcon_loss_matches_per_anchor_loop_at_training_shapes(length, singleton, tau):
+    # at L = 64 with every row an anchor, the one block reads its
+    # similarities and writes its spread through the off-diagonal view; a
+    # singleton class leaves its row out of the block, and L = 65 takes
+    # two blocks
+    labels = np.arange(length) % 3
+    if singleton:
+        labels[length // 2] = 3
+    z = np.tanh(Rng(length).normal(length * 16).reshape(length, 16))
+    batch = EmbeddingBatch(z, labels, 4)
+    assert_same_outcome(lambda: supcon_loss(batch, tau), lambda: old_supcon_loss(batch, tau))
+
+
 @SETTINGS
 @given(
     batch=wide_batches(),
@@ -902,35 +918,56 @@ def ragged_token_lists(draw):
     return vocab, draw(st.lists(text, min_size=1, max_size=60))
 
 
+def assert_split_matches_take(packed, size, params, grad_seed):
+    """Every batch of `packed.split(size)` holds what take gathers for its
+    run of texts, as views of the pack's arrays, and the encoder gives the
+    take's bits on it."""
+    parts = packed.split(size)
+    cuts = list(range(0, len(packed), size)) + [len(packed)]
+    assert len(parts) == len(cuts) - 1
+    for part, first, stop in zip(parts, cuts, cuts[1:]):
+        taken = packed.take(np.arange(first, stop))
+        for name in ("ids", "lengths", "rows", "counts", "widths"):
+            assert same_bits(getattr(part, name), getattr(taken, name)), name
+            assert np.shares_memory(getattr(part, name), getattr(packed, name)), name
+        z, cache = forward_batch(params, part)
+        z_taken, cache_taken = forward_batch(params, taken)
+        assert same_bits(z, z_taken)
+        assert same_bits(cache.pooled, cache_taken.pooled)
+        grad_z = Rng(grad_seed + first).normal(z.size).reshape(z.shape)
+        new = backward_into_zeros(params, cache, grad_z)
+        old = backward_into_zeros(params, cache_taken, grad_z)
+        for name in old:
+            assert same_bits(new[name], old[name]), name
+
+
 @SETTINGS
 @given(case=ragged_token_lists(), data=st.data())
-def test_view_matches_take_on_ragged_packs(case, data):
-    # a run of consecutive texts viewed in a pack of mixed lengths holds
-    # what take gathers for it, and the encoder gives the take's bits on it
+def test_split_matches_take_on_ragged_packs(case, data):
+    # every batch of a pack of mixed lengths split into runs, the last
+    # one short or not, holds what take gathers for its texts
     vocab, texts = case
-    packed = pack_tokens(texts)
-    first = data.draw(st.integers(0, len(texts) - 1))
-    stop = data.draw(st.integers(first + 1, len(texts)))
-    view, taken = packed.view(first, stop), packed.take(np.arange(first, stop))
-    for name in ("ids", "lengths", "rows", "counts", "widths"):
-        assert same_bits(getattr(view, name), getattr(taken, name)), name
-        assert np.shares_memory(getattr(view, name), getattr(packed, name)), name
+    size = data.draw(st.integers(1, len(texts)))
     params = init_encoder(3, vocab, data.draw(st.integers(1, 9)), 4, Rng(vocab))
-    z, cache = forward_batch(params, view)
-    z_taken, cache_taken = forward_batch(params, taken)
-    assert same_bits(z, z_taken)
-    assert same_bits(cache.pooled, cache_taken.pooled)
-    grad_z = Rng(stop).normal(z.size).reshape(z.shape)
-    new, old = backward_into_zeros(params, cache, grad_z), backward_into_zeros(params, cache_taken, grad_z)
-    for name in old:
-        assert same_bits(new[name], old[name]), name
+    assert_split_matches_take(pack_tokens(texts), size, params, size)
+
+
+@pytest.mark.parametrize("size", [1, 4, 7, 10, 11])
+def test_split_of_an_epoch_with_a_blank_text_and_a_short_last_batch(size):
+    # 31 texts of 1 to 5 tokens, a blank one (tokenize maps it to [0])
+    # among them, shuffled as an epoch is: 31 % size texts in the last batch
+    texts = [[(i * 5 + j) % 9 for j in range(1 + i % 5)] for i in range(31)]
+    texts[12] = tokenize("  ?! ", 9)
+    epoch = pack_tokens(texts).take(Rng(3).permutation(len(texts)))
+    assert_split_matches_take(epoch, size, init_encoder(3, 9, 5, 4, Rng(4)), size)
 
 
 def test_each_pack_builds_its_step_layouts_once():
-    # an epoch pack builds its gathers and shares once; its views slice
-    # them, and forward_batch and backward_batch only read them. 150 texts
-    # of 1 to 5 tokens, three in four of them 3, so the 3-token run of a
-    # long view spans more than one of forward_batch's gathers of 64 texts
+    # an epoch pack builds its gathers and shares once; the batches it
+    # splits into slice them, and forward_batch and backward_batch only
+    # read them. 150 texts of 1 to 5 tokens, three in four of them 3, so
+    # the 3-token run of a long batch spans more than one of
+    # forward_batch's gathers of 64 texts
     texts = [[i % 7, i * 3 % 7, 2] if i % 4 else [i % 7] * (1 + i % 5) for i in range(150)]
     params = init_encoder(3, 7, 4, 5, Rng(23))
     epoch = pack_tokens(texts).take(Rng(24).permutation(len(texts)))
@@ -943,11 +980,11 @@ def test_each_pack_builds_its_step_layouts_once():
         return build(batch)
 
     with mock.patch.object(TokenBatch, "_build_layouts", counted):
-        for first, stop in [(0, 100), (100, 150), (3, 150), (149, 150), (0, 100)]:
-            view = epoch.view(first, stop)
-            lists = [texts[i] for i in order[first:stop]]
-            for _ in range(2):
-                assert_same_encoder(params, view, lists, first)
+        for size in (100, 149, 150, 64):
+            for first, part in zip(range(0, len(texts), size), epoch.split(size)):
+                lists = [texts[i] for i in order[first : first + size]]
+                for _ in range(2):
+                    assert_same_encoder(params, part, lists, first)
     assert len(built) == 1 and built[0] is epoch
 
     # train's epochs are one pack each, with 3 steps apiece
@@ -957,6 +994,27 @@ def test_each_pack_builds_its_step_layouts_once():
     with mock.patch.object(TokenBatch, "_build_layouts", counted):
         train(data.texts, data.labels, data.num_classes, config)
     assert len(built) == 2 and built[0] is not built[1]
+
+
+@pytest.mark.parametrize("count", [5, 64, 150])
+def test_pooling_one_length_matches_the_pooling_of_several(count):
+    # a batch whose texts share one length pools them straight into its
+    # means and divides by that length; in a batch of several lengths the
+    # same texts take the scatter by length, with the same bits
+    texts = [[(i * 7 + j * 3) % 11 for j in range(4)] for i in range(count)]
+    others = [[(i + j) % 11 for j in range(1 + i % 6)] for i in range(40)]
+    params = init_encoder(3, 11, 6, 4, Rng(count))
+    table = params.embedding_table
+    table[::3] *= 1e6
+    table[1::5] = -0.0
+    mixed = pack_tokens(others + texts)
+    assert len(mixed._layouts()[0]) > 1
+    one = mixed.take(np.arange(len(others), len(others) + count))
+    assert len(one._layouts()[0]) == 1
+    assert_same_encoder(params, one, texts, count)
+    pooled_one = forward_batch(params, one)[1].pooled
+    pooled_mixed = forward_batch(params, mixed)[1].pooled
+    assert same_bits(pooled_one, pooled_mixed[len(others) :])
 
 
 def full_table(params, way):
@@ -1073,6 +1131,33 @@ def test_adamw_matches_temporaries(seed, steps, clip, weight_decay):
         lr = 0.0 if step == 0 else 1e-2 / step
         new.step(flat_grad(grads, shapes), lr, weight_decay)
         old.step(grads, lr, weight_decay)
+        for name in shapes:
+            assert same_bits(new_params[name], old_params[name])
+            assert same_bits(new.m[name], old.m[name])
+            assert same_bits(new.v[name], old.v[name])
+
+
+@pytest.mark.parametrize("clip", [1e9, 0.5])
+def test_adamw_at_scale_one_and_on_a_clipped_step(clip):
+    # at scale 1.0 the step reads the gradient itself, with no pass to
+    # scale it; a clipped step scales it into a work vector first. Either
+    # way the caller's gradient is left as it was
+    rng = Rng(8)
+    shapes = {"table": (7, 3), "bias": (3,), "head": (3, 2)}
+    start = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
+    flat, new_params = flat_copy(list(start.items()))
+    old_params = {name: arr.copy() for name, arr in start.items()}
+    new = AdamW(flat, list(new_params.items()), clip)
+    old = OldAdamW(list(old_params.items()), clip)
+    for _ in range(3):
+        grads = {name: rng.normal(math.prod(s)).reshape(s) for name, s in shapes.items()}
+        grads["bias"][0] = -0.0
+        grad = flat_grad(grads, shapes)
+        given = grad.copy()
+        new.step(grad, 1e-2, 0.01)
+        old.step(grads, 1e-2, 0.01)
+        assert same_bits(grad, given)
+        assert (old.norms[-1] > clip) is (clip == 0.5)
         for name in shapes:
             assert same_bits(new_params[name], old_params[name])
             assert same_bits(new.m[name], old.m[name])

@@ -75,6 +75,13 @@ class TestCce:
     def test_label_range(self):
         with pytest.raises(LabelError):
             cce_loss(np.array([[0.5, 0.5]]), [2])
+        with pytest.raises(LabelError):
+            cce_loss(np.array([[0.5, 0.5], [0.5, 0.5]]), [1, -1])
+
+    def test_zero_rows(self):
+        # an empty batch, as EmbeddingBatch refuses one
+        with pytest.raises(DimensionError, match="at least one"):
+            cce_loss(np.zeros((0, 2)), np.zeros(0, dtype=np.int64))
 
     def test_gradient_matches_fd(self):
         rng = Rng(100)
@@ -87,6 +94,29 @@ class TestCce:
                 return cce_loss(softmax_rows(flat.reshape(4, 3)), labels).value
 
             fd_check(f, logits.ravel(), out.grad_embeddings.ravel())
+
+
+class TestEmbeddingBatch:
+    def test_labels_in_range(self):
+        z = np.zeros((3, 2))
+        for labels in ([0, 1, 3], [-1, 0, 1]):
+            with pytest.raises(LabelError):
+                EmbeddingBatch(z, labels, 3)
+        with pytest.raises(DimensionError, match="at least one row"):
+            EmbeddingBatch(np.zeros((0, 2)), [], 3)
+
+    def test_with_embeddings_keeps_the_labels_and_checks_the_embeddings(self):
+        batch = random_batch(Rng(4))
+        z = Rng(5).normal(batch.embeddings.size).reshape(batch.embeddings.shape)
+        moved = batch.with_embeddings(z)
+        assert np.array_equal(moved.embeddings, z) and moved.labels is batch.labels
+        assert moved.num_classes == batch.num_classes
+        assert np.array_equal(batch.embeddings, random_batch(Rng(4)).embeddings)
+        with pytest.raises(DimensionError, match="shape"):
+            batch.with_embeddings(z[:-1])
+        z[2, 1] = np.inf
+        with pytest.raises(DimensionError, match="NaN or Inf"):
+            batch.with_embeddings(z)
 
 
 class TestTriplet:

@@ -1,11 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from dmlbench import trainer
 from dmlbench.encoder import EncoderParams, pack_tokens, tokenize
-from dmlbench.errors import ConfigError, ScheduleError, TrainingDivergedError
+from dmlbench.errors import ConfigError, DegenerateVectorError, ScheduleError, TrainingDivergedError
 from dmlbench.losses import VARIANTS, LossConfig
 from dmlbench.numeric import Rng
 from dmlbench.trainer import AdamW, TrainConfig, lr_schedule, train
@@ -280,6 +281,34 @@ class TestTrain:
         config = small_config(LossConfig(variant, beta=beta), lr=1e300, clip_norm=1e300)
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(texts, labels, 2, config)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ({0: 0.0}, DegenerateVectorError),
+        ({1: 1e200}, TrainingDivergedError),
+        ({1: np.nan}, TrainingDivergedError),
+        ({0: 0.0, 1: 1e200}, TrainingDivergedError),
+    ],
+)
+def test_renorm_reports_an_overflowing_norm_as_a_divergence(rows, error):
+    # after a step's update, a zero proxy row is a degenerate row and a
+    # row whose norm overflows a divergence, also in a bank that has both
+    step = AdamW.step
+
+    def step_then_set(optimizer, *args):
+        step(optimizer, *args)
+        proxies = dict(optimizer.blocks)["proxies"]
+        for row, value in rows.items():
+            proxies[row] = value
+
+    texts, labels = toy_data()
+    with mock.patch.object(AdamW, "step", step_then_set), np.errstate(over="ignore"):
+        with pytest.raises(error) as raised:
+            train(texts, labels, 2, small_config(LossConfig("proxynca", beta=0.5)))
+    if error is TrainingDivergedError:
+        assert str(raised.value) == "step 0: proxy norms not finite"
 
 
 def ragged_data():

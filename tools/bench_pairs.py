@@ -21,12 +21,15 @@ the machine. The verdicts are printed per workload and metric. When the
 working tree fails a larger share of its
 operations than the base on a workload and seed, a line that begins
 ``MORE FAILURES`` says so: the benchmark counts that as a regression
-whatever the metrics show. One more run per side
+whatever the metrics show. When the runs did not all give one
+``result_sha`` and one ``fingerprint_sha``, a line that begins ``HASHES
+DIFFER`` names each side's distinct pairs of them. One more run per side
 and workload, with ``--trace 1``, follows the pairs; its per-layer metrics
 are stored in the entry side by side, and the untraced runs stay the only
-ones compared. Entries are keyed by workload and seed, and the file is
-written after each workload; running the command again for another
-workload or seed adds to it.
+ones compared. The LAYER_LINES of them that changed most, base to work,
+are printed one per line. Entries are keyed by workload and seed, and the
+file is written after each workload; running the command again for
+another workload or seed adds to it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import shutil
 import statistics
@@ -48,6 +52,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "work")  # also the checkouts' directory names, of equal length
 GAIN_SHARE = 0.9  # a gain needs the working tree to win this share of the pairs
+LAYER_LINES = 10  # per-layer metrics printed, those that changed most
+HASH_CHARS = 16  # of each hash in a HASHES DIFFER line
 
 
 def extract(rev: str, dest: Path) -> str:
@@ -195,6 +201,46 @@ def more_failures(record: dict) -> str | None:
             f"{share['work']:.2%} of its operations, the base {share['base']:.2%}")
 
 
+def hashes_differ(record: dict) -> str | None:
+    """The line to print when the runs of this `entry` did not all give one
+    `result_sha` and one `fingerprint_sha`: each side's distinct pairs of
+    them ("none" for a missing hash), else None."""
+    if record["same_hashes"]:
+        return None
+
+    def pair(run):
+        return "/".join(
+            "none" if run.get(key) is None else run[key][:HASH_CHARS] for key in ("result_sha", "fingerprint_sha")
+        )
+
+    seen = {side: ", ".join(sorted({pair(run) for run in record[side]})) for side in SIDES}
+    return (f"HASHES DIFFER {record['workload']} seed {record['seed']}: result_sha/fingerprint_sha "
+            f"base {seen['base']}; work {seen['work']}")
+
+
+def layer_changes(record: dict) -> list[str]:
+    """One line for each of the LAYER_LINES per-layer metrics of an `entry`
+    whose value changed most, base to work, relative to the base's: a
+    metric that only one side traced, or that is 0 on the base, comes
+    first, and ties keep the metrics' order by name."""
+
+    def change(values):
+        base, work = values["base"], values["work"]
+        if base is None or work is None or (base == 0 and work != 0):
+            return math.inf
+        return abs(work / base - 1) if base else 0.0
+
+    ranked = sorted(record["per_layer"].items(), key=lambda item: -change(item[1]))
+    lines = []
+    for name, values in ranked[:LAYER_LINES]:
+        base, work = (values[side] for side in SIDES)
+        shown = {side: "none" if v is None else f"{v:.4g}" for side, v in values.items()}
+        rel = f" ({work / base - 1:+.1%})" if base and work is not None else ""
+        lines.append(f"{record['workload']} seed {record['seed']} layer {name}: "
+                     f"base {shown['base']} -> work {shown['work']}{rel}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare the working tree against")
@@ -229,8 +275,9 @@ def main(argv=None) -> int:
             report["runs"][f"{workload} seed {args.seed}"] = record
             for line in verdicts(record):
                 print(line, flush=True)
-            if more_failures(record):
-                print(more_failures(record), flush=True)
+            for line in [more_failures(record), hashes_differ(record), *layer_changes(record)]:
+                if line is not None:
+                    print(line, flush=True)
             report.update(label=args.label, numpy=np.__version__, nproc=len(os.sched_getaffinity(0)))
             out_path.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
             print(f"wrote {out_path}", flush=True)
